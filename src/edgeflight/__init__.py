@@ -48,7 +48,7 @@ from .gridfile import UNKNOWN_SENTINEL, load_grid, parse_grid, save_grid
 from .linkfield import TruthLink, ray_table_for
 from .offload import OffloadConfig, ProcessingMode, remote_update_rate, select_mode, speed_limit
 from .planner import PlanConfig, Planner, PlannerKind
-from .radiomap import RadioMap, classify_link, estimated_uplink_capacity
+from .radiomap import RadioMap
 from .scenario import HeightField, Scenario, ScenarioConfig, build_scenario
 from .simcore import BatchResult, Metrics, TrajectoryLog, UavState, run_batch, run_episode
 from .worldmap import ExploredMap, RayTable, SensorModel, UnknownPolicy, ray_blocked, sense
@@ -83,13 +83,11 @@ __all__ = [
     "UavState",
     "UnknownPolicy",
     "capacity_bps",
-    "classify_link",
     "config_digest",
     "config_from_dict",
     "config_to_dict",
     "default_config",
     "elevation_deg",
-    "estimated_uplink_capacity",
     "example_config",
     "expected_path_loss_db",
     "flat_city_config",

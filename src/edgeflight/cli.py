@@ -138,6 +138,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be at least 1, got {args.episodes}")
     cfg = _resolve_config(args)
     kinds = _parse_kinds(args.planners)
     out = _out_dir(args)

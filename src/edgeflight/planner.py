@@ -6,7 +6,7 @@ speed-limit, NLoS, and interference grids fed to the cost model:
     baseline  - elevation-angle LoS probability prices every cell, no NLoS
                 penalty (the arm is LoS-blind), explored map used for
                 obstacles only.
-    explored  - speed limits from the self-built radio map (assumed-LoS voxels
+    explored  - speed limits from the self-built radio map (assumed-LoS cells
                 priced as LoS, interference unknown), NLoS penalty from the
                 radio map's state estimates.
     global    - truth link states everywhere plus downlink interference, NLoS
@@ -40,7 +40,7 @@ from .channel import (
     dbm_to_mw,
     expected_path_loss_db,
 )
-from .errors import StuckError
+from .errors import ConfigError, StuckError
 from .linkfield import TruthLink
 from .offload import OffloadConfig
 from .radiomap import _STATE_CODE, RadioMap
@@ -64,27 +64,27 @@ class PlanConfig:
     safety_margin_cells: int = 1
     commit_within_sensed: bool = True
 
+    def __post_init__(self):
+        if self.horizon_s <= 0 or self.replan_period_s <= 0:
+            raise ConfigError("planner horizon_s and replan_period_s must be positive")
+        if self.nlos_penalty < 0 or self.interference_weight < 0:
+            # negative edge weights break the shortest-path sweep
+            raise ConfigError("planner nlos_penalty and interference_weight must be >= 0")
+        if self.safety_margin_cells < 0:
+            raise ConfigError("planner safety_margin_cells must be >= 0")
+
 
 @dataclass
 class TrajectorySegment:
-    """Committed motion plan: lattice cells plus a nominal tick schedule."""
+    """Committed motion plan: lattice cells and the polyline through them."""
 
     cells: list[tuple[int, int]]
     points: np.ndarray        # (n, 3) waypoints, exact current position first
     leg_speeds: np.ndarray    # (n-1,) planned speed per leg, m/s
-    times: np.ndarray         # (k,) absolute tick times of the samples
-    samples: np.ndarray       # (k, 3) sampled positions
-    sample_speeds: np.ndarray  # (k,)
     cost: float               # cost of the committed cell path
     plan_cost: float          # cost of the full search path before truncation
     reaches_goal: bool
     heading_hint: float | None = None
-
-    @property
-    def length_m(self) -> float:
-        if len(self.points) < 2:
-            return 0.0
-        return float(np.sum(np.linalg.norm(np.diff(self.points, axis=0), axis=1)))
 
 
 def rate_to_limit_grid(up_bps: np.ndarray, dn_bps: np.ndarray, oc: OffloadConfig) -> np.ndarray:
@@ -108,8 +108,7 @@ class Planner:
 
     def __init__(self, kind: PlannerKind, scenario, explored: ExploredMap,
                  radio_map: RadioMap, truth_link: TruthLink,
-                 ch: ChannelParams, oc: OffloadConfig, pc: PlanConfig,
-                 tick_s: float = 0.1):
+                 ch: ChannelParams, oc: OffloadConfig, pc: PlanConfig):
         self.kind = kind
         self.sc = scenario
         self.explored = explored
@@ -118,7 +117,6 @@ class Planner:
         self.ch = ch
         self.oc = oc
         self.pc = pc
-        self.tick_s = float(tick_s)
         self._nx = scenario.truth.width_cells
         self._ny = scenario.truth.depth_cells
         self._s = scenario.truth.cell_size_m
@@ -257,7 +255,7 @@ class Planner:
             return None, None
         return int(best[1]), float(best[0] - gstar[best[1]])
 
-    def plan(self, position, now_s: float) -> TrajectorySegment:
+    def plan(self, position) -> TrajectorySegment:
         """One planning step from the current position toward the goal.
 
         Raises:
@@ -318,10 +316,10 @@ class Planner:
                 np.degrees(np.arctan2(ahead[1] - position[1], ahead[0] - position[0]))
             )
 
-        return self._segment(position, committed, limits, now_s,
-                             committed_cost, plan_cost, reaches_goal, heading_hint)
+        return self._segment(position, committed, limits, committed_cost, plan_cost,
+                             reaches_goal, heading_hint)
 
-    def _segment(self, position, cells, limits, now_s, cost, plan_cost,
+    def _segment(self, position, cells, limits, cost, plan_cost,
                  reaches_goal, heading_hint) -> TrajectorySegment:
         pos = np.asarray(position, dtype=float)
         pts = [pos]
@@ -341,41 +339,10 @@ class Planner:
             pts.append(p)
             speeds.append(min(limits[cells[i - 1]], limits[c]))
         points = np.vstack(pts) if len(pts) > 1 else pos.reshape(1, 3)
-        leg_speeds = np.asarray(speeds)
-
-        # nominal tick schedule along the committed polyline
-        times = [now_s]
-        samples = [points[0]]
-        speed_samples = []
-        leg = 0
-        p = points[0].copy()
-        while leg < len(leg_speeds):
-            v = leg_speeds[leg]
-            if v <= 0:
-                break
-            budget = v * self.tick_s
-            speed_samples.append(v)
-            while budget > 1e-12 and leg < len(leg_speeds):
-                seg_v = points[leg + 1] - p
-                d = float(np.linalg.norm(seg_v))
-                if d <= budget:
-                    budget -= d
-                    p = points[leg + 1].copy()
-                    leg += 1
-                else:
-                    p = p + seg_v * (budget / d)
-                    budget = 0.0
-            times.append(times[-1] + self.tick_s)
-            samples.append(p.copy())
-        speed_samples.append(0.0)
-
         return TrajectorySegment(
             cells=cells,
             points=points,
-            leg_speeds=leg_speeds,
-            times=np.asarray(times),
-            samples=np.vstack(samples),
-            sample_speeds=np.asarray(speed_samples),
+            leg_speeds=np.asarray(speeds),
             cost=cost,
             plan_cost=plan_cost,
             reaches_goal=reaches_goal,

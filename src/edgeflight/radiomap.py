@@ -1,136 +1,100 @@
-"""Incrementally learned radio map toward the serving base station.
+"""Incrementally learned radio map of the flight layer toward the serving BS.
 
-The map is a sparse voxel table in a BS-referenced grid (horizontal voxel =
-map cell, vertical layers at multiples of the cell size). Each entry stores a
-link-state estimate and the channel gain it implies. Voxels whose ray to the
-BS crosses only explored free cells are LoS; rays crossing a known obstacle
-are NLoS and stay NLoS (sticky); rays touching unexplored cells are assumed
-LoS and priced optimistically until the area is explored or measured.
+The vehicle flies at one altitude and measures one serving BS, so the map is
+two dense grids over the flight layer, one value per map cell: `state_grid`
+holds a link-state code (MISSING until the cell is first estimated) and
+`gain_grid` the channel gain that state implies. Cells whose ray to the BS
+crosses only explored free cells are LoS; rays crossing a known obstacle are
+NLoS and stay NLoS (sticky); rays touching unexplored cells are assumed LoS
+and priced optimistically until the area is explored or measured. Rays are
+classified through the BS's precomputed RayTable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelParams, LinkState, capacity_bps, path_loss_db, sinr_linear
-from .worldmap import ExploredMap, RayResult, RayTable, UnknownPolicy, ray_blocked
+from .channel import ChannelParams, LinkState, path_loss_db
+from .worldmap import ExploredMap, RayTable
 
 _STATE_CODE = {LinkState.LOS: 0, LinkState.NLOS: 1, LinkState.ASSUMED_LOS: 2}
 _CODE_STATE = {v: k for k, v in _STATE_CODE.items()}
 MISSING = -1
-
-
-@dataclass
-class RadioEntry:
-    state: LinkState
-    gain_db: float
-    sticky_nlos: bool = False
-
-
-def classify_link(explored: ExploredMap, voxel_center, bs) -> LinkState:
-    """Map the tri-state ray verdict to a link-state estimate."""
-    r = ray_blocked(explored, np.asarray(bs, dtype=float), np.asarray(voxel_center, dtype=float),
-                    UnknownPolicy.FREE)
-    if r is RayResult.BLOCKED:
-        return LinkState.NLOS
-    if r is RayResult.CROSSES_UNKNOWN:
-        return LinkState.ASSUMED_LOS
-    return LinkState.LOS
+_LOS = _STATE_CODE[LinkState.LOS]
+_NLOS = _STATE_CODE[LinkState.NLOS]
+_ASSUMED = _STATE_CODE[LinkState.ASSUMED_LOS]
 
 
 class RadioMap:
-    """Sparse per-voxel link estimates bound to one explored map and one BS."""
+    """Flight-layer link estimates bound to one explored map and one BS.
 
-    def __init__(self, bs, explored: ExploredMap, params: ChannelParams,
-                 layer_z: float, sticky_nlos: bool = True,
-                 ray_table: RayTable | None = None):
-        self.bs = np.asarray(bs, dtype=float)
+    The BS position and the layer height are the ray table's origin and
+    target altitude.
+    """
+
+    def __init__(self, table: RayTable, explored: ExploredMap, params: ChannelParams,
+                 sticky_nlos: bool = True):
+        self.table = table
         self.explored = explored
-        self.params = params
-        self.layer_z = float(layer_z)
         self.sticky_enabled = bool(sticky_nlos)
-        self.ray_table = ray_table
-        s = explored.cell_size_m
-        self.cell_size_m = s
-        self.bs_cell = explored.cell_of(self.bs)
-        self.entries: dict[tuple[int, int, int], RadioEntry] = {}
-        # bumped whenever a voxel crosses the NLoS pricing boundary, so
+        # bumped whenever a cell crosses the NLoS pricing boundary, so
         # planners know their cached cost fields went stale
         self.version = 0
         self._eval_seen = -1
         nx, ny = explored.width_cells, explored.depth_cells
-        self._nx, self._ny = nx, ny
-        # dense mirrors of the flight layer, for vectorized consumers
         self.state_grid = np.full((nx, ny), MISSING, dtype=np.int8)
         self.gain_grid = np.full((nx, ny), np.nan)
+        s = explored.cell_size_m
+        bs = table.origin
         cx = (np.arange(nx) + 0.5) * s
         cy = (np.arange(ny) + 0.5) * s
-        dx = cx[:, None] - self.bs[0]
-        dy = cy[None, :] - self.bs[1]
-        self._dist_grid = np.sqrt(dx * dx + dy * dy + (self.layer_z - self.bs[2]) ** 2)
-
-    # voxel addressing -----------------------------------------------------
-
-    def voxel_of(self, point) -> tuple[int, int, int]:
-        """BS-referenced voxel containing a world point."""
-        ix, iy = self.explored.cell_of(point)
-        kz = int(round((point[2] - self.bs[2]) / self.cell_size_m))
-        return ix - self.bs_cell[0], iy - self.bs_cell[1], kz
-
-    def center_of(self, key) -> np.ndarray:
-        kx, ky, kz = key
-        s = self.cell_size_m
-        return np.array(
-            [
-                (self.bs_cell[0] + kx + 0.5) * s,
-                (self.bs_cell[1] + ky + 0.5) * s,
-                self.bs[2] + kz * s,
-            ]
-        )
-
-    def _grid_cell(self, key) -> tuple[int, int]:
-        return key[0] + self.bs_cell[0], key[1] + self.bs_cell[1]
-
-    def _layer_key(self, ix: int, iy: int) -> tuple[int, int, int]:
-        kz = int(round((self.layer_z - self.bs[2]) / self.cell_size_m))
-        return ix - self.bs_cell[0], iy - self.bs_cell[1], kz
-
-    # entry maintenance ----------------------------------------------------
-
-    def _gain_for(self, state: LinkState, dist_m: float) -> float:
+        dx = cx[:, None] - bs[0]
+        dy = cy[None, :] - bs[1]
+        self._dist_grid = np.sqrt(dx * dx + dy * dy + (table.target_z - bs[2]) ** 2)
         # UAV boresight tracks the serving BS: both antenna gains at 0 dB.
-        return -float(path_loss_db(dist_m, state, self.params))
+        # Assumed LoS is priced as LoS.
+        self._los_gain = -path_loss_db(self._dist_grid, LinkState.LOS, params).ravel()
+        self._nlos_gain = -path_loss_db(self._dist_grid, LinkState.NLOS, params).ravel()
 
-    def _write(self, key, state: LinkState) -> None:
-        ix, iy = self._grid_cell(key)
-        dist = float(self._dist_grid[ix, iy])
-        sticky = state is LinkState.NLOS
-        prev = self.entries.get(key)
+    def _stale(self, codes: np.ndarray) -> np.ndarray:
+        """Cells a refresh may change: missing, assumed LoS and, unless sticky, NLoS.
+
+        LoS came from rays over explored cells only, and explored knowledge
+        is monotone, so re-classifying it would confirm it.
+        """
+        stale = (codes == MISSING) | (codes == _ASSUMED)
+        if not self.sticky_enabled:
+            stale |= codes == _NLOS
+        return stale
+
+    def _write(self, idx: np.ndarray, codes: np.ndarray) -> None:
+        """Store new state codes at flat cell indices, touching only changed cells."""
+        state = self.state_grid.reshape(-1)
+        old = state[idx]
+        changed = old != codes
+        idx, old, codes = idx[changed], old[changed], codes[changed]
         # Missing / assumed / LoS all price identically; only crossing the
         # NLoS boundary changes any consumer's view of the map.
-        if (prev is not None and prev.state is LinkState.NLOS) != sticky:
-            self.version += 1
-        self.entries[key] = RadioEntry(state, self._gain_for(state, dist), sticky)
-        self.state_grid[ix, iy] = _STATE_CODE[state]
-        self.gain_grid[ix, iy] = self.entries[key].gain_db
+        self.version += int(np.count_nonzero((old == _NLOS) != (codes == _NLOS)))
+        state[idx] = codes
+        self.gain_grid.reshape(-1)[idx] = np.where(
+            codes == _NLOS, self._nlos_gain[idx], self._los_gain[idx]
+        )
 
-    def _needs_eval(self, code: int) -> bool:
-        if code == MISSING or code == _STATE_CODE[LinkState.ASSUMED_LOS]:
-            return True
-        if code == _STATE_CODE[LinkState.NLOS]:
-            return not self.sticky_enabled
-        return False  # LoS came from fully explored rays; re-evaluating is a no-op
+    def _refresh(self, idx: np.ndarray) -> None:
+        """Re-classify the rays to the given flat cells against the explored map."""
+        if len(idx) == 0:
+            return
+        blocked, crosses = self.table.classify_subset(
+            idx, self.explored.known, self.explored.heights
+        )
+        codes = np.where(blocked, _NLOS, np.where(crosses, _ASSUMED, _LOS)).astype(np.int8)
+        self._write(idx, codes)
 
     def update_around(self, around, radius_m: float) -> None:
-        """Re-estimate every stale voxel within radius of `around` (flight layer).
-
-        Sticky NLoS entries are left untouched; settled LoS entries cannot
-        change because explored knowledge is monotone.
-        """
-        s = self.cell_size_m
-        nx, ny = self._nx, self._ny
+        """Re-estimate every stale cell within radius of `around`."""
+        s = self.explored.cell_size_m
+        nx, ny = self.state_grid.shape
         px, py = float(around[0]), float(around[1])
         ix0 = max(int((px - radius_m) // s), 0)
         ix1 = min(int((px + radius_m) // s) + 1, nx)
@@ -141,122 +105,39 @@ class RadioMap:
         cx = (np.arange(ix0, ix1) + 0.5) * s - px
         cy = (np.arange(iy0, iy1) + 0.5) * s - py
         inside = np.hypot(cx[:, None], cy[None, :]) <= radius_m
-        codes = self.state_grid[ix0:ix1, iy0:iy1]
-        stale = inside & (
-            (codes == MISSING) | (codes == _STATE_CODE[LinkState.ASSUMED_LOS])
-        )
-        if not self.sticky_enabled:
-            stale |= inside & (codes == _STATE_CODE[LinkState.NLOS])
-        sel = np.argwhere(stale)
-        if len(sel) == 0:
-            return
-        cells = [(int(ix0 + i), int(iy0 + j)) for i, j in sel]
-        self._evaluate_cells(cells)
-
-    def _evaluate_cells(self, cells: list[tuple[int, int]]) -> None:
-        # re-predictions mostly confirm the stored state; skipping those
-        # writes keeps bulk refreshes O(changed), not O(stale)
-        if self.ray_table is not None:
-            rays = np.array([ix * self._ny + iy for ix, iy in cells], dtype=np.int64)
-            blocked, crosses = self.ray_table.classify_subset(
-                rays, self.explored.known, self.explored.heights
-            )
-            for (ix, iy), b, c in zip(cells, blocked, crosses):
-                state = (
-                    LinkState.NLOS if b else LinkState.ASSUMED_LOS if c else LinkState.LOS
-                )
-                if self.state_grid[ix, iy] != _STATE_CODE[state]:
-                    self._write(self._layer_key(ix, iy), state)
-        else:
-            s = self.cell_size_m
-            for ix, iy in cells:
-                center = np.array([(ix + 0.5) * s, (iy + 0.5) * s, self.layer_z])
-                state = classify_link(self.explored, center, self.bs)
-                if self.state_grid[ix, iy] != _STATE_CODE[state]:
-                    self._write(self._layer_key(ix, iy), state)
+        i, j = np.nonzero(inside & self._stale(self.state_grid[ix0:ix1, iy0:iy1]))
+        self._refresh((i + ix0) * ny + (j + iy0))
 
     def ensure_layer_evaluated(self) -> None:
-        """Bring every flight-layer voxel up to date with the explored map.
+        """Bring every flight-layer cell up to date with the explored map.
 
-        Missing voxels get a first estimate; assumed-LoS voxels are
+        Missing cells get a first estimate; assumed-LoS cells are
         re-predicted, since geometry discovered anywhere along their rays can
-        disprove the assumption long before the vehicle gets near. LoS voxels
-        are settled (their rays crossed only known cells) and sticky NLoS is
-        respected.
+        disprove the assumption long before the vehicle gets near.
         """
         seen = self.explored.explored_cell_count
         if seen == self._eval_seen:
             return  # nothing new anywhere: every estimate would re-confirm
-        stale = (self.state_grid == MISSING) | (
-            self.state_grid == _STATE_CODE[LinkState.ASSUMED_LOS]
-        )
-        if not self.sticky_enabled:
-            stale |= self.state_grid == _STATE_CODE[LinkState.NLOS]
-        sel = np.argwhere(stale)
         self._eval_seen = seen
-        if len(sel) == 0:
-            return
-        self._evaluate_cells([(int(i), int(j)) for i, j in sel])
+        self._refresh(np.flatnonzero(self._stale(self.state_grid)))
 
     def csi_correct(self, position, measured: LinkState) -> None:
-        """Overwrite the current voxel with a measured LoS/NLoS state.
+        """Overwrite the current cell with a measured LoS/NLoS state.
 
         Raises:
             ValueError: measured state is not a physical measurement.
         """
         if measured not in (LinkState.LOS, LinkState.NLOS):
             raise ValueError("CSI measurement must be LoS or NLoS")
-        key = self.voxel_of(position)
-        existing = self.entries.get(key)
-        if existing is not None and existing.sticky_nlos and self.sticky_enabled:
+        ix, iy = self.explored.cell_of(position)
+        code = _STATE_CODE[measured]
+        prev = self.state_grid[ix, iy]
+        if prev == code or (prev == _NLOS and self.sticky_enabled):
             return
-        self._write(key, measured)
-
-    # queries ---------------------------------------------------------------
+        self._write(np.array([ix * self.state_grid.shape[1] + iy]),
+                    np.array([code], dtype=np.int8))
 
     def state_at(self, point) -> LinkState | None:
-        e = self.entries.get(self.voxel_of(point))
-        return e.state if e is not None else None
-
-    def gain_at(self, point) -> float:
-        """Gain estimate at the voxel holding `point`, classifying on demand."""
-        key = self.voxel_of(point)
-        e = self.entries.get(key)
-        if e is None:
-            self._write(key, classify_link(self.explored, self.center_of(key), self.bs))
-            e = self.entries[key]
-        return e.gain_db
-
-    def estimated_uplink_capacity(self, point) -> float:
-        """Interference-blind uplink capacity implied by the stored gain."""
-        rx = self.params.uav_tx_power_dbm + self.gain_at(point)
-        return float(capacity_bps(sinr_linear(rx, (), self.params), self.params.bandwidth_hz))
-
-    def export_slice(self) -> str:
-        """Flight-layer gains and state codes as plot-friendly text."""
-        lines = [
-            "# radio map slice",
-            f"# bs {self.bs[0]!r} {self.bs[1]!r} {self.bs[2]!r}",
-            f"# layer_z {self.layer_z!r}",
-            f"# states: {MISSING}=missing 0=los 1=nlos 2=assumed_los",
-            f"{self._nx} {self._ny} {self.cell_size_m!r}",
-            "# gain_db",
-        ]
-        for iy in range(self._ny):
-            lines.append(" ".join(f"{g:.3f}" for g in self.gain_grid[:, iy]))
-        lines.append("# state")
-        for iy in range(self._ny):
-            lines.append(" ".join(str(int(c)) for c in self.state_grid[:, iy]))
-        return "\n".join(lines) + "\n"
-
-
-def update_radio_map(rm: RadioMap, around, radius_m: float) -> None:
-    rm.update_around(around, radius_m)
-
-
-def csi_correct(rm: RadioMap, position, measured: LinkState) -> None:
-    rm.csi_correct(position, measured)
-
-
-def estimated_uplink_capacity(rm: RadioMap, point) -> float:
-    return rm.estimated_uplink_capacity(point)
+        """Estimated state of the cell holding `point`; None if never estimated."""
+        code = int(self.state_grid[self.explored.cell_of(point)])
+        return None if code == MISSING else _CODE_STATE[code]

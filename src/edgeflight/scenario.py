@@ -165,16 +165,6 @@ def generate_city(cfg: ScenarioConfig, rng: np.random.Generator) -> HeightField:
     return HeightField(heights, s)
 
 
-def block_heights(field_: HeightField, cfg: ScenarioConfig) -> np.ndarray:
-    """Per-block height draws recovered from a generated field (one cell per block)."""
-    s = cfg.cell_size_m
-    fp_c = int(round(cfg.building_footprint_m / s))
-    st_c = int(round(cfg.street_width_m / s))
-    cols = _block_slices(field_.width_cells, fp_c, st_c)
-    rows = _block_slices(field_.depth_cells, fp_c, st_c)
-    return np.array([field_.heights[cs.start, rs.start] for cs in cols for rs in rows])
-
-
 def street_mask(field_: HeightField) -> np.ndarray:
     return field_.heights == 0.0
 

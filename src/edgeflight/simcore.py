@@ -2,7 +2,7 @@
 
 Each tick: true link budgets at the current position set the offload mode and
 the true speed cap; sensing and radio-map maintenance run at the effective
-frame cadence; the current voxel gets a measured (CSI) state every tick; the
+frame cadence; the current cell gets a measured (CSI) state every tick; the
 planner re-commits on its cadence or when the committed segment is
 invalidated; then the vehicle advances along the committed polyline at the
 lesser of the planned and true speed limits.
@@ -29,7 +29,6 @@ from .worldmap import ExploredMap, SensorModel, sense
 @dataclass
 class UavState:
     position: np.ndarray
-    velocity: np.ndarray
     heading_deg: float
     mode: ProcessingMode
     time_s: float
@@ -93,15 +92,12 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         explored = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     serving = scenario.serving_bs
     table = ray_table_for(scenario, serving, alt)
-    rm = RadioMap(scenario.bs_positions[serving], explored, cfg.channel, alt,
-                  sticky_nlos=cfg.sim.sticky_nlos, ray_table=table)
+    rm = RadioMap(table, explored, cfg.channel, sticky_nlos=cfg.sim.sticky_nlos)
     tl = TruthLink(scenario, cfg.channel, alt)
-    planner = Planner(kind, scenario, explored, rm, tl, cfg.channel, cfg.offload,
-                      cfg.planner, tick_s=dt)
+    planner = Planner(kind, scenario, explored, rm, tl, cfg.channel, cfg.offload, cfg.planner)
 
     state = UavState(
         position=np.asarray(scenario.start, dtype=float).copy(),
-        velocity=np.zeros(3),
         heading_deg=bearing_deg(scenario.start, scenario.goal),
         mode=ProcessingMode.REMOTE,
         time_s=0.0,
@@ -137,7 +133,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             sense(truth, explored, pos, state.heading_deg, sensor)
             rm.update_around(pos, update_radius)
 
-        # 4: measured state of the current voxel
+        # 4: measured state of the current cell
         true_state = tl.serving_state(pos)
         est = rm.state_at(pos)
         est_name = est.value if est is not None else "none"
@@ -150,7 +146,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             invalid = segment_invalidated(seg, seg_leg, planner.forbidden_mask())
         if replan_due(state.time_s, last_plan, cfg.planner, invalidated=invalid):
             try:
-                seg = planner.plan(pos, state.time_s)
+                seg = planner.plan(pos)
             except StuckError:
                 stuck = True
                 if collect_log:
@@ -182,12 +178,9 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             if moved > 1e-12:
                 delta = p - pos
                 state.heading_deg = float(np.degrees(np.arctan2(delta[1], delta[0])))
-                state.velocity = delta / dt
             state.position = p
-        else:
-            state.velocity = np.zeros(3)
-            if seg is not None and seg.heading_hint is not None:
-                state.heading_deg = seg.heading_hint
+        elif seg is not None and seg.heading_hint is not None:
+            state.heading_deg = seg.heading_hint
 
         if collect_log:
             log.append(state.time_s, pos, moved / dt, mode, true_state, est_name,

@@ -299,20 +299,9 @@ class RayTable:
         n = self.nx * self.ny
         return np.bincount(self.ray_ids, weights=hit, minlength=n) > 0
 
-    def classify(self, known: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(blocked, crosses_unknown) masks against a partially known grid."""
-        k = known.ravel()[self.cells]
-        h = heights.ravel()[self.cells]
-        hit = k & (h > self.minz)
-        unk = ~k
-        n = self.nx * self.ny
-        blocked = np.bincount(self.ray_ids, weights=hit, minlength=n) > 0
-        crosses = np.bincount(self.ray_ids, weights=unk, minlength=n) > 0
-        return blocked, crosses & ~blocked
-
     def classify_subset(self, rays: np.ndarray, known: np.ndarray,
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """classify() restricted to the given flat ray indices."""
+        """(blocked, crosses_unknown) per given flat ray index, on a partially known grid."""
         rays = np.asarray(rays, dtype=np.int64)
         blocked = np.zeros(len(rays), dtype=bool)
         crosses = np.zeros(len(rays), dtype=bool)

@@ -140,7 +140,7 @@ def test_04_committed_cost_is_the_exhaustive_optimum():
         want = relaxed_cost_to_go(limits, pen, forb, goal_c, 5.0)[start_c]
         if not np.isfinite(want):
             continue
-        seg = pl.plan(sc.start, 0.0)
+        seg = pl.plan(sc.start)
         assert seg.reaches_goal
         assert seg.cost == pytest.approx(float(want), rel=1e-9)
         if nx <= 5:
@@ -180,7 +180,7 @@ def test_06_full_knowledge_map_equals_truth_ray_casting():
     full = ExploredMap.fully_known(truth)
     bs = sc.bs_positions[sc.serving_bs]
     table = RayTable(bs, truth.width_cells, truth.depth_cells, truth.cell_size_m, alt)
-    rm = RadioMap(bs, full, ef.ChannelParams(), alt, sticky_nlos=False, ray_table=table)
+    rm = RadioMap(table, full, ef.ChannelParams(), sticky_nlos=False)
     rm.ensure_layer_evaluated()
 
     want_blocked = table.classify_truth(truth.heights).reshape(
@@ -207,7 +207,7 @@ def test_07_partial_map_estimates_are_never_pessimistic():
         explored = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
         bs = sc.bs_positions[sc.serving_bs]
         table = RayTable(bs, truth.width_cells, truth.depth_cells, truth.cell_size_m, alt)
-        rm = RadioMap(bs, explored, params, alt, ray_table=table)
+        rm = RadioMap(table, explored, params)
 
         rng = np.random.default_rng(city_seed)
         w, d = sc.cfg.map_size_m

@@ -115,3 +115,19 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     rc = main(["generate", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "x")])
     assert rc == EXIT_CONFIG
+
+
+def test_negative_nlos_penalty_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "neg.json"
+    cfg.write_text(json.dumps({"planner": {"nlos_penalty": -2}}))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    assert "nlos_penalty" in capsys.readouterr().err
+
+
+def test_batch_rejects_non_positive_episodes(tmp_path, capsys):
+    for n in ("0", "-1"):
+        rc = main(["batch", "--preset", "default", "--episodes", n,
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert "--episodes" in capsys.readouterr().err

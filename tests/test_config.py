@@ -61,6 +61,18 @@ def test_invalid_value_surfaces_as_config_error():
         config_from_dict({"scenario": {"map_size_m": [300.0]}})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon_s", 0.0),
+    ("replan_period_s", 0.0),
+    ("nlos_penalty", -2.0),
+    ("interference_weight", -0.5),
+    ("safety_margin_cells", -1),
+])
+def test_planner_section_rejects_bad_value(field, value):
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict({"planner": {field: value}})
+
+
 def test_malformed_json_is_config_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

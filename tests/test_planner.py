@@ -50,7 +50,7 @@ def make_planner(sc: Scenario, kind: PlannerKind, pc: PlanConfig | None = None,
         explored = ExploredMap.fully_known(sc.truth)
     table = RayTable(sc.bs_positions[0], sc.truth.width_cells,
                      sc.truth.depth_cells, sc.truth.cell_size_m, ALT)
-    rm = RadioMap(sc.bs_positions[0], explored, CH, ALT, ray_table=table)
+    rm = RadioMap(table, explored, CH)
     tl = TruthLink(sc, CH, ALT)
     return Planner(kind, sc, explored, rm, tl, CH, OC,
                    pc or PlanConfig(horizon_s=1e9))
@@ -89,7 +89,7 @@ def test_plan_cost_matches_relaxation_oracle():
             want = relaxed_cost_to_go(limits, pen, forb, goal_c, 5.0)[start_c]
             if not np.isfinite(want):
                 continue
-            seg = pl.plan(sc.start, 0.0)
+            seg = pl.plan(sc.start)
             assert seg.plan_cost == pytest.approx(float(want), rel=1e-9)
             assert seg.reaches_goal
             assert seg.cost == pytest.approx(seg.plan_cost, rel=1e-9)
@@ -112,7 +112,7 @@ def test_plan_cost_matches_exhaustive_enumeration_on_tiny_grids():
             continue
         # the two oracles agree with each other, and the planner with both
         assert relax == pytest.approx(want, rel=1e-9)
-        seg = pl.plan(sc.start, 0.0)
+        seg = pl.plan(sc.start)
         assert seg.plan_cost == pytest.approx(want, rel=1e-9)
         solved += 1
     assert solved >= 6
@@ -122,8 +122,8 @@ def test_plan_is_deterministic():
     rng = np.random.default_rng(5)
     heights, bs_c, start_c, goal_c = random_world(rng, 14, 14)
     sc = make_world(heights, bs_c, start_c, goal_c)
-    a = make_planner(sc, PlannerKind.GLOBAL).plan(sc.start, 0.0)
-    b = make_planner(sc, PlannerKind.GLOBAL).plan(sc.start, 0.0)
+    a = make_planner(sc, PlannerKind.GLOBAL).plan(sc.start)
+    b = make_planner(sc, PlannerKind.GLOBAL).plan(sc.start)
     assert a.cells == b.cells
     assert np.array_equal(a.points, b.points)
 
@@ -134,7 +134,7 @@ def test_walled_goal_raises_stuck():
     sc = make_world(heights, (0, 0), (2, 4), (8, 4))
     pl = make_planner(sc, PlannerKind.GLOBAL)
     with pytest.raises(StuckError):
-        pl.plan(sc.start, 0.0)
+        pl.plan(sc.start)
 
 
 def test_margin_inflation_blocks_adjacent_cells():
@@ -145,7 +145,7 @@ def test_margin_inflation_blocks_adjacent_cells():
                                                          safety_margin_cells=1))
     forb = pl.forbidden_mask()
     assert forb[4, 4] and forb[3, 4] and forb[4, 3] and forb[5, 5]
-    seg = pl.plan(sc.start, 0.0)
+    seg = pl.plan(sc.start)
     assert not any(forb[c] for c in seg.cells)
     assert seg.reaches_goal
 
@@ -159,7 +159,7 @@ def test_escape_hop_from_inflated_margin():
     explored.heights[3, 5] = 80.0  # adjacent to the start cell
     pl = make_planner(sc, PlannerKind.GLOBAL, explored=explored)
     assert pl.forbidden_mask()[3, 4]
-    seg = pl.plan(sc.start, 0.0)
+    seg = pl.plan(sc.start)
     assert len(seg.cells) >= 2
     assert not pl.forbidden_mask()[seg.cells[1]]
 
@@ -169,7 +169,7 @@ def test_horizon_truncates_commitment_not_reachability():
     sc = make_world(heights, (0, 0), (0, 8), (15, 8))
     short = make_planner(sc, PlannerKind.GLOBAL,
                          PlanConfig(horizon_s=2.0, commit_within_sensed=False))
-    seg = short.plan(sc.start, 0.0)
+    seg = short.plan(sc.start)
     assert not seg.reaches_goal
     assert len(seg.cells) >= 2
     # committed time stays within one edge of the horizon
@@ -191,7 +191,7 @@ def test_commit_within_sensed_stops_at_frontier():
     pl = make_planner(sc, PlannerKind.EXPLORED,
                       PlanConfig(horizon_s=1e9, commit_within_sensed=True),
                       explored=explored)
-    seg = pl.plan(sc.start, 0.0)
+    seg = pl.plan(sc.start)
     assert all(explored.known[c] for c in seg.cells[1:])
     assert not seg.reaches_goal
 
@@ -201,7 +201,7 @@ def test_in_goal_cell_plan_closes_the_gap():
     sc = make_world(heights, (0, 0), (4, 4), (4, 4))
     pl = make_planner(sc, PlannerKind.GLOBAL)
     off = sc.goal + np.array([1.3, -0.9, 0.0])
-    seg = pl.plan(off, 0.0)
+    seg = pl.plan(off)
     assert seg.reaches_goal
     assert np.allclose(seg.points[-1], sc.goal)
     assert len(seg.leg_speeds) == 1
@@ -236,7 +236,7 @@ def test_segment_invalidated_checks_remaining_cells_only():
     heights = np.zeros((8, 8))
     sc = make_world(heights, (0, 0), (1, 4), (6, 4))
     pl = make_planner(sc, PlannerKind.GLOBAL)
-    seg = pl.plan(sc.start, 0.0)
+    seg = pl.plan(sc.start)
     forb = np.zeros((8, 8), dtype=bool)
     assert not segment_invalidated(seg, 0, forb)
     forb[seg.cells[0]] = True  # already traversed: no longer relevant

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from edgeflight.channel import ChannelParams, LinkState, path_loss_db
-from edgeflight.radiomap import MISSING, RadioMap, _STATE_CODE, classify_link
+from edgeflight.radiomap import _CODE_STATE, _STATE_CODE, RadioMap
 from edgeflight.scenario import HeightField, ScenarioConfig, generate_city
-from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
+from edgeflight.worldmap import ExploredMap, RayResult, RayTable, SensorModel, ray_blocked, sense
 
 P = ChannelParams()
 ALT = 50.0
@@ -21,12 +21,10 @@ def city(seed: int) -> HeightField:
     return generate_city(cfg, np.random.default_rng(seed))
 
 
-def make_rm(explored: ExploredMap, bs, with_table: bool = True) -> RadioMap:
-    table = None
-    if with_table:
-        table = RayTable(np.asarray(bs, dtype=float), explored.width_cells,
-                         explored.depth_cells, explored.cell_size_m, ALT)
-    return RadioMap(bs, explored, P, ALT, ray_table=table)
+def make_rm(explored: ExploredMap, bs) -> RadioMap:
+    table = RayTable(np.asarray(bs, dtype=float), explored.width_cells,
+                     explored.depth_cells, explored.cell_size_m, ALT)
+    return RadioMap(table, explored, P)
 
 
 BS = np.array([102.5, 102.5, 25.0])
@@ -36,13 +34,18 @@ def test_classify_three_verdicts():
     truth = city(0)
     full = ExploredMap.fully_known(truth)
     empty = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
-    # far corner at cruise altitude across a built-up map: the slant ray hits
-    # a building when everything is known, crosses unknown when nothing is
-    tall = np.array([12.5, 12.5, ALT])
-    assert classify_link(full, tall, BS) in (LinkState.LOS, LinkState.NLOS)
-    assert classify_link(empty, tall, BS) is LinkState.ASSUMED_LOS
     flat = ExploredMap.fully_known(HeightField(np.zeros_like(truth.heights), 5.0))
-    assert classify_link(flat, tall, BS) is LinkState.LOS
+    # far corner at cruise altitude across a built-up map: the slant ray
+    # follows truth when everything is known, crosses unknown when nothing is
+    tall = np.array([12.5, 12.5, ALT])
+    cell = full.cell_of(tall)
+    want_full = (LinkState.NLOS if ray_blocked(truth, BS, tall) is RayResult.BLOCKED
+                 else LinkState.LOS)
+    for explored, want in ((full, want_full), (empty, LinkState.ASSUMED_LOS),
+                           (flat, LinkState.LOS)):
+        rm = make_rm(explored, BS)
+        rm.ensure_layer_evaluated()
+        assert rm.state_grid[cell] == _STATE_CODE[want]
 
 
 def test_gain_consistent_with_state_and_distance():
@@ -51,18 +54,20 @@ def test_gain_consistent_with_state_and_distance():
     rm = make_rm(em, BS)
     rm.ensure_layer_evaluated()
     s = truth.cell_size_m
-    for key, entry in list(rm.entries.items())[::37]:
-        center = rm.center_of(key)
+    for flat in range(0, truth.width_cells * truth.depth_cells, 37):
+        ix, iy = divmod(flat, truth.depth_cells)
+        state = _CODE_STATE[int(rm.state_grid[ix, iy])]
+        center = np.array([(ix + 0.5) * s, (iy + 0.5) * s, ALT])
         d = float(np.linalg.norm(center - BS))
-        assert entry.gain_db == pytest.approx(-path_loss_db(d, entry.state, P))
+        assert rm.gain_grid[ix, iy] == pytest.approx(-path_loss_db(d, state, P))
 
 
 def test_full_knowledge_matches_truth_rays():
     truth = city(2)
     em = ExploredMap.fully_known(truth)
-    rm = RadioMap(BS, em, P, ALT, sticky_nlos=False)
-    rm.ensure_layer_evaluated()
     table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
+    rm = RadioMap(table, em, P, sticky_nlos=False)
+    rm.ensure_layer_evaluated()
     want_blocked = table.classify_truth(truth.heights).reshape(
         truth.width_cells, truth.depth_cells
     )
@@ -167,27 +172,11 @@ def test_version_counts_only_nlos_boundary_crossings():
 def test_missing_voxel_evaluated_on_demand():
     em = ExploredMap(10, 10, 5.0)
     bs = np.array([25.0, 25.0, 25.0])
-    rm = make_rm(em, bs, with_table=False)
+    rm = make_rm(em, bs)
     p = (42.5, 42.5, ALT)
     assert rm.state_at(p) is None
-    gain = rm.gain_at(p)
+    rm.update_around(p, 0.0)
     assert rm.state_at(p) is LinkState.ASSUMED_LOS
-    d = float(np.linalg.norm(rm.center_of(rm.voxel_of(p)) - bs))
-    assert gain == pytest.approx(-path_loss_db(d, LinkState.LOS, P))
-
-
-def test_estimated_capacity_positive_and_optimistic():
-    em = ExploredMap(10, 10, 5.0)
-    rm = make_rm(em, np.array([25.0, 25.0, 25.0]), with_table=False)
-    cap = rm.estimated_uplink_capacity((40.0, 40.0, ALT))
-    assert cap > 0
-
-
-def test_export_slice_mentions_all_state_codes():
-    em = ExploredMap(4, 4, 5.0)
-    rm = make_rm(em, np.array([7.5, 7.5, 25.0]), with_table=False)
-    rm.ensure_layer_evaluated()
-    text = rm.export_slice()
-    assert text.startswith("# radio map slice")
-    assert "4 4 5.0" in text
-    assert "# state" in text
+    assert rm.state_at((2.5, 2.5, ALT)) is None  # outside the refreshed radius
+    d = float(np.linalg.norm(np.array(p) - bs))
+    assert rm.gain_grid[em.cell_of(p)] == pytest.approx(-path_loss_db(d, LinkState.LOS, P))

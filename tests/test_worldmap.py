@@ -167,18 +167,18 @@ def test_ray_table_matches_ray_blocked_on_partial_map():
     origin = np.array([57.5, 142.5, 25.0])
     table = RayTable(origin, truth.width_cells, truth.depth_cells,
                      truth.cell_size_m, target_z=50.0)
-    blocked, crosses = table.classify(em.known, em.heights)
     s = truth.cell_size_m
     rng = np.random.default_rng(10)
-    for _ in range(200):
-        ix = int(rng.integers(truth.width_cells))
-        iy = int(rng.integers(truth.depth_cells))
-        tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, 50.0])
+    ix = rng.integers(truth.width_cells, size=200)
+    iy = rng.integers(truth.depth_cells, size=200)
+    blocked, crosses = table.classify_subset(ix * truth.depth_cells + iy,
+                                             em.known, em.heights)
+    for k in range(200):
+        tgt = np.array([(ix[k] + 0.5) * s, (iy[k] + 0.5) * s, 50.0])
         verdict = ray_blocked(em, origin, tgt, UnknownPolicy.FREE)
-        flat = ix * truth.depth_cells + iy
-        assert bool(blocked[flat]) == (verdict is RayResult.BLOCKED)
-        if not blocked[flat]:
-            assert bool(crosses[flat]) == (verdict is RayResult.CROSSES_UNKNOWN)
+        assert bool(blocked[k]) == (verdict is RayResult.BLOCKED)
+        if not blocked[k]:
+            assert bool(crosses[k]) == (verdict is RayResult.CROSSES_UNKNOWN)
 
 
 def test_explored_export_sentinel():
