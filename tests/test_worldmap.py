@@ -169,16 +169,16 @@ def test_ray_table_matches_ray_blocked_on_partial_map():
                      truth.cell_size_m, target_z=50.0)
     s = truth.cell_size_m
     rng = np.random.default_rng(10)
-    ix = rng.integers(truth.width_cells, size=200)
-    iy = rng.integers(truth.depth_cells, size=200)
-    blocked, crosses = table.classify_subset(ix * truth.depth_cells + iy,
-                                             em.known, em.heights)
-    for k in range(200):
-        tgt = np.array([(ix[k] + 0.5) * s, (iy[k] + 0.5) * s, 50.0])
+    cells = [(int(rng.integers(truth.width_cells)), int(rng.integers(truth.depth_cells)))
+             for _ in range(200)]
+    rays = np.array([ix * truth.depth_cells + iy for ix, iy in cells])
+    blocked, crosses = table.classify_subset(rays, em.known, em.heights)
+    for (ix, iy), b, c in zip(cells, blocked, crosses):
+        tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, 50.0])
         verdict = ray_blocked(em, origin, tgt, UnknownPolicy.FREE)
-        assert bool(blocked[k]) == (verdict is RayResult.BLOCKED)
-        if not blocked[k]:
-            assert bool(crosses[k]) == (verdict is RayResult.CROSSES_UNKNOWN)
+        assert bool(b) == (verdict is RayResult.BLOCKED)
+        if not b:
+            assert bool(c) == (verdict is RayResult.CROSSES_UNKNOWN)
 
 
 def test_explored_export_sentinel():
