@@ -13,7 +13,7 @@ from edgeflight import build_scenario, example_config, run_episode
 from edgeflight.planner import PlannerKind
 
 cfg = example_config(seed=7)
-scenario = build_scenario(cfg.scenario)
+scenario = build_scenario(cfg.scenario, cfg.planner.safety_margin_cells)
 
 print(f"city: {cfg.scenario.map_size_m[0]:.0f} x {cfg.scenario.map_size_m[1]:.0f} m, "
       f"start-goal separation "

@@ -93,7 +93,7 @@ def _scenario_json(scenario) -> dict:
 def cmd_generate(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
-    scenario = build_scenario(cfg.scenario)
+    scenario = build_scenario(cfg.scenario, cfg.planner.safety_margin_cells)
     head = _header(cfg, cfg.scenario.rng_seed)
     save_grid(out / "city.grid", scenario.truth.heights,
               scenario.truth.cell_size_m, comments=head)
@@ -115,7 +115,7 @@ def cmd_run(args) -> int:
     cfg = _resolve_config(args)
     kinds = _parse_kinds(args.planners)
     out = _out_dir(args)
-    scenario = build_scenario(cfg.scenario)
+    scenario = build_scenario(cfg.scenario, cfg.planner.safety_margin_cells)
     head = _header(cfg, cfg.scenario.rng_seed)
 
     lines = [f"# {h}" for h in head]

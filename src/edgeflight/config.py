@@ -13,8 +13,9 @@ onto one parameter dataclass:
     }
 
 Missing sections and missing fields take their defaults; unknown sections or
-fields raise ConfigError. Two-element lists are accepted for the tuple-valued
-scenario fields.
+fields raise ConfigError, and so does a value whose type does not match the
+field's default (bool, int, finite float, or a two-element list of finite
+floats for the tuple-valued scenario fields).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .channel import ChannelParams
@@ -61,21 +63,42 @@ _SECTIONS = {
     "planner": PlanConfig,
     "sim": SimParams,
 }
-_TUPLE_FIELDS = {"map_size_m", "endpoint_distance_m"}
+
+
+def _finite_real(v) -> bool:
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _checked(default, v, where: str):
+    """A field value type-checked against the field's default: bools take
+    bools, ints take non-bool ints, floats take finite reals and pairs take
+    two finite reals."""
+    if isinstance(default, tuple):
+        if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_real, v))):
+            raise ConfigError(f"{where} must be a list of two finite numbers, got {v!r}")
+        return (float(v[0]), float(v[1]))
+    if isinstance(default, bool):
+        ok, kind = isinstance(v, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = isinstance(v, int) and not isinstance(v, bool), "an integer"
+    else:
+        ok, kind = _finite_real(v), "a finite number"
+    if not ok:
+        raise ConfigError(f"{where} must be {kind}, got {v!r}")
+    return v
 
 
 def _build_section(cls, data: dict, name: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
+    if not isinstance(data, dict):
+        raise ConfigError(f"[{name}] must be an object, got {data!r}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
-    kwargs = {}
-    for k, v in data.items():
-        if k in _TUPLE_FIELDS:
-            if not (isinstance(v, (list, tuple)) and len(v) == 2):
-                raise ConfigError(f"{name}.{k} must be a two-element list")
-            v = (float(v[0]), float(v[1]))
-        kwargs[k] = v
+    kwargs = {k: _checked(defaults[k], v, f"{name}.{k}") for k, v in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as e:

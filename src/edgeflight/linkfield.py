@@ -49,8 +49,10 @@ class TruthLink:
         truth = scenario.truth
         self._nx, self._ny = truth.width_cells, truth.depth_cells
         self._s = truth.cell_size_m
+        known = np.ones_like(truth.heights, dtype=bool)
         self.blocked = [
-            ray_table_for(scenario, i, layer_z).classify_truth(truth.heights)
+            ray_table_for(scenario, i, layer_z).classify_subset(
+                np.arange(known.size), known, truth.heights)[0]
             for i in range(len(scenario.bs_positions))
         ]
 

@@ -30,7 +30,6 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
-from scipy.ndimage import binary_dilation
 from scipy.sparse import csgraph
 
 from .channel import (
@@ -44,6 +43,7 @@ from .errors import ConfigError, StuckError
 from .linkfield import TruthLink
 from .offload import OffloadConfig
 from .radiomap import _STATE_CODE, RadioMap
+from .scenario import inflate_obstacles
 from .worldmap import ExploredMap
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -171,12 +171,8 @@ class Planner:
         version = self.explored.explored_cell_count
         if self._forbidden_cache is not None and self._forbidden_cache[0] == version:
             return self._forbidden_cache[1]
-        blocked = self.explored.known & (self.explored.heights >= self._alt)
-        if self.pc.safety_margin_cells > 0:
-            # Chebyshev inflation: diagonal moves graze corners, so diagonal
-            # neighbors of an obstacle need the margin too
-            blocked = binary_dilation(blocked, structure=np.ones((3, 3), dtype=bool),
-                                      iterations=self.pc.safety_margin_cells)
+        blocked = inflate_obstacles(self.explored.known & (self.explored.heights >= self._alt),
+                                    self.pc.safety_margin_cells)
         self._forbidden_cache = (version, blocked)
         return blocked
 

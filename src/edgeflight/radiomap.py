@@ -40,7 +40,6 @@ class RadioMap:
         # bumped whenever a cell crosses the NLoS pricing boundary, so
         # planners know their cached cost fields went stale
         self.version = 0
-        self._eval_seen = -1
         nx, ny = explored.width_cells, explored.depth_cells
         self.state_grid = np.full((nx, ny), MISSING, dtype=np.int8)
         self.gain_grid = np.full((nx, ny), np.nan)
@@ -113,12 +112,11 @@ class RadioMap:
 
         Missing cells get a first estimate; assumed-LoS cells are
         re-predicted, since geometry discovered anywhere along their rays can
-        disprove the assumption long before the vehicle gets near.
+        disprove the assumption long before the vehicle gets near. On an
+        unchanged map every estimate re-confirms and nothing is written,
+        except that without sticky NLoS a measured NLoS cell returns to its
+        estimate from the explored map.
         """
-        seen = self.explored.explored_cell_count
-        if seen == self._eval_seen:
-            return  # nothing new anywhere: every estimate would re-confirm
-        self._eval_seen = seen
         self._refresh(np.flatnonzero(self._stale(self.state_grid)))
 
     def csi_correct(self, position, measured: LinkState) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import binary_dilation
 
 from .errors import ConfigError, ScenarioError
 
@@ -63,6 +64,8 @@ class ScenarioConfig:
         lo, hi = self.endpoint_distance_m
         if not (0 < lo <= hi):
             raise ConfigError("endpoint distance range must satisfy 0 < lo <= hi")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @property
     def width_cells(self) -> int:
@@ -169,31 +172,29 @@ def street_mask(field_: HeightField) -> np.ndarray:
     return field_.heights == 0.0
 
 
-def _free_at_altitude(field_: HeightField, altitude: float, margin_cells: int = 1) -> np.ndarray:
-    """Cells whose own and neighboring truth heights stay below the flight altitude.
+def inflate_obstacles(blocked: np.ndarray, margin_cells: int) -> np.ndarray:
+    """Cells within `margin_cells` Chebyshev steps of a blocked cell.
 
-    The margin keeps endpoints out of the planner's inflated obstacle shell.
+    Diagonal moves graze corners, so diagonal neighbours get the margin too.
+    Both the planner's forbidden mask and endpoint placement use this shell.
     """
-    blocked = field_.heights >= altitude
-    if margin_cells > 0:
-        from scipy.ndimage import binary_dilation
-
-        # same Chebyshev shell the planner forbids, or endpoints could be
-        # placed on cells the planner will never enter
-        blocked = binary_dilation(blocked, structure=np.ones((3, 3), dtype=bool),
-                                  iterations=margin_cells)
-    return ~blocked
+    if margin_cells <= 0:
+        return blocked  # binary_dilation reads iterations < 1 as "until stable"
+    return binary_dilation(blocked, structure=np.ones((3, 3), dtype=bool),
+                           iterations=margin_cells)
 
 
 def place_bs_and_endpoints(
-    cfg: ScenarioConfig, field_: HeightField, rng: np.random.Generator, max_tries: int = 200
+    cfg: ScenarioConfig, field_: HeightField, rng: np.random.Generator,
+    margin_cells: int, max_tries: int = 200,
 ) -> tuple[list[Point3], int, Point3, Point3]:
     """Sample BS sites and mission endpoints under the placement constraints.
 
     BSs sit on distinct street cells, pairwise separated by at least a quarter
     of the map diagonal. Start and goal sit on cell centers at flight altitude,
-    collision-free with margin, with straight-line separation inside the
-    configured range. The serving BS is the one nearest the start.
+    outside the planner's obstacle shell of `margin_cells` cells, with
+    straight-line separation inside the configured range. The serving BS is
+    the one nearest the start.
 
     Raises:
         ScenarioError: constraints not satisfiable within max_tries draws.
@@ -218,7 +219,7 @@ def place_bs_and_endpoints(
         raise ScenarioError("could not separate base stations by a quarter diagonal")
     bs_positions = [np.array([x, y, cfg.bs_height_m]) for x, y in bs_xy]
 
-    free = _free_at_altitude(field_, cfg.uav_altitude_m)
+    free = ~inflate_obstacles(field_.heights >= cfg.uav_altitude_m, margin_cells)
     free_cells = np.argwhere(free)
     if len(free_cells) < 2:
         raise ScenarioError("no collision-free cells at flight altitude")
@@ -243,9 +244,13 @@ def place_bs_and_endpoints(
     return bs_positions, serving, start, goal
 
 
-def build_scenario(cfg: ScenarioConfig) -> Scenario:
-    """Generate a reproducible scenario from cfg.rng_seed."""
+def build_scenario(cfg: ScenarioConfig, margin_cells: int = 1) -> Scenario:
+    """Generate a reproducible scenario from cfg.rng_seed.
+
+    `margin_cells` is the planner's safety margin, so no endpoint lies in
+    its forbidden shell.
+    """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.rng_seed)))
     field_ = generate_city(cfg, rng)
-    bs_positions, serving, start, goal = place_bs_and_endpoints(cfg, field_, rng)
+    bs_positions, serving, start, goal = place_bs_and_endpoints(cfg, field_, rng, margin_cells)
     return Scenario(cfg, field_, bs_positions, serving, start, goal)

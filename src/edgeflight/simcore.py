@@ -259,7 +259,8 @@ def run_batch(cfg: Config, episodes: int = 20,
     seeds = batch_seeds(cfg.scenario.rng_seed, episodes)
     result = BatchResult(rows=[], kinds=tuple(kinds), episodes=episodes)
     for i, seed in enumerate(seeds):
-        scenario = build_scenario(replace(cfg.scenario, rng_seed=seed))
+        scenario = build_scenario(replace(cfg.scenario, rng_seed=seed),
+                                  cfg.planner.safety_margin_cells)
         for kind in kinds:
             metrics, log = run_episode(scenario, kind, cfg, collect_log=collect_logs)
             result.rows.append(EpisodeRow(i, seed, kind, metrics))

@@ -221,10 +221,10 @@ def sense(truth: HeightField, explored: ExploredMap, position, heading_deg: floa
 class RayTable:
     """Precomputed crossings for rays from one origin to every cell center.
 
-    For target cell k the table stores the flat indices of the cells its ray
-    crosses (endpoint cells excluded) and the minimum interpolated segment
-    altitude inside each crossed cell. Classification against any height grid
-    is then a couple of vectorized reductions. Semantics match ray_blocked.
+    Ray k's crossed cells (endpoint cells excluded) and the minimum segment
+    altitude inside each are entries offsets[k]:offsets[k + 1] of `cells` and
+    `minz`. classify_subset, one gather and two bincounts, is the only
+    classifier, for truth and partial maps alike. Semantics match ray_blocked.
     """
 
     def __init__(self, origin, nx: int, ny: int, cell_size_m: float, target_z: float):
@@ -290,27 +290,22 @@ class RayTable:
         self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.cells = cell[good].astype(np.int64)
         self.minz = minz[good]
-        self.ray_ids = np.repeat(np.arange(n), counts)
-
-    def classify_truth(self, heights: np.ndarray) -> np.ndarray:
-        """Blocked mask over all target cells for a fully known grid."""
-        h = heights.ravel()[self.cells]
-        hit = h > self.minz
-        n = self.nx * self.ny
-        return np.bincount(self.ray_ids, weights=hit, minlength=n) > 0
 
     def classify_subset(self, rays: np.ndarray, known: np.ndarray,
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(blocked, crosses_unknown) per given flat ray index, on a partially known grid."""
+        """(blocked, crosses_unknown) per given flat ray index, on a partially known grid.
+
+        With every cell known the blocked mask is the truth verdict.
+        """
         rays = np.asarray(rays, dtype=np.int64)
-        blocked = np.zeros(len(rays), dtype=bool)
-        crosses = np.zeros(len(rays), dtype=bool)
-        kf = known.ravel()
-        hf = heights.ravel()
-        for i, r in enumerate(rays):
-            lo, hi = self.offsets[r], self.offsets[r + 1]
-            c = self.cells[lo:hi]
-            k = kf[c]
-            blocked[i] = bool(np.any(k & (hf[c] > self.minz[lo:hi])))
-            crosses[i] = (not blocked[i]) and bool(np.any(~k))
+        lo = self.offsets[rays]
+        counts = self.offsets[rays + 1] - lo
+        # table entry of each gathered crossing: its ray's start plus its rank
+        at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        owner = np.repeat(np.arange(len(rays)), counts)
+        c = self.cells[at]
+        k = known.ravel()[c]
+        hit = k & (heights.ravel()[c] > self.minz[at])
+        blocked = np.bincount(owner[hit], minlength=len(rays)) > 0
+        crosses = ~blocked & (np.bincount(owner[~k], minlength=len(rays)) > 0)
         return blocked, crosses

@@ -34,6 +34,7 @@ from edgeflight.worldmap import (
 )
 from oracles import enumerate_best_path_cost, fine_sample_blocked, relaxed_cost_to_go
 from test_planner import make_planner, make_world, planner_pen, random_world
+from test_radiomap import ray_blocked_grid
 
 MASTER_SEED = 0
 BATCH_EPISODES = 20
@@ -183,9 +184,7 @@ def test_06_full_knowledge_map_equals_truth_ray_casting():
     rm = RadioMap(table, full, ef.ChannelParams(), sticky_nlos=False)
     rm.ensure_layer_evaluated()
 
-    want_blocked = table.classify_truth(truth.heights).reshape(
-        truth.width_cells, truth.depth_cells
-    )
+    want_blocked = ray_blocked_grid(truth, bs, alt)
     want_codes = np.where(want_blocked, _STATE_CODE[LinkState.NLOS],
                           _STATE_CODE[LinkState.LOS])
     assert not np.any(rm.state_grid == MISSING)
@@ -216,13 +215,13 @@ def test_07_partial_map_estimates_are_never_pessimistic():
             sense(truth, explored, pos, rng.uniform(-180, 180), sensor)
         rm.ensure_layer_evaluated()
 
-        truth_blocked = table.classify_truth(truth.heights).reshape(
-            truth.width_cells, truth.depth_cells
-        )
+        s = truth.cell_size_m
         ix = rng.integers(0, truth.width_cells, size=1000)
         iy = rng.integers(0, truth.depth_cells, size=1000)
         for i, j in zip(ix, iy):
-            t_state = LinkState.NLOS if truth_blocked[i, j] else LinkState.LOS
+            tgt = np.array([(i + 0.5) * s, (j + 0.5) * s, alt])
+            blocked = ray_blocked(truth, bs, tgt) is RayResult.BLOCKED
+            t_state = LinkState.NLOS if blocked else LinkState.LOS
             t_gain = -path_loss_db(float(rm._dist_grid[i, j]), t_state, params)
             assert rm.gain_grid[i, j] >= t_gain - 1e-12
             checked += 1

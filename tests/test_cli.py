@@ -131,3 +131,22 @@ def test_batch_rejects_non_positive_episodes(tmp_path, capsys):
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
         assert "--episodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, extra, field", [
+    ('{"scenario": {"map_size_m": ["a", 200]}}', [], "map_size_m"),
+    ('{"sim": {"tick_s": NaN}}', [], "tick_s"),
+    ('{"sim": {"timeout_s": Infinity}}', [], "timeout_s"),
+    ('{"scenario": {"n_bs": 1.5}}', [], "n_bs"),
+    ('{"scenario": {"rng_seed": -1}}', [], "rng_seed"),
+    ('{}', ["--seed", "-1"], "rng_seed"),
+    ('{"planner": {"horizon_s": NaN}}', [], "horizon_s"),
+    ('{"sim": {"tick_s": "x"}}', [], "tick_s"),
+])
+def test_malformed_value_is_config_error_naming_the_field(tmp_path, capsys, text, extra, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x"), *extra])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err

@@ -30,6 +30,16 @@ def make_rm(explored: ExploredMap, bs) -> RadioMap:
 BS = np.array([102.5, 102.5, 25.0])
 
 
+def ray_blocked_grid(truth: HeightField, bs, alt: float = ALT) -> np.ndarray:
+    """Truth NLoS verdict per flight-layer cell, one scalar ray_blocked cast each."""
+    s = truth.cell_size_m
+    out = np.zeros((truth.width_cells, truth.depth_cells), dtype=bool)
+    for ix, iy in np.ndindex(out.shape):
+        tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, alt])
+        out[ix, iy] = ray_blocked(truth, bs, tgt) is RayResult.BLOCKED
+    return out
+
+
 def test_classify_three_verdicts():
     truth = city(0)
     full = ExploredMap.fully_known(truth)
@@ -68,9 +78,7 @@ def test_full_knowledge_matches_truth_rays():
     table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
     rm = RadioMap(table, em, P, sticky_nlos=False)
     rm.ensure_layer_evaluated()
-    want_blocked = table.classify_truth(truth.heights).reshape(
-        truth.width_cells, truth.depth_cells
-    )
+    want_blocked = ray_blocked_grid(truth, BS)
     got_nlos = rm.state_grid == _STATE_CODE[LinkState.NLOS]
     assert np.array_equal(got_nlos, want_blocked)
     assert not np.any(rm.state_grid == _STATE_CODE[LinkState.ASSUMED_LOS])
@@ -79,9 +87,7 @@ def test_full_knowledge_matches_truth_rays():
 def test_optimism_invariant():
     truth = city(3)
     rng = np.random.default_rng(5)
-    table_truth = RayTable(BS, truth.width_cells, truth.depth_cells,
-                           truth.cell_size_m, ALT)
-    truth_blocked = table_truth.classify_truth(truth.heights)
+    truth_blocked = ray_blocked_grid(truth, BS)
     for _ in range(4):
         em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
         for _ in range(int(rng.integers(1, 8))):
@@ -92,7 +98,7 @@ def test_optimism_invariant():
         s = truth.cell_size_m
         for flat in rng.integers(0, truth.width_cells * truth.depth_cells, 400):
             ix, iy = divmod(int(flat), truth.depth_cells)
-            true_state = LinkState.NLOS if truth_blocked[flat] else LinkState.LOS
+            true_state = LinkState.NLOS if truth_blocked[ix, iy] else LinkState.LOS
             d = float(
                 np.hypot((ix + 0.5) * s - BS[0], (iy + 0.5) * s - BS[1]) ** 2
                 + (ALT - BS[2]) ** 2
@@ -148,8 +154,7 @@ def test_assumed_entries_repriced_as_map_grows():
     assert int((grid_states == _STATE_CODE[LinkState.NLOS]).sum()) > 0
     # discovered geometry must never be contradicted: every NLoS estimate is
     # NLoS under ground truth too
-    table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
-    truth_blocked = table.classify_truth(truth.heights).reshape(grid_states.shape)
+    truth_blocked = ray_blocked_grid(truth, BS)
     nlos_mask = grid_states == _STATE_CODE[LinkState.NLOS]
     assert np.all(truth_blocked[nlos_mask])
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from edgeflight.channel import ChannelParams
 from edgeflight.errors import ConfigError, ScenarioError
+from edgeflight.offload import OffloadConfig
+from edgeflight.planner import PlanConfig, Planner, PlannerKind
 from edgeflight.scenario import (
     HeightField,
     ScenarioConfig,
@@ -10,6 +13,8 @@ from edgeflight.scenario import (
     sample_building_heights,
     street_mask,
 )
+from edgeflight.simcore import batch_seeds
+from edgeflight.worldmap import ExploredMap
 
 
 def small_cfg(**kw) -> ScenarioConfig:
@@ -92,6 +97,20 @@ def test_endpoints_respect_distance_range_and_freedom():
             c = sc.truth.cell_of(p)
             assert sc.truth.heights[c] < sc.cfg.uav_altitude_m
             assert p[2] == sc.cfg.uav_altitude_m
+
+
+def test_endpoints_stay_outside_a_wider_planner_margin():
+    # a one-cell placement margin leaves 12 starts and 13 goals of these
+    # default-preset scenarios inside the planner's 2-cell shell
+    pc = PlanConfig(safety_margin_cells=2)
+    for seed in batch_seeds(0, 200):
+        sc = build_scenario(ScenarioConfig(rng_seed=seed), pc.safety_margin_cells)
+        # the baseline arm's grids need neither a radio map nor truth links
+        pl = Planner(PlannerKind.BASELINE, sc, ExploredMap.fully_known(sc.truth),
+                     None, None, ChannelParams(), OffloadConfig(), pc)
+        forb = pl.forbidden_mask()
+        for p in (sc.start, sc.goal):
+            assert not forb[sc.truth.cell_of(p)], seed
 
 
 def test_bs_on_streets_and_separated():

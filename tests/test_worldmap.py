@@ -144,12 +144,20 @@ def test_sensor_validation():
         SensorModel(range_m=-5.0)
 
 
+def _neighbourhood_rays(table: RayTable, ix: int, iy: int) -> np.ndarray:
+    """Flat indices of a cell and its 8 neighbours."""
+    return np.array([(ix + dx) * table.ny + iy + dy
+                     for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+
+
 def test_ray_table_matches_ray_blocked_on_truth():
     field = random_city(5)
     origin = np.array([102.5, 97.5, 25.0])
     table = RayTable(origin, field.width_cells, field.depth_cells,
                      field.cell_size_m, target_z=50.0)
-    blocked = table.classify_truth(field.heights)
+    known = np.ones_like(field.heights, dtype=bool)
+    blocked, crosses = table.classify_subset(np.arange(known.size), known, field.heights)
+    assert not crosses.any()
     s = field.cell_size_m
     rng = np.random.default_rng(9)
     for _ in range(200):
@@ -171,14 +179,47 @@ def test_ray_table_matches_ray_blocked_on_partial_map():
     rng = np.random.default_rng(10)
     cells = [(int(rng.integers(truth.width_cells)), int(rng.integers(truth.depth_cells)))
              for _ in range(200)]
-    rays = np.array([ix * truth.depth_cells + iy for ix, iy in cells])
+    # one call mixes long rays with the zero-crossing rays around the origin
+    rays = np.concatenate([
+        [ix * truth.depth_cells + iy for ix, iy in cells[:100]],
+        _neighbourhood_rays(table, 11, 28),
+        [ix * truth.depth_cells + iy for ix, iy in cells[100:]],
+    ])
     blocked, crosses = table.classify_subset(rays, em.known, em.heights)
-    for (ix, iy), b, c in zip(cells, blocked, crosses):
+    verdicts = set()
+    for r, b, c in zip(rays, blocked, crosses):
+        ix, iy = divmod(int(r), truth.depth_cells)
         tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, 50.0])
         verdict = ray_blocked(em, origin, tgt, UnknownPolicy.FREE)
-        assert bool(b) == (verdict is RayResult.BLOCKED)
-        if not b:
-            assert bool(c) == (verdict is RayResult.CROSSES_UNKNOWN)
+        verdicts.add(verdict)
+        assert (bool(b), bool(c)) == (verdict is RayResult.BLOCKED,
+                                      verdict is RayResult.CROSSES_UNKNOWN)
+    assert verdicts == set(RayResult)
+
+
+def test_classify_subset_of_no_rays_is_empty():
+    truth = random_city(7)
+    table = RayTable(np.array([57.5, 142.5, 25.0]), truth.width_cells, truth.depth_cells,
+                     truth.cell_size_m, target_z=50.0)
+    known = np.ones_like(truth.heights, dtype=bool)
+    blocked, crosses = table.classify_subset(np.array([], dtype=np.int64), known,
+                                             truth.heights)
+    assert blocked.shape == (0,) and crosses.shape == (0,)
+    assert blocked.dtype == bool and crosses.dtype == bool
+
+
+def test_rays_without_crossings_are_clear_and_known():
+    truth = random_city(7)
+    table = RayTable(np.array([57.5, 142.5, 25.0]), truth.width_cells, truth.depth_cells,
+                     truth.cell_size_m, target_z=50.0)
+    rays = _neighbourhood_rays(table, 11, 28)
+    assert np.all(table.offsets[rays + 1] == table.offsets[rays])
+    # nothing known and every building far above the rays: still no verdict
+    # but (False, False), since the endpoint cells are exempt
+    tall = np.full_like(truth.heights, 1e3)
+    for known in (np.zeros_like(tall, dtype=bool), np.ones_like(tall, dtype=bool)):
+        blocked, crosses = table.classify_subset(rays, known, tall)
+        assert not blocked.any() and not crosses.any()
 
 
 def test_explored_export_sentinel():
