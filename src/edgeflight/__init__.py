@@ -23,7 +23,6 @@ from .channel import (
     ChannelParams,
     LinkState,
     capacity_bps,
-    elevation_deg,
     expected_path_loss_db,
     free_space_path_loss_db,
     path_loss_db,
@@ -44,7 +43,7 @@ from .config import (
     with_seed,
 )
 from .errors import ConfigError, ScenarioError, StuckError
-from .gridfile import UNKNOWN_SENTINEL, load_grid, parse_grid, save_grid
+from .gridfile import load_grid, parse_grid, save_grid
 from .linkfield import TruthLink, ray_table_for
 from .offload import OffloadConfig, ProcessingMode, remote_update_rate, select_mode, speed_limit
 from .planner import PlanConfig, Planner, PlannerKind
@@ -79,7 +78,6 @@ __all__ = [
     "StuckError",
     "TrajectoryLog",
     "TruthLink",
-    "UNKNOWN_SENTINEL",
     "UavState",
     "UnknownPolicy",
     "capacity_bps",
@@ -87,7 +85,6 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "default_config",
-    "elevation_deg",
     "example_config",
     "expected_path_loss_db",
     "flat_city_config",

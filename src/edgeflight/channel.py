@@ -86,10 +86,6 @@ def antenna_gain_db(off_boresight_deg, p: ChannelParams):
     return np.where(a <= p.antenna_halfwidth_deg, 0.0, p.antenna_backlobe_db)
 
 
-def received_power_dbm(tx_power_dbm, tx_gain_db, rx_gain_db, pl_db):
-    return tx_power_dbm + tx_gain_db + rx_gain_db - pl_db
-
-
 def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
@@ -111,12 +107,3 @@ def capacity_bps(sinr, bandwidth_hz):
     """Shannon capacity B log2(1 + SINR); zero when SINR <= 0."""
     s = np.maximum(np.asarray(sinr, dtype=float), 0.0)
     return bandwidth_hz * np.log2(1.0 + s)
-
-
-def elevation_deg(from_point, to_point):
-    """Elevation angle of `to_point` seen from `from_point`, degrees in [-90, 90]."""
-    dx = to_point[0] - from_point[0]
-    dy = to_point[1] - from_point[1]
-    dz = to_point[2] - from_point[2]
-    horiz = np.hypot(dx, dy)
-    return np.degrees(np.arctan2(dz, horiz))

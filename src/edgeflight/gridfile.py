@@ -5,8 +5,7 @@ Layout:
     <width_cells> <depth_cells> <cell_size_m>
     <depth rows of width decimal values, row y printed per line>
 
-Values are heights in meters; UNKNOWN_SENTINEL marks unexplored cells when an
-explored map is exported. Written with repr-roundtripping precision.
+Values are heights in meters, written with repr-roundtripping precision.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-
-UNKNOWN_SENTINEL = -1.0
 
 
 def dump_grid(heights: np.ndarray, cell_size_m: float, comments: list[str] | None = None) -> str:

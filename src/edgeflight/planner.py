@@ -15,12 +15,13 @@ speed-limit, NLoS, and interference grids fed to the cost model:
 Cost model: an edge u->v of length d is traversed at min(limit(u), limit(v)),
 taking time T = d / speed, half inside each cell. Edge cost is
 T + lambda * T/2 * (nlos(u) + nlos(v)) + mu * T/2 * (intf(u) + intf(v)).
-Each map revision gets one goal-rooted shortest-path sweep over the whole
-lattice; a plan then walks the next-hop chain from the current cell and
-commits only the prefix inside the time horizon (and, optionally, inside
-sensed ground). Replanning therefore always descends the same cost-to-go
-field until new information actually changes it, which rules out the
-oscillation a horizon-truncated search can fall into near walls.
+One goal-rooted shortest-path sweep over the whole lattice prices every
+cell, and it is rebuilt only when the speed limits, cost rates or forbidden
+cells it was built from change; a plan walks the next-hop chain from the
+current cell and commits only the prefix inside the time horizon (and,
+optionally, inside sensed ground). Replanning therefore always descends the
+same cost-to-go field until new information actually changes it, which rules
+out the oscillation a horizon-truncated search can fall into near walls.
 """
 
 from __future__ import annotations
@@ -123,8 +124,10 @@ class Planner:
         self._alt = scenario.cfg.uav_altitude_m
         self._goal_cell = scenario.truth.cell_of(scenario.goal)
         self._static = self._static_grids()
-        self._forbidden_cache: tuple[int, np.ndarray] | None = None
-        self._field_cache: tuple[tuple, tuple] | None = None
+        self._edges = self._lattice_edges()
+        # each cache holds the inputs it was built from, compared by value
+        self._forbidden_cache: tuple[np.ndarray, np.ndarray] | None = None
+        self._field_cache: tuple | None = None
 
     # ---- per-cell grids ----
 
@@ -167,14 +170,16 @@ class Planner:
         return limits, nlos, np.zeros((self._nx, self._ny))
 
     def forbidden_mask(self) -> np.ndarray:
-        """Known obstacle cells at flight altitude, inflated by the margin."""
-        version = self.explored.explored_cell_count
-        if self._forbidden_cache is not None and self._forbidden_cache[0] == version:
-            return self._forbidden_cache[1]
-        blocked = inflate_obstacles(self.explored.known & (self.explored.heights >= self._alt),
-                                    self.pc.safety_margin_cells)
-        self._forbidden_cache = (version, blocked)
-        return blocked
+        """Known obstacle cells at flight altitude, inflated by the margin.
+
+        Returns the same array object until the obstacle cells change.
+        """
+        obstacles = self.explored.known & (self.explored.heights >= self._alt)
+        cache = self._forbidden_cache
+        if cache is None or not np.array_equal(obstacles, cache[0]):
+            cache = (obstacles, inflate_obstacles(obstacles, self.pc.safety_margin_cells))
+            self._forbidden_cache = cache
+        return cache[1]
 
     # ---- search ----
 
@@ -182,74 +187,62 @@ class Planner:
               (0, -1, 1.0), (0, 1, 1.0),
               (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2))
 
-    def _map_version(self):
-        if self.kind is PlannerKind.EXPLORED:
-            return (self.explored.explored_cell_count, self.rm.version)
-        return (self.explored.explored_cell_count,)
+    def _lattice_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat (u, v, length_m) arrays of every 8-neighbour edge, by direction."""
+        nx, ny = self._nx, self._ny
+        idx = np.arange(nx * ny).reshape(nx, ny)
+        us, vs, lengths = [], [], []
+        for ddx, ddy, dd in self._NEIGH:
+            u = idx[max(0, -ddx):nx - max(0, ddx),
+                    max(0, -ddy):ny - max(0, ddy)].ravel()
+            us.append(u)
+            vs.append(u + ddx * ny + ddy)
+            lengths.append(np.full(len(u), dd * self._s))
+        return np.concatenate(us), np.concatenate(vs), np.concatenate(lengths)
 
     def _cost_field(self):
         """Cost-to-goal potential and next-hop table for the current map.
 
         One goal-rooted shortest-path sweep prices every cell; plans then
         walk next hops, so successive replans descend a single potential and
-        cannot cycle. Rebuilt only when the underlying maps change.
+        cannot cycle. Rebuilt only when the speed limits, cost rates or
+        forbidden cells it was built from change.
         """
-        version = self._map_version()
-        if self._field_cache is not None and self._field_cache[0] == version:
-            return self._field_cache[1]
         limits, nlos, intf = self._grids()
         forb = self.forbidden_mask()
-        nx, ny, s = self._nx, self._ny, self._s
         lam = self.pc.nlos_penalty if self.kind is not PlannerKind.BASELINE else 0.0
         mu = self.pc.interference_weight if self.kind is PlannerKind.GLOBAL else 0.0
-        lim = limits.ravel()
         # per-cell cost rate; an edge charges the mean of its two endpoints
         pen = 1.0 + lam * nlos.ravel().astype(float) + mu * intf.ravel()
+        cache = self._field_cache
+        if (cache is not None and cache[0] is forb and np.array_equal(cache[1], limits)
+                and np.array_equal(cache[2], pen)):
+            return cache[3]
+        u, v, length = self._edges
+        lim = limits.ravel()
+        weight = length / np.minimum(lim[u], lim[v]) * 0.5 * (pen[u] + pen[v])
         ok = ~forb.ravel()
-        idx = np.arange(nx * ny).reshape(nx, ny)
-        rows, cols, data = [], [], []
-        for ddx, ddy, dd in self._NEIGH:
-            u = idx[max(0, -ddx):nx - max(0, ddx),
-                    max(0, -ddy):ny - max(0, ddy)].ravel()
-            v = u + ddx * ny + ddy
-            m = ok[u] & ok[v]
-            u, v = u[m], v[m]
-            t = dd * s / np.minimum(lim[u], lim[v])
-            rows.append(u)
-            cols.append(v)
-            data.append(t * 0.5 * (pen[u] + pen[v]))
-        n = nx * ny
-        graph = sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        )
-        goal_flat = self._goal_cell[0] * ny + self._goal_cell[1]
+        m = ok[u] & ok[v]
+        n = self._nx * self._ny
+        graph = sparse.csr_matrix((weight[m], (u[m], v[m])), shape=(n, n))
+        goal_flat = self._goal_cell[0] * self._ny + self._goal_cell[1]
         gstar, pred = csgraph.dijkstra(graph, directed=True, indices=goal_flat,
                                        return_predecessors=True)
-        field = (gstar, pred, limits, pen, forb)
-        self._field_cache = (version, field)
+        field = (gstar, pred, limits, weight, forb)
+        self._field_cache = (forb, limits, pen, field)
         return field
 
-    def _escape_hop(self, c, gstar, limits, pen, forb):
+    def _escape_hop(self, c, gstar, weight, forb):
         """Cheapest hop out of a cell swallowed by a fresh obstacle margin."""
-        ny = self._ny
-        lim = limits.ravel()
-        forb_f = forb.ravel()
-        ux, uy = divmod(c, ny)
-        best = None
-        for ddx, ddy, dd in self._NEIGH:
-            vx, vy = ux + ddx, uy + ddy
-            if not (0 <= vx < self._nx and 0 <= vy < ny):
-                continue
-            v = vx * ny + vy
-            if forb_f[v] or not np.isfinite(gstar[v]):
-                continue
-            w = dd * self._s / min(lim[c], lim[v]) * 0.5 * (pen[c] + pen[v])
-            if best is None or (w + gstar[v], v) < best:
-                best = (w + gstar[v], v)
-        if best is None:
+        u, v, _ = self._edges
+        e = np.flatnonzero(u == c)
+        v = v[e]
+        keep = ~forb.ravel()[v] & np.isfinite(gstar[v])
+        v, total = v[keep], weight[e[keep]] + gstar[v[keep]]
+        if len(v) == 0:
             return None, None
-        return int(best[1]), float(best[0] - gstar[best[1]])
+        best = np.lexsort((v, total))[0]  # ties go to the lowest flat index
+        return int(v[best]), float(total[best] - gstar[v[best]])
 
     def plan(self, position) -> TrajectorySegment:
         """One planning step from the current position toward the goal.
@@ -257,7 +250,7 @@ class Planner:
         Raises:
             StuckError: the goal is unreachable from the current cell.
         """
-        gstar, nxt, limits, pen, forb = self._cost_field()
+        gstar, nxt, limits, weight, forb = self._cost_field()
         ny = self._ny
         s = self._s
         start = self.sc.truth.cell_of(position)
@@ -267,7 +260,7 @@ class Planner:
         cells_flat = [c]
         plan_cost = float(gstar[c])
         if not np.isfinite(plan_cost):
-            hop, edge = self._escape_hop(c, gstar, limits, pen, forb)
+            hop, edge = self._escape_hop(c, gstar, weight, forb)
             if hop is None:
                 raise StuckError("goal unreachable from the current cell")
             cells_flat.append(hop)

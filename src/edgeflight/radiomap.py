@@ -37,9 +37,6 @@ class RadioMap:
         self.table = table
         self.explored = explored
         self.sticky_enabled = bool(sticky_nlos)
-        # bumped whenever a cell crosses the NLoS pricing boundary, so
-        # planners know their cached cost fields went stale
-        self.version = 0
         nx, ny = explored.width_cells, explored.depth_cells
         self.state_grid = np.full((nx, ny), MISSING, dtype=np.int8)
         self.gain_grid = np.full((nx, ny), np.nan)
@@ -69,12 +66,8 @@ class RadioMap:
     def _write(self, idx: np.ndarray, codes: np.ndarray) -> None:
         """Store new state codes at flat cell indices, touching only changed cells."""
         state = self.state_grid.reshape(-1)
-        old = state[idx]
-        changed = old != codes
-        idx, old, codes = idx[changed], old[changed], codes[changed]
-        # Missing / assumed / LoS all price identically; only crossing the
-        # NLoS boundary changes any consumer's view of the map.
-        self.version += int(np.count_nonzero((old == _NLOS) != (codes == _NLOS)))
+        changed = state[idx] != codes
+        idx, codes = idx[changed], codes[changed]
         state[idx] = codes
         self.gain_grid.reshape(-1)[idx] = np.where(
             codes == _NLOS, self._nlos_gain[idx], self._los_gain[idx]

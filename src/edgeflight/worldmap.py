@@ -62,20 +62,11 @@ class ExploredMap:
     def depth_cells(self) -> int:
         return self.known.shape[1]
 
-    @property
-    def explored_cell_count(self) -> int:
-        return int(self.known.sum())
-
     def cell_of(self, point) -> tuple[int, int]:
         s = self.cell_size_m
         ix = min(max(int(point[0] // s), 0), self.width_cells - 1)
         iy = min(max(int(point[1] // s), 0), self.depth_cells - 1)
         return ix, iy
-
-    def export_heights(self, sentinel: float = -1.0) -> np.ndarray:
-        """Dense height grid with unexplored cells replaced by the sentinel."""
-        out = np.where(self.known, self.heights, sentinel)
-        return out
 
 
 def _grid_arrays(grid) -> tuple[np.ndarray | None, np.ndarray, float]:

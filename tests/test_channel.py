@@ -7,12 +7,10 @@ from edgeflight.channel import (
     antenna_gain_db,
     capacity_bps,
     dbm_to_mw,
-    elevation_deg,
     expected_path_loss_db,
     free_space_path_loss_db,
     path_loss_db,
     plos_probability,
-    received_power_dbm,
     sinr_linear,
 )
 from edgeflight.errors import ConfigError
@@ -88,23 +86,12 @@ def test_sinr_interferers_add_in_linear_domain():
     assert two == pytest.approx(want)
 
 
-def test_received_power_is_a_sum():
-    assert received_power_dbm(30.0, 3.0, -2.0, 95.0) == pytest.approx(-64.0)
-
-
 def test_antenna_pattern_two_level():
     assert antenna_gain_db(0.0, P) == 0.0
     assert antenna_gain_db(P.antenna_halfwidth_deg, P) == 0.0
     assert antenna_gain_db(P.antenna_halfwidth_deg + 1.0, P) == P.antenna_backlobe_db
     # wraparound: 350 deg off boresight is 10 deg
     assert antenna_gain_db(350.0, P) == 0.0
-
-
-def test_elevation_angle_quadrants():
-    assert elevation_deg((0, 0, 0), (100, 0, 100)) == pytest.approx(45.0)
-    assert elevation_deg((0, 0, 100), (100, 0, 0)) == pytest.approx(-45.0)
-    assert elevation_deg((0, 0, 0), (0, 0, 50)) == pytest.approx(90.0)
-    assert elevation_deg((0, 0, 0), (30, 40, 0)) == pytest.approx(0.0)
 
 
 def test_param_validation():

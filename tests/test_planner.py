@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from edgeflight.channel import ChannelParams
+import edgeflight.planner as planner_mod
+from edgeflight.channel import ChannelParams, LinkState
 from edgeflight.errors import StuckError
 from edgeflight.linkfield import TruthLink
 from edgeflight.offload import OffloadConfig, remote_update_rate, speed_limit
@@ -14,9 +15,9 @@ from edgeflight.planner import (
     segment_invalidated,
     snr_capacity_grid,
 )
-from edgeflight.radiomap import RadioMap
+from edgeflight.radiomap import _STATE_CODE, RadioMap
 from edgeflight.scenario import HeightField, Scenario, ScenarioConfig
-from edgeflight.worldmap import ExploredMap, RayTable
+from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
 from oracles import enumerate_best_path_cost, relaxed_cost_to_go
 
 CH = ChannelParams()
@@ -45,12 +46,13 @@ def make_world(heights: np.ndarray, bs_cell, start_cell, goal_cell,
 
 
 def make_planner(sc: Scenario, kind: PlannerKind, pc: PlanConfig | None = None,
-                 explored: ExploredMap | None = None) -> Planner:
+                 explored: ExploredMap | None = None, rm: RadioMap | None = None) -> Planner:
     if explored is None:
         explored = ExploredMap.fully_known(sc.truth)
-    table = RayTable(sc.bs_positions[0], sc.truth.width_cells,
-                     sc.truth.depth_cells, sc.truth.cell_size_m, ALT)
-    rm = RadioMap(table, explored, CH)
+    if rm is None:
+        table = RayTable(sc.bs_positions[0], sc.truth.width_cells,
+                         sc.truth.depth_cells, sc.truth.cell_size_m, ALT)
+        rm = RadioMap(table, explored, CH)
     tl = TruthLink(sc, CH, ALT)
     return Planner(kind, sc, explored, rm, tl, CH, OC,
                    pc or PlanConfig(horizon_s=1e9))
@@ -243,3 +245,74 @@ def test_segment_invalidated_checks_remaining_cells_only():
     assert not segment_invalidated(seg, 1, forb)
     forb[seg.cells[-1]] = True
     assert segment_invalidated(seg, 1, forb)
+
+
+def plan_fields(pl: Planner, position):
+    """Every field of the plan from `position`, or None when stuck."""
+    try:
+        seg = pl.plan(position)
+    except StuckError:
+        return None
+    return (seg.cells, seg.points.tolist(), seg.leg_speeds.tolist(), seg.cost, seg.plan_cost)
+
+
+def test_cached_fields_plan_like_a_fresh_planner():
+    rng = np.random.default_rng(21)
+    heights, bs_c, start_c, goal_c = random_world(rng, 16, 16)
+    sc = make_world(heights, bs_c, start_c, goal_c)
+    explored = ExploredMap(16, 16, 5.0)
+    rm = make_planner(sc, PlannerKind.EXPLORED, explored=explored).rm
+    kept = {kind: make_planner(sc, kind, explored=explored, rm=rm) for kind in PlannerKind}
+
+    def check():
+        for kind, pl in kept.items():
+            fresh = make_planner(sc, kind, explored=explored, rm=rm)
+            assert plan_fields(pl, sc.start) == plan_fields(fresh, sc.start), kind
+
+    check()
+    for heading in (0.0, 90.0, 180.0, 270.0):
+        sense(sc.truth, explored, sc.start, heading, SensorModel(120.0, 30.0))
+        check()
+        if heading == 90.0:
+            rm.csi_correct(sc.goal, LinkState.NLOS)
+            check()
+    assert kept[PlannerKind.BASELINE].forbidden_mask().any()
+
+
+def test_field_is_rebuilt_only_when_its_inputs_change(monkeypatch):
+    calls = []
+    dijkstra = planner_mod.csgraph.dijkstra
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(planner_mod.csgraph, "dijkstra", counting)
+    sc = make_world(np.zeros((16, 16)), (0, 0), (2, 8), (13, 8))
+    explored = ExploredMap(16, 16, 5.0)
+    explored_arm = make_planner(sc, PlannerKind.EXPLORED, explored=explored)
+    baseline = make_planner(sc, PlannerKind.BASELINE, explored=explored, rm=explored_arm.rm)
+
+    def rebuilds():
+        n = len(calls)
+        baseline.plan(sc.start)
+        first = len(calls) - n
+        explored_arm.plan(sc.start)
+        return first, len(calls) - n - first
+
+    assert rebuilds() == (1, 1)
+    # free ground: more known cells and assumed-LoS estimates confirmed as LoS
+    for heading in (0.0, 90.0, 180.0):
+        sense(sc.truth, explored, sc.start, heading, SensorModel(120.0, 30.0))
+        assert rebuilds() == (0, 0)
+    assert (explored_arm.rm.state_grid == _STATE_CODE[LinkState.LOS]).any()
+    # a cell at flight altitude: new forbidden cells and a new NLoS shadow
+    explored.known[10, 3] = True
+    explored.heights[10, 3] = ALT
+    assert rebuilds() == (1, 1)
+    assert rebuilds() == (0, 0)
+    # a measured NLoS cell prices only on the explored arm
+    assert explored_arm.rm.state_at(sc.truth.cell_center(3, 12)) is not LinkState.NLOS
+    explored_arm.rm.csi_correct(sc.truth.cell_center(3, 12), LinkState.NLOS)
+    assert rebuilds() == (0, 1)
+    assert rebuilds() == (0, 0)

@@ -159,21 +159,6 @@ def test_assumed_entries_repriced_as_map_grows():
     assert np.all(truth_blocked[nlos_mask])
 
 
-def test_version_counts_only_nlos_boundary_crossings():
-    truth = city(6)
-    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
-    rm = make_rm(em, BS)
-    v0 = rm.version
-    rm.ensure_layer_evaluated()  # everything assumed-LoS: no pricing change
-    assert rm.version == v0
-    rm.csi_correct((12.5, 12.5, ALT), LinkState.NLOS)
-    assert rm.version == v0 + 1
-    rm.csi_correct((12.5, 12.5, ALT), LinkState.NLOS)  # already NLoS: no bump
-    assert rm.version == v0 + 1
-    rm.csi_correct((17.5, 12.5, ALT), LinkState.LOS)  # assumed -> LoS: no bump
-    assert rm.version == v0 + 1
-
-
 def test_missing_voxel_evaluated_on_demand():
     em = ExploredMap(10, 10, 5.0)
     bs = np.array([25.0, 25.0, 25.0])

@@ -88,7 +88,7 @@ def test_sense_full_coverage():
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     diag = np.hypot(200.0, 200.0)
     sense(truth, em, (100.0, 100.0, 50.0), 0.0, SensorModel(360.0, diag))
-    assert em.explored_cell_count == truth.width_cells * truth.depth_cells
+    assert int(em.known.sum()) == truth.width_cells * truth.depth_cells
     assert np.array_equal(em.heights, truth.heights)
 
 
@@ -131,8 +131,8 @@ def test_knowledge_is_monotone():
         before = em.known.copy()
         sense(truth, em, pos, rng.uniform(-180, 180), SensorModel(120.0, 50.0))
         assert np.all(em.known[before])  # nothing forgotten
-        assert em.explored_cell_count >= seen
-        seen = em.explored_cell_count
+        assert int(em.known.sum()) >= seen
+        seen = int(em.known.sum())
         # heights agree with truth wherever known
         assert np.array_equal(em.heights[em.known], truth.heights[em.known])
 
@@ -220,12 +220,3 @@ def test_rays_without_crossings_are_clear_and_known():
     for known in (np.zeros_like(tall, dtype=bool), np.ones_like(tall, dtype=bool)):
         blocked, crosses = table.classify_subset(rays, known, tall)
         assert not blocked.any() and not crosses.any()
-
-
-def test_explored_export_sentinel():
-    em = ExploredMap(3, 3, 5.0)
-    em.known[1, 1] = True
-    em.heights[1, 1] = 12.0
-    out = em.export_heights(sentinel=-1.0)
-    assert out[1, 1] == 12.0
-    assert out[0, 0] == -1.0
