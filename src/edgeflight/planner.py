@@ -236,13 +236,12 @@ class Planner:
         """Cheapest hop out of a cell swallowed by a fresh obstacle margin."""
         u, v, _ = self._edges
         e = np.flatnonzero(u == c)
-        v = v[e]
-        keep = ~forb.ravel()[v] & np.isfinite(gstar[v])
-        v, total = v[keep], weight[e[keep]] + gstar[v[keep]]
-        if len(v) == 0:
+        e = e[~forb.ravel()[v[e]] & np.isfinite(gstar[v[e]])]
+        if len(e) == 0:
             return None, None
-        best = np.lexsort((v, total))[0]  # ties go to the lowest flat index
-        return int(v[best]), float(total[best] - gstar[v[best]])
+        hop, total = v[e], weight[e] + gstar[v[e]]
+        best = np.lexsort((hop, total))[0]  # ties go to the lowest flat index
+        return int(hop[best]), float(total[best] - gstar[hop[best]])
 
     def plan(self, position) -> TrajectorySegment:
         """One planning step from the current position toward the goal.

@@ -57,9 +57,11 @@ class TrajectoryLog:
 
     def append(self, time_s, pos, speed, mode, true_state, est_state,
                uplink_bps, downlink_sinr_db):
+        # plain floats, so the CSV holds numbers rather than numpy reprs
         self.rows.append((
-            time_s, pos[0], pos[1], pos[2], speed, mode.value,
-            true_state.value, est_state, uplink_bps, downlink_sinr_db,
+            float(time_s), float(pos[0]), float(pos[1]), float(pos[2]), float(speed),
+            mode.value, true_state.value, est_state, float(uplink_bps),
+            float(downlink_sinr_db),
         ))
 
     def to_csv(self, header_lines: list[str] | None = None) -> str:

@@ -8,7 +8,8 @@ preset at master seed 4 on a 200 m x 200 m map with 80-160 m missions,
 `aggregate.csv` are committed verbatim under `tests/golden/`; the nine
 trajectory CSVs are pinned by their sha256 digests in
 `tests/golden/trajectories.sha256`. The trajectories' `est_state` column
-records `RadioMap.state_at` on every tick, `none` included.
+records `RadioMap.state_at` on every tick, `none` included. Every numeric
+trajectory field must parse as a plain number.
 
 A change that alters outputs on purpose regenerates the files with
 `edgeflight batch --config <cfg> --episodes 3 --export-trajectories --out <dir>`
@@ -57,5 +58,11 @@ def test_batch_outputs_match_golden_files(tmp_path):
     got_names = sorted(p.name for p in out.glob("trajectory_*.csv"))
     assert got_names == sorted(want)
     for name in got_names:
-        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert got == want[name], name
+        data = (out / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want[name], name
+        rows = [ln.split(",") for ln in data.decode().splitlines() if not ln.startswith("#")]
+        cols = rows[0]
+        for row in rows[1:]:
+            for col, value in zip(cols, row, strict=True):
+                if col not in ("mode", "true_state", "est_state"):
+                    float(value)  # a plain number, not a numpy repr

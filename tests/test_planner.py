@@ -166,6 +166,39 @@ def test_escape_hop_from_inflated_margin():
     assert not pl.forbidden_mask()[seg.cells[1]]
 
 
+def test_escape_hop_matches_a_neighbour_loop():
+    # reference: scan the eight neighbours with the documented edge cost
+    rng = np.random.default_rng(9)
+    checked = 0
+    for _ in range(6):
+        heights, bs_c, start_c, goal_c = random_world(rng, 10, 10)
+        sc = make_world(heights, bs_c, start_c, goal_c)
+        pl = make_planner(sc, PlannerKind.GLOBAL)
+        gstar, _, limits, weight, forb = pl._cost_field()
+        _, pen = planner_pen(pl)
+        for c in np.flatnonzero(forb):
+            ux, uy = divmod(int(c), 10)
+            best = None
+            for vx in range(ux - 1, ux + 2):
+                for vy in range(uy - 1, uy + 2):
+                    if (vx, vy) == (ux, uy) or not (0 <= vx < 10 and 0 <= vy < 10):
+                        continue
+                    if forb[vx, vy] or not np.isfinite(gstar[vx * 10 + vy]):
+                        continue
+                    d = 5.0 * np.hypot(vx - ux, vy - uy)
+                    w = d / min(limits[ux, uy], limits[vx, vy]) * 0.5 * (pen[ux, uy] + pen[vx, vy])
+                    if best is None or (w + gstar[vx * 10 + vy], vx * 10 + vy) < best:
+                        best = (w + gstar[vx * 10 + vy], vx * 10 + vy)
+            hop, edge = pl._escape_hop(int(c), gstar, weight, forb)
+            if best is None:
+                assert hop is None
+                continue
+            assert hop == best[1]
+            assert edge == pytest.approx(best[0] - gstar[best[1]], rel=1e-12)
+            checked += 1
+    assert checked >= 50
+
+
 def test_horizon_truncates_commitment_not_reachability():
     heights = np.zeros((16, 16))
     sc = make_world(heights, (0, 0), (0, 8), (15, 8))
@@ -291,28 +324,39 @@ def test_field_is_rebuilt_only_when_its_inputs_change(monkeypatch):
     sc = make_world(np.zeros((16, 16)), (0, 0), (2, 8), (13, 8))
     explored = ExploredMap(16, 16, 5.0)
     explored_arm = make_planner(sc, PlannerKind.EXPLORED, explored=explored)
-    baseline = make_planner(sc, PlannerKind.BASELINE, explored=explored, rm=explored_arm.rm)
+    rm = explored_arm.rm
+    arms = (
+        make_planner(sc, PlannerKind.BASELINE, explored=explored, rm=rm),
+        explored_arm,
+        # speed limits alone key this one's field
+        make_planner(sc, PlannerKind.EXPLORED, PlanConfig(horizon_s=1e9, nlos_penalty=0.0),
+                     explored=explored, rm=rm),
+    )
 
     def rebuilds():
-        n = len(calls)
-        baseline.plan(sc.start)
-        first = len(calls) - n
-        explored_arm.plan(sc.start)
-        return first, len(calls) - n - first
+        counts = []
+        for pl in arms:
+            n = len(calls)
+            pl.plan(sc.start)
+            counts.append(len(calls) - n)
+        return tuple(counts)
 
-    assert rebuilds() == (1, 1)
+    assert rebuilds() == (1, 1, 1)
     # free ground: more known cells and assumed-LoS estimates confirmed as LoS
     for heading in (0.0, 90.0, 180.0):
         sense(sc.truth, explored, sc.start, heading, SensorModel(120.0, 30.0))
-        assert rebuilds() == (0, 0)
-    assert (explored_arm.rm.state_grid == _STATE_CODE[LinkState.LOS]).any()
+        assert rebuilds() == (0, 0, 0)
+    assert (rm.state_grid == _STATE_CODE[LinkState.LOS]).any()
     # a cell at flight altitude: new forbidden cells and a new NLoS shadow
     explored.known[10, 3] = True
     explored.heights[10, 3] = ALT
-    assert rebuilds() == (1, 1)
-    assert rebuilds() == (0, 0)
-    # a measured NLoS cell prices only on the explored arm
-    assert explored_arm.rm.state_at(sc.truth.cell_center(3, 12)) is not LinkState.NLOS
-    explored_arm.rm.csi_correct(sc.truth.cell_center(3, 12), LinkState.NLOS)
-    assert rebuilds() == (0, 1)
-    assert rebuilds() == (0, 0)
+    assert rebuilds() == (1, 1, 1)
+    assert rebuilds() == (0, 0, 0)
+    # a measured NLoS cell changes speed limits and penalties, never the baseline's
+    assert rm.state_at(sc.truth.cell_center(3, 12)) is not LinkState.NLOS
+    rm.csi_correct(sc.truth.cell_center(3, 12), LinkState.NLOS)
+    assert rebuilds() == (0, 1, 1)
+    assert rebuilds() == (0, 0, 0)
+    # the NLoS penalty alone, as where the speed limit saturates at v_max
+    rm.state_grid[5, 12] = _STATE_CODE[LinkState.NLOS]
+    assert rebuilds() == (0, 1, 0)
