@@ -5,9 +5,10 @@ Subcommands:
     run       fly one scenario with one or more policy arms
     batch     run the seeded scenario sequence and write comparison tables
 
-Exit codes: 0 success; 2 configuration or usage error; 3 a mission failed to
-reach its goal (stuck). Output files are deterministic for a given config and
-seed; headers carry the tool version, config digest, and master seed.
+Exit codes: 0 success; 2 configuration or usage error, a map grid too large
+for memory included; 3 a mission failed to reach its goal (stuck). Output
+files are deterministic for a given config and seed; headers carry the tool
+version, config digest, and master seed.
 """
 
 from __future__ import annotations
@@ -231,6 +232,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("config error: the map grid does not fit in memory; reduce "
+              "scenario.map_size_m or raise scenario.cell_size_m", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import (
+    SPEED_OF_LIGHT,
     ChannelParams,
     LinkState,
     antenna_gain_db,
     capacity_bps,
     dbm_to_mw,
     free_space_path_loss_db,
-    path_loss_db,
-    sinr_linear,
 )
 from .scenario import Scenario
 from .worldmap import RayTable
@@ -55,26 +54,39 @@ class TruthLink:
                 np.arange(known.size), known, truth.heights)[0]
             for i in range(len(scenario.bs_positions))
         ]
+        # Per-call invariants of the scalar budgets. The transcendental terms
+        # keep the numpy ufuncs the grids use (the math module's versions can
+        # differ in the last bit), so each value equals channel.py's.
+        self._bs = [np.asarray(b, dtype=float) for b in scenario.bs_positions]
+        self._fspl_const = (20.0 * np.log10(params.carrier_hz),
+                            20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT))
+        self._noise_mw = dbm_to_mw(params.noise_dbm)
 
     def _flat_cell(self, pos) -> int:
         ix, iy = self.sc.truth.cell_of(pos)
         return ix * self._ny + iy
 
-    def state(self, bs_index: int, pos) -> LinkState:
-        if self.blocked[bs_index][self._flat_cell(pos)]:
+    def serving_state(self, pos) -> LinkState:
+        if self.blocked[self.sc.serving_bs][self._flat_cell(pos)]:
             return LinkState.NLOS
         return LinkState.LOS
 
-    def serving_state(self, pos) -> LinkState:
-        return self.state(self.sc.serving_bs, pos)
+    def _path_loss_db(self, v: np.ndarray, blocked) -> tuple[float, float]:
+        """(distance, path loss) along vector v: channel.path_loss_db for one link."""
+        d = float(np.sqrt(v.dot(v)))  # what np.linalg.norm computes
+        carrier, const = self._fspl_const
+        pl = 20.0 * np.log10(max(d, 1e-9)) + carrier + const
+        if blocked:
+            pl = pl + self.p.nlos_excess_db
+        return d, pl
 
     def uplink_capacity(self, pos) -> float:
         """True serving uplink capacity; uplink interference is out of scope."""
-        bs = self.sc.bs_positions[self.sc.serving_bs]
-        d = float(np.linalg.norm(np.asarray(pos, dtype=float) - bs))
-        pl = path_loss_db(d, self.serving_state(pos), self.p)
-        rx = self.p.uav_tx_power_dbm - pl
-        return float(capacity_bps(sinr_linear(rx, (), self.p), self.p.bandwidth_hz))
+        serving = self.sc.serving_bs
+        v = np.asarray(pos, dtype=float) - self._bs[serving]
+        _, pl = self._path_loss_db(v, self.blocked[serving][self._flat_cell(pos)])
+        sinr = dbm_to_mw(self.p.uav_tx_power_dbm - pl) / self._noise_mw
+        return float(self.p.bandwidth_hz * np.log2(1.0 + max(sinr, 0.0)))
 
     def downlink(self, pos) -> tuple[float, float, float]:
         """(capacity_bps, sinr_linear, interference_fraction) at a position.
@@ -84,26 +96,27 @@ class TruthLink:
         serving BS. interference_fraction = I / (I + S), in [0, 1): near 1
         where a non-serving BS drowns the serving signal.
         """
+        p = self.p
         pos = np.asarray(pos, dtype=float)
+        cell = self._flat_cell(pos)
         serving = self.sc.serving_bs
-        bs_s = self.sc.bs_positions[serving]
-        bore = bs_s - pos
-        d_s = float(np.linalg.norm(bore))
-        rx_s = self.p.bs_tx_power_dbm - path_loss_db(d_s, self.state(serving, pos), self.p)
-        inter = []
-        for i, bs_i in enumerate(self.sc.bs_positions):
+        bore = self._bs[serving] - pos
+        d_s, pl_s = self._path_loss_db(bore, self.blocked[serving][cell])
+        s_mw = float(dbm_to_mw(p.bs_tx_power_dbm - pl_s))
+        i_mw = 0.0
+        for i, bs_i in enumerate(self._bs):
             if i == serving:
                 continue
             v = bs_i - pos
-            d_i = float(np.linalg.norm(v))
-            cosang = float(np.dot(bore, v) / max(d_s * d_i, 1e-12))
-            ang = float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-            g = float(antenna_gain_db(ang, self.p))
-            inter.append(self.p.bs_tx_power_dbm + g - path_loss_db(d_i, self.state(i, pos), self.p))
-        sinr = float(sinr_linear(rx_s, inter, self.p))
-        cap = float(capacity_bps(sinr, self.p.bandwidth_hz))
-        i_mw = float(sum(dbm_to_mw(x) for x in inter))
-        s_mw = float(dbm_to_mw(rx_s))
+            d_i, pl_i = self._path_loss_db(v, self.blocked[i][cell])
+            cosang = float(bore.dot(v) / max(d_s * d_i, 1e-12))
+            ang = float(np.degrees(np.arccos(min(max(cosang, -1.0), 1.0))))
+            # channel.antenna_gain_db for one angle
+            off = abs((ang + 180.0) % 360.0 - 180.0)
+            g = 0.0 if off <= p.antenna_halfwidth_deg else p.antenna_backlobe_db
+            i_mw += float(dbm_to_mw(p.bs_tx_power_dbm + g - pl_i))
+        sinr = float(s_mw / (self._noise_mw + i_mw))
+        cap = float(p.bandwidth_hz * np.log2(1.0 + max(sinr, 0.0)))
         return cap, sinr, i_mw / (i_mw + s_mw)
 
     # ---- per-cell grids for the full-knowledge planner arm ----

@@ -167,7 +167,8 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             p = pos.copy()
             while budget > 1e-12 and seg_leg < len(seg.leg_speeds):
                 tgt = seg.points[seg_leg + 1]
-                d = float(np.linalg.norm(tgt - p))
+                step = tgt - p
+                d = float(np.sqrt(step.dot(step)))  # np.linalg.norm, without its dispatch
                 if d <= budget:
                     budget -= d
                     moved += d
@@ -193,7 +194,8 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         cap_integral += up_true * dt
         state.time_s += dt
 
-        if np.linalg.norm(state.position[:2] - goal[:2]) < 1e-6:
+        off = state.position[:2] - goal[:2]
+        if np.sqrt(off.dot(off)) < 1e-6:
             reached = True
             break
 

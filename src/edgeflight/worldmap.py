@@ -182,6 +182,10 @@ def sense(truth: HeightField, explored: ExploredMap, position, heading_deg: floa
 
     Knowledge is monotone and noiseless: revealed cells take their truth height
     and stay known. Heading follows math convention (degrees, 0 = +x, CCW).
+    Only this function and `ExploredMap.fully_known` write an explored map, so
+    a known cell already holds its truth height; when every cell of the
+    sensor's bounding window is known, the wedge would change nothing and is
+    not built.
     """
     s = truth.cell_size_m
     nx, ny = truth.width_cells, truth.depth_cells
@@ -191,7 +195,7 @@ def sense(truth: HeightField, explored: ExploredMap, position, heading_deg: floa
     ix1 = min(int((px + r) // s) + 1, nx)
     iy0 = max(int((py - r) // s), 0)
     iy1 = min(int((py + r) // s) + 1, ny)
-    if ix0 >= ix1 or iy0 >= iy1:
+    if ix0 >= ix1 or iy0 >= iy1 or explored.known[ix0:ix1, iy0:iy1].all():
         return explored
     cx = (np.arange(ix0, ix1) + 0.5) * s - px
     cy = (np.arange(iy0, iy1) + 0.5) * s - py

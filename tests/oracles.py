@@ -3,7 +3,9 @@
 Everything here is deliberately slow and simple: dense sampling instead of
 exact traversal, relaxation to a fixpoint instead of a priority queue, and
 literal path enumeration where the grid is small enough. None of it imports
-the production geometry or search code paths it checks.
+the production geometry or search code paths it checks. The truth link
+budgets are composed from channel.py's per-link functions, the reference for
+TruthLink's inlined arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +13,15 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from edgeflight.channel import (
+    LinkState,
+    antenna_gain_db,
+    capacity_bps,
+    dbm_to_mw,
+    path_loss_db,
+    sinr_linear,
+)
 
 _SQRT2 = float(np.sqrt(2.0))
 _NEIGH = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2),
@@ -129,3 +140,37 @@ def wedge_cells(nx, ny, cell_size_m, position, heading_deg, fov_deg, range_m):
         if abs(diff) <= fov_deg / 2.0:
             out.add((ix, iy))
     return out
+
+
+def truth_budgets(params, bs_positions, serving: int, pos, nlos):
+    """(uplink_bps, (downlink_bps, downlink_sinr, interference_fraction)) at pos.
+
+    One link at a time through channel.py: `nlos[i]` is the true state toward
+    BS i, the serving link sees unit antenna gain and each interferer arrives
+    through the pattern whose boresight points at the serving BS.
+    """
+    pos = np.asarray(pos, dtype=float)
+    state = [LinkState.NLOS if b else LinkState.LOS for b in nlos]
+    bs_s = bs_positions[serving]
+    d_up = float(np.linalg.norm(pos - bs_s))
+    rx_up = params.uav_tx_power_dbm - path_loss_db(d_up, state[serving], params)
+    uplink = float(capacity_bps(sinr_linear(rx_up, (), params), params.bandwidth_hz))
+
+    bore = bs_s - pos
+    d_s = float(np.linalg.norm(bore))
+    rx_s = params.bs_tx_power_dbm - path_loss_db(d_s, state[serving], params)
+    inter = []
+    for i, bs_i in enumerate(bs_positions):
+        if i == serving:
+            continue
+        v = bs_i - pos
+        d_i = float(np.linalg.norm(v))
+        cosang = float(np.dot(bore, v) / max(d_s * d_i, 1e-12))
+        ang = float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+        gain = float(antenna_gain_db(ang, params))
+        inter.append(params.bs_tx_power_dbm + gain - path_loss_db(d_i, state[i], params))
+    sinr = float(sinr_linear(rx_s, inter, params))
+    cap = float(capacity_bps(sinr, params.bandwidth_hz))
+    i_mw = float(sum(dbm_to_mw(x) for x in inter))
+    s_mw = float(dbm_to_mw(rx_s))
+    return uplink, (cap, sinr, i_mw / (i_mw + s_mw))

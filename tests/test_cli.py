@@ -150,3 +150,17 @@ def test_malformed_value_is_config_error_naming_the_field(tmp_path, capsys, text
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+def test_map_too_large_for_memory_is_config_error(tmp_path, capsys):
+    # 6e6 x 6e6 cells of 8 bytes is 262 TiB, past what a 47-bit address space
+    # maps, so the first grid allocation fails at once even where the kernel
+    # overcommits; wide streets keep the per-axis block lists short
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"scenario": {"map_size_m": [3e7, 3e7],
+                                            "street_width_m": 1e4}}))
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "scenario.map_size_m" in err and "scenario.cell_size_m" in err

@@ -1,0 +1,38 @@
+import dataclasses
+
+import numpy as np
+
+from edgeflight.config import default_config
+from edgeflight.linkfield import TruthLink
+from edgeflight.scenario import build_scenario
+from edgeflight.worldmap import RayResult, ray_blocked
+from oracles import truth_budgets
+
+
+def test_truth_budgets_equal_the_per_link_formulas_exactly():
+    cfg = default_config()
+    rng = np.random.default_rng(21)
+    nlos_seen = set()
+    size = 200.0
+    for seed in (4, 9):
+        sc = build_scenario(dataclasses.replace(
+            cfg.scenario, map_size_m=(size, size), rng_seed=seed))
+        alt = sc.cfg.uav_altitude_m
+        truth = sc.truth
+        s = truth.cell_size_m
+        tl = TruthLink(sc, cfg.channel, alt)
+        inner = rng.uniform(0.0, size, size=(200, 2))
+        # cell corners and cell edges, the map border included, where the
+        # cell lookup changes
+        corners = rng.integers(0, int(size / s) + 1, size=(25, 2)) * s
+        edges = np.column_stack([corners[:, 0], rng.uniform(0.0, size, 25)])
+        for x, y in np.vstack([inner, corners, edges]):
+            pos = np.array([x, y, alt])
+            center = np.array([*truth.cell_center(*truth.cell_of(pos)), alt])
+            nlos = [ray_blocked(truth, bs, center) is RayResult.BLOCKED
+                    for bs in sc.bs_positions]
+            up, down = truth_budgets(cfg.channel, sc.bs_positions, sc.serving_bs, pos, nlos)
+            assert tl.uplink_capacity(pos) == up
+            assert tl.downlink(pos) == down
+            nlos_seen.update(nlos)
+    assert nlos_seen == {False, True}  # both link states were priced

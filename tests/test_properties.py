@@ -1,0 +1,56 @@
+"""Property test: every small config is rejected cleanly or flown to an outcome."""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edgeflight.config import config_from_dict
+from edgeflight.errors import ConfigError, ScenarioError
+from edgeflight.planner import PlannerKind
+from edgeflight.scenario import build_scenario
+from edgeflight.simcore import run_episode
+
+
+@st.composite
+def small_configs(draw):
+    """Config documents for maps of at most 100 m; some fail validation or placement."""
+    s = draw(st.sampled_from([5.0, 10.0]))
+    cells = st.integers(4, int(100.0 / s)).map(lambda k: k * s)
+    lo = draw(st.floats(1.0, 60.0))
+    return {
+        "scenario": {
+            "map_size_m": [draw(cells), draw(cells)],
+            "cell_size_m": s,
+            "rayleigh_scale_m": draw(st.floats(0.0, 80.0)),
+            "building_footprint_m": draw(st.integers(1, 3)) * s,
+            "street_width_m": draw(st.integers(1, 3)) * s,
+            "n_bs": draw(st.integers(1, 3)),
+            "bs_height_m": draw(st.floats(5.0, 60.0)),
+            "uav_altitude_m": draw(st.floats(10.0, 120.0)),
+            "endpoint_distance_m": [lo, lo + draw(st.floats(0.0, 60.0))],
+            "rng_seed": draw(st.integers(0, 2**16)),
+        },
+        "sensor": {"fov_deg": draw(st.floats(30.0, 360.0)),
+                   "range_m": draw(st.floats(5.0, 80.0))},
+        "planner": {"safety_margin_cells": draw(st.integers(0, 2))},
+        "sim": {"tick_s": draw(st.sampled_from([0.1, 0.25, 0.5])),
+                "timeout_s": draw(st.floats(1.0, 60.0)),
+                "sticky_nlos": draw(st.booleans())},
+    }
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(small_configs())
+def test_small_configs_are_rejected_or_flown_to_an_outcome(doc):
+    try:
+        cfg = config_from_dict(doc)
+        sc = build_scenario(cfg.scenario, cfg.planner.safety_margin_cells)
+    except (ConfigError, ScenarioError):
+        return
+    for kind in PlannerKind:
+        m, _ = run_episode(sc, kind, cfg, collect_log=False)
+        assert m.reached != m.stuck, kind
+        assert all(math.isfinite(v) for v in (
+            m.flight_distance_m, m.flight_duration_s,
+            m.avg_uplink_capacity_bps, m.nlos_distance_ratio)), (kind, m)

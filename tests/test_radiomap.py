@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edgeflight.channel import ChannelParams, LinkState, path_loss_db
-from edgeflight.radiomap import _CODE_STATE, _STATE_CODE, RadioMap
+from edgeflight.radiomap import _CODE_STATE, _STATE_CODE, MISSING, RadioMap
 from edgeflight.scenario import HeightField, ScenarioConfig, generate_city
 from edgeflight.worldmap import ExploredMap, RayResult, RayTable, SensorModel, ray_blocked, sense
 
@@ -170,3 +170,31 @@ def test_missing_voxel_evaluated_on_demand():
     assert rm.state_at((2.5, 2.5, ALT)) is None  # outside the refreshed radius
     d = float(np.linalg.norm(np.array(p) - bs))
     assert rm.gain_grid[em.cell_of(p)] == pytest.approx(-path_loss_db(d, LinkState.LOS, P))
+
+
+def test_update_around_classifies_only_stale_cells_in_range(monkeypatch):
+    truth = city(6)
+    rm = make_rm(ExploredMap.fully_known(truth), BS)
+    rm.ensure_layer_evaluated()
+    grid = rm.state_grid.copy()
+    calls = []
+    classify = RayTable.classify_subset
+
+    def counting(table, rays, known, heights):
+        calls.append(list(rays))
+        return classify(table, rays, known, heights)
+
+    monkeypatch.setattr(RayTable, "classify_subset", counting)
+    for p in ((100.0, 100.0), (12.5, 187.5), (0.0, 0.0), (200.0, 200.0)):
+        rm.update_around((*p, ALT), 60.0)
+    assert calls == []
+    pos = (100.0, 100.0, ALT)
+    # a stale cell in the window's corner, 24.7 m out: beyond the radius
+    rm.state_grid[16, 16] = MISSING
+    rm.update_around(pos, 20.0)
+    assert calls == []
+    # a stale cell in range: one call for its ray alone, restoring its estimate
+    rm.state_grid[20, 20] = MISSING
+    rm.update_around(pos, 20.0)
+    assert calls == [[20 * truth.depth_cells + 20]]
+    assert rm.state_grid[20, 20] == grid[20, 20]

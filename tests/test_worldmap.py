@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,40 @@ def test_knowledge_is_monotone():
         seen = int(em.known.sum())
         # heights agree with truth wherever known
         assert np.array_equal(em.heights[em.known], truth.heights[em.known])
+
+
+def test_sense_over_a_known_window_changes_nothing():
+    truth = random_city(5)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    pos = (100.0, 100.0, 50.0)
+    sense(truth, em, pos, 0.0, SensorModel(360.0, 80.0))  # covers the window below
+    known, heights = em.known.copy(), em.heights.copy()
+    assert sense(truth, em, pos, 30.0, SensorModel(120.0, 50.0)) is em
+    assert np.array_equal(em.known, known)
+    assert np.array_equal(em.heights, heights)
+
+
+def test_sense_reveals_the_one_unknown_cell_of_a_known_window():
+    # each cell of the sensor's bounding window in turn is the only unknown
+    # cell, and is revealed exactly when it lies in the wedge; positions off
+    # the cell grid put the window's first or last row in range
+    truth = random_city(6)
+    s = truth.cell_size_m
+    for c, sensor in itertools.product((97.0, 103.0), (SensorModel(120.0, 50.0),
+                                                        SensorModel(360.0, 50.0))):
+        pos = (c, c, 50.0)
+        lo, hi = int((c - 50.0) // s), int((c + 50.0) // s) + 1
+        wedge = wedge_cells(truth.width_cells, truth.depth_cells, s, pos, 30.0,
+                            sensor.fov_deg, sensor.range_m)
+        for cell in np.ndindex(hi - lo, hi - lo):
+            cell = (cell[0] + lo, cell[1] + lo)
+            em = ExploredMap.fully_known(truth)
+            em.known[cell] = False
+            em.heights[cell] = -1.0
+            sense(truth, em, pos, 30.0, sensor)
+            revealed = cell in wedge
+            assert em.known[cell] == revealed
+            assert em.heights[cell] == (truth.heights[cell] if revealed else -1.0)
 
 
 def test_sensor_validation():
