@@ -1,7 +1,8 @@
 """Air-to-ground link budget: path loss, LoS probability, SINR, capacity.
 
-All functions broadcast over numpy arrays; angles in degrees, powers in dBm,
-distances in meters, rates in bits per second.
+All functions broadcast over numpy arrays, except the *_scalar helpers, which
+price one link; angles in degrees, powers in dBm, distances in meters, rates in
+bits per second.
 """
 
 from __future__ import annotations
@@ -49,20 +50,37 @@ class ChannelParams:
         return THERMAL_NOISE_DBM_HZ + 10.0 * np.log10(self.bandwidth_hz) + self.noise_figure_db
 
 
+_FOUR_PI_OVER_C_DB = 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
+
+
+def carrier_loss_db(carrier_hz):
+    """20 log10(f), the carrier term of the free-space loss."""
+    return 20.0 * np.log10(carrier_hz)
+
+
 def free_space_path_loss_db(distance_m, carrier_hz):
     """20 log10(d) + 20 log10(f) + 20 log10(4 pi / c)."""
     d = np.maximum(distance_m, 1e-9)
-    return (
-        20.0 * np.log10(d)
-        + 20.0 * np.log10(carrier_hz)
-        + 20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT)
-    )
+    return 20.0 * np.log10(d) + carrier_loss_db(carrier_hz) + _FOUR_PI_OVER_C_DB
 
 
 def path_loss_db(distance_m, state: LinkState, p: ChannelParams):
     """Free-space loss plus the NLoS excess; assumed-LoS is priced as LoS."""
     pl = free_space_path_loss_db(distance_m, p.carrier_hz)
     if state is LinkState.NLOS:
+        pl = pl + p.nlos_excess_db
+    return pl
+
+
+# The *_scalar helpers price one link for per-tick callers. They equal their
+# array versions bit for bit: the same numpy ufuncs (the math module's can
+# differ in the last bit) in the same order, without array dispatch.
+
+def path_loss_db_scalar(distance_m: float, nlos: bool, carrier_loss: float,
+                        p: ChannelParams) -> float:
+    """path_loss_db for one distance; `carrier_loss` is carrier_loss_db(p.carrier_hz)."""
+    pl = 20.0 * np.log10(max(distance_m, 1e-9)) + carrier_loss + _FOUR_PI_OVER_C_DB
+    if nlos:
         pl = pl + p.nlos_excess_db
     return pl
 
@@ -86,6 +104,12 @@ def antenna_gain_db(off_boresight_deg, p: ChannelParams):
     return np.where(a <= p.antenna_halfwidth_deg, 0.0, p.antenna_backlobe_db)
 
 
+def antenna_gain_db_scalar(off_boresight_deg: float, p: ChannelParams) -> float:
+    """antenna_gain_db for one angle."""
+    a = abs((off_boresight_deg + 180.0) % 360.0 - 180.0)
+    return 0.0 if a <= p.antenna_halfwidth_deg else p.antenna_backlobe_db
+
+
 def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
@@ -107,3 +131,8 @@ def capacity_bps(sinr, bandwidth_hz):
     """Shannon capacity B log2(1 + SINR); zero when SINR <= 0."""
     s = np.maximum(np.asarray(sinr, dtype=float), 0.0)
     return bandwidth_hz * np.log2(1.0 + s)
+
+
+def capacity_bps_scalar(sinr: float, bandwidth_hz: float) -> float:
+    """capacity_bps for one SINR."""
+    return float(bandwidth_hz * np.log2(1.0 + max(sinr, 0.0)))

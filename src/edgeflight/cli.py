@@ -233,10 +233,6 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError:
-        print("config error: the map grid does not fit in memory; reduce "
-              "scenario.map_size_m or raise scenario.cell_size_m", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

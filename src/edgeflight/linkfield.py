@@ -12,13 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import (
-    SPEED_OF_LIGHT,
     ChannelParams,
     LinkState,
     antenna_gain_db,
+    antenna_gain_db_scalar,
     capacity_bps,
+    capacity_bps_scalar,
+    carrier_loss_db,
     dbm_to_mw,
     free_space_path_loss_db,
+    path_loss_db_scalar,
 )
 from .scenario import Scenario
 from .worldmap import RayTable
@@ -54,12 +57,9 @@ class TruthLink:
                 np.arange(known.size), known, truth.heights)[0]
             for i in range(len(scenario.bs_positions))
         ]
-        # Per-call invariants of the scalar budgets. The transcendental terms
-        # keep the numpy ufuncs the grids use (the math module's versions can
-        # differ in the last bit), so each value equals channel.py's.
+        # Per-call invariants of the scalar budgets
         self._bs = [np.asarray(b, dtype=float) for b in scenario.bs_positions]
-        self._fspl_const = (20.0 * np.log10(params.carrier_hz),
-                            20.0 * np.log10(4.0 * np.pi / SPEED_OF_LIGHT))
+        self._carrier_loss = carrier_loss_db(params.carrier_hz)
         self._noise_mw = dbm_to_mw(params.noise_dbm)
 
     def _flat_cell(self, pos) -> int:
@@ -72,13 +72,9 @@ class TruthLink:
         return LinkState.LOS
 
     def _path_loss_db(self, v: np.ndarray, blocked) -> tuple[float, float]:
-        """(distance, path loss) along vector v: channel.path_loss_db for one link."""
+        """(distance, path loss) along vector v."""
         d = float(np.sqrt(v.dot(v)))  # what np.linalg.norm computes
-        carrier, const = self._fspl_const
-        pl = 20.0 * np.log10(max(d, 1e-9)) + carrier + const
-        if blocked:
-            pl = pl + self.p.nlos_excess_db
-        return d, pl
+        return d, path_loss_db_scalar(d, blocked, self._carrier_loss, self.p)
 
     def uplink_capacity(self, pos) -> float:
         """True serving uplink capacity; uplink interference is out of scope."""
@@ -86,7 +82,7 @@ class TruthLink:
         v = np.asarray(pos, dtype=float) - self._bs[serving]
         _, pl = self._path_loss_db(v, self.blocked[serving][self._flat_cell(pos)])
         sinr = dbm_to_mw(self.p.uav_tx_power_dbm - pl) / self._noise_mw
-        return float(self.p.bandwidth_hz * np.log2(1.0 + max(sinr, 0.0)))
+        return capacity_bps_scalar(sinr, self.p.bandwidth_hz)
 
     def downlink(self, pos) -> tuple[float, float, float]:
         """(capacity_bps, sinr_linear, interference_fraction) at a position.
@@ -111,13 +107,10 @@ class TruthLink:
             d_i, pl_i = self._path_loss_db(v, self.blocked[i][cell])
             cosang = float(bore.dot(v) / max(d_s * d_i, 1e-12))
             ang = float(np.degrees(np.arccos(min(max(cosang, -1.0), 1.0))))
-            # channel.antenna_gain_db for one angle
-            off = abs((ang + 180.0) % 360.0 - 180.0)
-            g = 0.0 if off <= p.antenna_halfwidth_deg else p.antenna_backlobe_db
+            g = antenna_gain_db_scalar(ang, p)
             i_mw += float(dbm_to_mw(p.bs_tx_power_dbm + g - pl_i))
         sinr = float(s_mw / (self._noise_mw + i_mw))
-        cap = float(p.bandwidth_hz * np.log2(1.0 + max(sinr, 0.0)))
-        return cap, sinr, i_mw / (i_mw + s_mw)
+        return capacity_bps_scalar(sinr, p.bandwidth_hz), sinr, i_mw / (i_mw + s_mw)
 
     # ---- per-cell grids for the full-knowledge planner arm ----
 

@@ -94,13 +94,10 @@ class RadioMap:
         iy1 = min(int((py + radius_m) // s) + 1, ny)
         if ix0 >= ix1 or iy0 >= iy1:
             return
-        stale = self._stale(self.state_grid[ix0:ix1, iy0:iy1])
-        if not stale.any():
-            return
         cx = (np.arange(ix0, ix1) + 0.5) * s - px
         cy = (np.arange(iy0, iy1) + 0.5) * s - py
         inside = np.hypot(cx[:, None], cy[None, :]) <= radius_m
-        i, j = np.nonzero(inside & stale)
+        i, j = np.nonzero(inside & self._stale(self.state_grid[ix0:ix1, iy0:iy1]))
         self._refresh((i + ix0) * ny + (j + iy0))
 
     def ensure_layer_evaluated(self) -> None:

@@ -158,7 +158,12 @@ def generate_city(cfg: ScenarioConfig, rng: np.random.Generator) -> HeightField:
     st_c = int(round(cfg.street_width_m / s))
     cols = _block_slices(nx, fp_c, st_c)
     rows = _block_slices(ny, fp_c, st_c)
-    heights = np.zeros((nx, ny))
+    try:
+        heights = np.zeros((nx, ny))
+    except MemoryError:
+        raise ConfigError(
+            f"the {nx} x {ny} cell map grid does not fit in memory; reduce "
+            "scenario.map_size_m or raise scenario.cell_size_m") from None
     draws = sample_building_heights(rng, cfg.rayleigh_scale_m, len(cols) * len(rows))
     k = 0
     for cs in cols:

@@ -5,11 +5,15 @@ from edgeflight.channel import (
     ChannelParams,
     LinkState,
     antenna_gain_db,
+    antenna_gain_db_scalar,
     capacity_bps,
+    capacity_bps_scalar,
+    carrier_loss_db,
     dbm_to_mw,
     expected_path_loss_db,
     free_space_path_loss_db,
     path_loss_db,
+    path_loss_db_scalar,
     plos_probability,
     sinr_linear,
 )
@@ -92,6 +96,21 @@ def test_antenna_pattern_two_level():
     assert antenna_gain_db(P.antenna_halfwidth_deg + 1.0, P) == P.antenna_backlobe_db
     # wraparound: 350 deg off boresight is 10 deg
     assert antenna_gain_db(350.0, P) == 0.0
+
+
+def test_scalar_helpers_equal_their_array_versions_exactly():
+    rng = np.random.default_rng(5)
+    carrier = carrier_loss_db(P.carrier_hz)
+    for d in np.concatenate([[0.0, 1e-12, 1.0], rng.uniform(1.0, 2000.0, 300)]):
+        for state in (LinkState.LOS, LinkState.NLOS):
+            nlos = state is LinkState.NLOS
+            assert path_loss_db_scalar(float(d), nlos, carrier, P) == path_loss_db(d, state, P)
+    edge = P.antenna_halfwidth_deg
+    for a in np.concatenate([[0.0, edge, np.nextafter(edge, 180.0), 180.0, 350.0, -60.0],
+                             rng.uniform(0.0, 180.0, 200)]):
+        assert antenna_gain_db_scalar(float(a), P) == antenna_gain_db(a, P)
+    for snr in np.concatenate([[-1.0, 0.0, 1e-300], rng.lognormal(0.0, 5.0, 300)]):
+        assert capacity_bps_scalar(float(snr), P.bandwidth_hz) == capacity_bps(snr, P.bandwidth_hz)
 
 
 def test_param_validation():

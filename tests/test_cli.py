@@ -164,3 +164,13 @@ def test_map_too_large_for_memory_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "scenario.map_size_m" in err and "scenario.cell_size_m" in err
+
+
+def test_memory_error_outside_the_map_grid_keeps_its_traceback(
+        monkeypatch, small_config_path, tmp_path):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("edgeflight.cli.run_episode", out_of_memory)
+    with pytest.raises(MemoryError):
+        main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "x")])
