@@ -41,6 +41,19 @@ def ray_table_for(scenario: Scenario, bs_index: int, layer_z: float) -> RayTable
     return tbl
 
 
+def _truth_blocked(scenario: Scenario, bs_index: int, layer_z: float) -> np.ndarray:
+    """Read-only truth NLoS mask over flat cells, classified once per scenario on first use."""
+    key = (bs_index, float(layer_z))
+    mask = scenario._truth_masks.get(key)
+    if mask is None:
+        heights = scenario.truth.heights
+        mask = ray_table_for(scenario, bs_index, layer_z).classify_subset(
+            np.arange(heights.size), np.ones(heights.shape, dtype=bool), heights)[0]
+        mask.flags.writeable = False
+        scenario._truth_masks[key] = mask
+    return mask
+
+
 class TruthLink:
     """True link states and budgets toward every BS at one flight layer."""
 
@@ -51,12 +64,8 @@ class TruthLink:
         truth = scenario.truth
         self._nx, self._ny = truth.width_cells, truth.depth_cells
         self._s = truth.cell_size_m
-        known = np.ones_like(truth.heights, dtype=bool)
-        self.blocked = [
-            ray_table_for(scenario, i, layer_z).classify_subset(
-                np.arange(known.size), known, truth.heights)[0]
-            for i in range(len(scenario.bs_positions))
-        ]
+        self.blocked = [_truth_blocked(scenario, i, layer_z)
+                        for i in range(len(scenario.bs_positions))]
         # Per-call invariants of the scalar budgets
         self._bs = [np.asarray(b, dtype=float) for b in scenario.bs_positions]
         self._carrier_loss = carrier_loss_db(params.carrier_hz)

@@ -16,6 +16,10 @@ from .errors import ConfigError, ScenarioError
 
 Point3 = np.ndarray  # shape (3,), meters
 
+# Most ray-table entries a scenario may need: n_bs tables of cells x (nx + ny)
+# crossings at worst, 12 bytes each (int32 cell, float64 altitude).
+_MAX_RAY_TABLE_ENTRIES = 2**27
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -44,6 +48,13 @@ class ScenarioConfig:
         for extent in (w, d):
             if abs(extent / s - round(extent / s)) > 1e-9:
                 raise ConfigError("map size must be divisible by cell size")
+        nx, ny = self.width_cells, self.depth_cells
+        entries = self.n_bs * nx * ny * (nx + ny)
+        if entries > _MAX_RAY_TABLE_ENTRIES:
+            raise ConfigError(
+                f"{self.n_bs} ray tables over {nx} x {ny} cells need up to {entries} "
+                f"entries, more than the budget of {_MAX_RAY_TABLE_ENTRIES}; reduce "
+                "scenario.map_size_m or raise scenario.cell_size_m")
         if self.rayleigh_scale_m < 0:
             raise ConfigError("rayleigh scale must be >= 0")
         period = self.building_footprint_m + self.street_width_m
@@ -115,8 +126,9 @@ class Scenario:
     serving_bs: int
     start: Point3
     goal: Point3
-    # lazily filled per-BS ray caches, see worldmap.RayTable
+    # lazily filled per-(BS, layer) ray tables and truth NLoS masks, see linkfield
     _ray_tables: dict = field(default_factory=dict, repr=False)
+    _truth_masks: dict = field(default_factory=dict, repr=False)
 
 
 def _block_slices(n_cells: int, footprint_c: int, street_c: int) -> list[slice]:
@@ -158,12 +170,7 @@ def generate_city(cfg: ScenarioConfig, rng: np.random.Generator) -> HeightField:
     st_c = int(round(cfg.street_width_m / s))
     cols = _block_slices(nx, fp_c, st_c)
     rows = _block_slices(ny, fp_c, st_c)
-    try:
-        heights = np.zeros((nx, ny))
-    except MemoryError:
-        raise ConfigError(
-            f"the {nx} x {ny} cell map grid does not fit in memory; reduce "
-            "scenario.map_size_m or raise scenario.cell_size_m") from None
+    heights = np.zeros((nx, ny))
     draws = sample_building_heights(rng, cfg.rayleigh_scale_m, len(cols) * len(rows))
     k = 0
     for cs in cols:

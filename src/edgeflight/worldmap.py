@@ -21,6 +21,9 @@ from .scenario import HeightField
 # visited. Genuine chords between cell-center endpoints are many orders wider.
 _CORNER_EPS = 1e-12
 
+# Rays per RayTable build and classification block.
+_BLOCK_RAYS = 256
+
 
 class RayResult(Enum):
     CLEAR = "clear"
@@ -217,8 +220,15 @@ class RayTable:
     """Precomputed crossings for rays from one origin to every cell center.
 
     Ray k's crossed cells (endpoint cells excluded) and the minimum segment
-    altitude inside each are entries offsets[k]:offsets[k + 1] of `cells` and
-    `minz`. classify_subset, one gather and two bincounts, is the only
+    altitude inside each are entries offsets[k]:offsets[k + 1] of `cells`
+    and `minz`. `cells` holds int32 flat indices; ScenarioConfig's table
+    budget keeps every scenario grid far below 2**31 cells.
+
+    The build and classify_subset both work on blocks of _BLOCK_RAYS rays, so
+    their temporaries grow with nx + ny, not with the cell count. A build
+    block is padded only to its own longest ray; rows are independent and the
+    padding sorts last, so the table does not depend on the block size.
+    classify_subset, one gather and one logical-or per ray, is the only
     classifier, for truth and partial maps alike. Semantics match ray_blocked.
     """
 
@@ -230,15 +240,21 @@ class RayTable:
         self._build()
 
     def _build(self):
+        n = self.nx * self.ny
+        blocks = [self._build_block(np.arange(lo, min(lo + _BLOCK_RAYS, n)))
+                  for lo in range(0, n, _BLOCK_RAYS)]
+        counts, self.cells, self.minz = (np.concatenate(part) for part in zip(*blocks))
+        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+    def _build_block(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(counts, cells, minz) of the rays to flat cells `target`, in table layout."""
         s = self.cell_size_m
         nx, ny = self.nx, self.ny
-        n = nx * ny
         ox, oy = self.origin[0] / s, self.origin[1] / s
         oz = self.origin[2]
         tz = self.target_z
-        gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        tx = (gx.ravel() + 0.5).astype(float)
-        ty = (gy.ravel() + 0.5).astype(float)
+        tx = target // ny + 0.5
+        ty = target % ny + 0.5
 
         def crossings(p0, p1):
             lo = np.minimum(p0, p1)
@@ -246,25 +262,21 @@ class RayTable:
             k_lo = np.floor(lo).astype(int) + 1
             k_hi = np.ceil(hi).astype(int) - 1
             count = np.maximum(k_hi - k_lo + 1, 0)
-            m = int(count.max()) if len(count) else 0
+            m = int(count.max())
             k = k_lo[:, None] + np.arange(m)[None, :]
             valid = np.arange(m)[None, :] < count[:, None]
             d = p1 - p0
             # pad with 2.0: real crossings lie in [0, 1], padding sorts last
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(valid, (k - p0[:, None]) / d[:, None], 2.0)
+                t = np.where(valid, (k - p0) / d[:, None], 2.0)
             return t
 
+        b = len(target)
         t_all = np.concatenate(
-            [
-                np.zeros((n, 1)),
-                crossings(np.full(n, ox), tx),
-                crossings(np.full(n, oy), ty),
-                np.ones((n, 1)),
-            ],
+            [np.zeros((b, 1)), crossings(ox, tx), crossings(oy, ty), np.ones((b, 1))],
             axis=1,
         )
-        t_all = np.sort(t_all, axis=1)
+        t_all.sort(axis=1)
         t0 = t_all[:, :-1]
         t1 = t_all[:, 1:]
         good = (t1 - t0 > _CORNER_EPS) & (t1 <= 1.0)
@@ -275,32 +287,48 @@ class RayTable:
         origin_cell = (
             min(max(int(ox), 0), nx - 1) * ny + min(max(int(oy), 0), ny - 1)
         )
-        target_cell = np.arange(n)
-        good &= (cell != origin_cell) & (cell != target_cell[:, None])
+        good &= (cell != origin_cell) & (cell != target[:, None])
         z0 = oz + t0 * (tz - oz)
         z1 = oz + t1 * (tz - oz)
         minz = np.minimum(z0, z1)
-
-        counts = good.sum(axis=1)
-        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        self.cells = cell[good].astype(np.int64)
-        self.minz = minz[good]
+        return good.sum(axis=1), cell[good].astype(np.int32), minz[good]
 
     def classify_subset(self, rays: np.ndarray, known: np.ndarray,
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(blocked, crosses_unknown) per given flat ray index, on a partially known grid.
 
-        With every cell known the blocked mask is the truth verdict.
+        With every cell known the blocked mask is the truth verdict. Rays are
+        classified _BLOCK_RAYS at a time, so the per-crossing temporaries stay
+        small however many rays one call asks for.
         """
         rays = np.asarray(rays, dtype=np.int64)
+        blocked = np.zeros(len(rays), dtype=bool)
+        crosses = np.zeros(len(rays), dtype=bool)
+        known, heights = known.ravel(), heights.ravel()
+        for lo in range(0, len(rays), _BLOCK_RAYS):
+            part = slice(lo, lo + _BLOCK_RAYS)
+            self._classify_block(rays[part], known, heights, blocked[part], crosses[part])
+        return blocked, crosses
+
+    def _classify_block(self, rays, known, heights, blocked, crosses):
+        """Write the verdicts of `rays` into the views `blocked` and `crosses`.
+
+        Each ray is reduced over its own gathered crossings. Rays with no
+        crossing keep (False, False) and are left out, because reduceat reads
+        an empty segment as the element at its start.
+        """
         lo = self.offsets[rays]
         counts = self.offsets[rays + 1] - lo
+        some = counts > 0
+        lo, counts = lo[some], counts[some]
+        if not len(counts):
+            return
+        start = np.cumsum(counts) - counts  # each ray's first gathered crossing
         # table entry of each gathered crossing: its ray's start plus its rank
-        at = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        owner = np.repeat(np.arange(len(rays)), counts)
-        c = self.cells[at]
-        k = known.ravel()[c]
-        hit = k & (heights.ravel()[c] > self.minz[at])
-        blocked = np.bincount(owner[hit], minlength=len(rays)) > 0
-        crosses = ~blocked & (np.bincount(owner[~k], minlength=len(rays)) > 0)
-        return blocked, crosses
+        at = np.arange(start[-1] + counts[-1]) + np.repeat(lo - start, counts)
+        c = self.cells[at].astype(np.intp)  # numpy gathers slower by an int32 index
+        k = known[c]
+        hit = k & (heights[c] > self.minz[at])
+        b = np.logical_or.reduceat(hit, start)
+        blocked[some] = b
+        crosses[some] = ~b & ~np.logical_and.reduceat(k, start)

@@ -5,7 +5,9 @@ exact traversal, relaxation to a fixpoint instead of a priority queue, and
 literal path enumeration where the grid is small enough. None of it imports
 the production geometry or search code paths it checks. The truth link
 budgets are composed from channel.py's per-link functions, the reference for
-TruthLink's inlined arithmetic.
+TruthLink's inlined arithmetic. The ray table reference is the original
+single-block build, every ray padded to the longest one, which the block
+build must reproduce value for value.
 """
 
 from __future__ import annotations
@@ -174,3 +176,56 @@ def truth_budgets(params, bs_positions, serving: int, pos, nlos):
     i_mw = float(sum(dbm_to_mw(x) for x in inter))
     s_mw = float(dbm_to_mw(rx_s))
     return uplink, (cap, sinr, i_mw / (i_mw + s_mw))
+
+
+def padded_ray_table(origin, nx: int, ny: int, cell_size_m: float, target_z: float):
+    """(offsets, cells, minz) of a RayTable, built in one block padded to the longest ray."""
+    corner_eps = 1e-12
+    s = cell_size_m
+    n = nx * ny
+    origin = np.asarray(origin, dtype=float)
+    ox, oy = origin[0] / s, origin[1] / s
+    oz = origin[2]
+    tz = target_z
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    tx = (gx.ravel() + 0.5).astype(float)
+    ty = (gy.ravel() + 0.5).astype(float)
+
+    def crossings(p0, p1):
+        lo = np.minimum(p0, p1)
+        hi = np.maximum(p0, p1)
+        k_lo = np.floor(lo).astype(int) + 1
+        k_hi = np.ceil(hi).astype(int) - 1
+        count = np.maximum(k_hi - k_lo + 1, 0)
+        m = int(count.max()) if len(count) else 0
+        k = k_lo[:, None] + np.arange(m)[None, :]
+        valid = np.arange(m)[None, :] < count[:, None]
+        d = p1 - p0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(valid, (k - p0[:, None]) / d[:, None], 2.0)
+        return t
+
+    t_all = np.concatenate(
+        [
+            np.zeros((n, 1)),
+            crossings(np.full(n, ox), tx),
+            crossings(np.full(n, oy), ty),
+            np.ones((n, 1)),
+        ],
+        axis=1,
+    )
+    t_all = np.sort(t_all, axis=1)
+    t0 = t_all[:, :-1]
+    t1 = t_all[:, 1:]
+    good = (t1 - t0 > corner_eps) & (t1 <= 1.0)
+    tm = 0.5 * (t0 + t1)
+    cx = np.clip((ox + tm * (tx - ox)[:, None]).astype(int), 0, nx - 1)
+    cy = np.clip((oy + tm * (ty - oy)[:, None]).astype(int), 0, ny - 1)
+    cell = cx * ny + cy
+    origin_cell = min(max(int(ox), 0), nx - 1) * ny + min(max(int(oy), 0), ny - 1)
+    good &= (cell != origin_cell) & (cell != np.arange(n)[:, None])
+    z0 = oz + t0 * (tz - oz)
+    z1 = oz + t1 * (tz - oz)
+    minz = np.minimum(z0, z1)
+    offsets = np.concatenate([[0], np.cumsum(good.sum(axis=1))]).astype(np.int64)
+    return offsets, cell[good].astype(np.int64), minz[good]

@@ -5,6 +5,7 @@ import pytest
 from edgeflight.cli import EXIT_CONFIG, EXIT_OK, main
 from edgeflight.config import config_to_dict, default_config
 from edgeflight.gridfile import load_grid
+from edgeflight.scenario import _MAX_RAY_TABLE_ENTRIES, ScenarioConfig
 
 
 @pytest.fixture()
@@ -164,6 +165,21 @@ def test_map_too_large_for_memory_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "scenario.map_size_m" in err and "scenario.cell_size_m" in err
+
+
+def test_map_just_over_the_ray_table_budget_is_config_error(tmp_path, capsys):
+    # three tables over 282 x 282 cells of 5 m need up to 6 * 282**3 entries,
+    # just over the budget; 281 x 281 cells fit
+    assert 6 * 281**3 <= _MAX_RAY_TABLE_ENTRIES < 6 * 282**3
+    ScenarioConfig(map_size_m=(1405.0, 1405.0))
+    cfg = tmp_path / "over.json"
+    cfg.write_text(json.dumps({"scenario": {"map_size_m": [1410.0, 1410.0]}}))
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "scenario.map_size_m" in err and "scenario.cell_size_m" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_memory_error_outside_the_map_grid_keeps_its_traceback(

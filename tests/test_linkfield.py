@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 
 from edgeflight.config import default_config
-from edgeflight.linkfield import TruthLink
+from edgeflight.linkfield import TruthLink, ray_table_for
 from edgeflight.scenario import build_scenario
 from edgeflight.worldmap import RayResult, ray_blocked
 from oracles import truth_budgets
@@ -36,3 +36,26 @@ def test_truth_budgets_equal_the_per_link_formulas_exactly():
             assert tl.downlink(pos) == down
             nlos_seen.update(nlos)
     assert nlos_seen == {False, True}  # both link states were priced
+
+
+def test_truth_links_on_one_scenario_share_their_masks():
+    cfg = default_config()
+    sc = build_scenario(dataclasses.replace(
+        cfg.scenario, map_size_m=(200.0, 200.0), rng_seed=4))
+    alt = sc.cfg.uav_altitude_m
+    for b in range(len(sc.bs_positions)):
+        ray_table_for(sc, b, alt)
+    assert not sc._truth_masks  # ray tables alone classify nothing
+    first = TruthLink(sc, cfg.channel, alt)
+    second = TruthLink(sc, cfg.channel, alt)
+    assert len(first.blocked) == len(sc.bs_positions)
+    assert all(a is b for a, b in zip(first.blocked, second.blocked))
+    assert not any(m.flags.writeable for m in first.blocked)
+    known = np.ones_like(sc.truth.heights, dtype=bool)
+    for b, mask in enumerate(first.blocked):
+        want, _ = ray_table_for(sc, b, alt).classify_subset(
+            np.arange(known.size), known, sc.truth.heights)
+        assert np.array_equal(mask, want)
+    # another layer is another mask
+    other = TruthLink(sc, cfg.channel, alt + 10.0)
+    assert all(a is not b for a, b in zip(first.blocked, other.blocked))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from edgeflight.worldmap import (
     ray_blocked,
     sense,
 )
-from oracles import fine_sample_blocked, wedge_cells
+from oracles import fine_sample_blocked, padded_ray_table, wedge_cells
 
 
 def random_city(seed: int) -> HeightField:
@@ -256,3 +257,62 @@ def test_rays_without_crossings_are_clear_and_known():
     for known in (np.zeros_like(tall, dtype=bool), np.ones_like(tall, dtype=bool)):
         blocked, crosses = table.classify_subset(rays, known, tall)
         assert not blocked.any() and not crosses.any()
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 40), (7, 13), (37, 50), (80, 80)])
+def test_block_build_equals_the_padded_build(nx, ny):
+    # 1, 40, 91 and 1,850 rays are not multiples of the build block
+    s = 5.0
+    rng = np.random.default_rng(nx * 1000 + ny)
+    w, d = nx * s, ny * s
+    origins = [
+        (0.0, 0.0), (w, 0.0), (0.0, d), (w, d),            # map corners
+        (s * (nx // 2), s * (ny // 2)), (s, s),             # cell corners
+        (s * (nx // 2), 0.5 * s), (0.5 * s, s * (ny // 2)),  # cell edges
+        *rng.uniform(0.0, 1.0, size=(3, 2)) * (w, d),       # random points
+    ]
+    for (x, y), (oz, tz) in itertools.product(origins, ((25.0, 50.0), (60.0, 50.0))):
+        table = RayTable(np.array([x, y, oz]), nx, ny, s, tz)
+        offsets, cells, minz = padded_ray_table((x, y, oz), nx, ny, s, tz)
+        assert np.array_equal(table.offsets, offsets)
+        assert np.array_equal(table.cells, cells)
+        assert table.minz.tobytes() == minz.tobytes()
+
+
+def test_ray_table_build_memory_is_bounded_by_the_table():
+    tracemalloc.start()
+    try:
+        table = RayTable(np.array([402.5, 397.5, 25.0]), 160, 160, 5.0, 50.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = table.offsets.nbytes + table.cells.nbytes + table.minz.nbytes
+    assert peak <= 3 * size
+
+
+def test_classify_subset_of_unsorted_duplicated_and_empty_rays():
+    truth = random_city(6)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    sense(truth, em, (60.0, 140.0, 50.0), 30.0, SensorModel(200.0, 80.0))
+    origin = np.array([57.5, 142.5, 25.0])
+    table = RayTable(origin, truth.width_cells, truth.depth_cells,
+                     truth.cell_size_m, target_z=50.0)
+    s = truth.cell_size_m
+    ny = truth.depth_cells
+    rng = np.random.default_rng(12)
+    long_rays = rng.permutation(truth.width_cells * ny)[:150]
+    # zero-crossing rays (the origin cell and a neighbour) open and close the call
+    rays = np.concatenate([[11 * ny + 28], long_rays, long_rays[[7]], [12 * ny + 29]])
+    assert np.all(table.offsets[rays[[0, -1]] + 1] == table.offsets[rays[[0, -1]]])
+    assert not np.all(np.diff(rays) > 0)
+    blocked, crosses = table.classify_subset(rays, em.known, em.heights)
+    verdicts = set()
+    for r, b, c in zip(rays, blocked, crosses):
+        ix, iy = divmod(int(r), ny)
+        tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, 50.0])
+        verdict = ray_blocked(em, origin, tgt, UnknownPolicy.FREE)
+        verdicts.add(verdict)
+        assert (bool(b), bool(c)) == (verdict is RayResult.BLOCKED,
+                                      verdict is RayResult.CROSSES_UNKNOWN)
+    assert verdicts == set(RayResult)
+    assert (blocked[-2], crosses[-2]) == (blocked[8], crosses[8])
