@@ -50,7 +50,7 @@ from .planner import PlanConfig, Planner, PlannerKind
 from .radiomap import RadioMap
 from .scenario import HeightField, Scenario, ScenarioConfig, build_scenario
 from .simcore import BatchResult, Metrics, TrajectoryLog, UavState, run_batch, run_episode
-from .worldmap import ExploredMap, RayTable, SensorModel, UnknownPolicy, ray_blocked, sense
+from .worldmap import ExploredMap, RayTable, SensorModel, sense
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "TrajectoryLog",
     "TruthLink",
     "UavState",
-    "UnknownPolicy",
     "capacity_bps",
     "config_digest",
     "config_from_dict",
@@ -95,7 +94,6 @@ __all__ = [
     "path_loss_db",
     "plos_probability",
     "preset_config",
-    "ray_blocked",
     "ray_table_for",
     "remote_update_rate",
     "run_batch",

@@ -114,19 +114,6 @@ def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
 
-def sinr_linear(signal_dbm, interferer_dbm, p: ChannelParams):
-    """Linear SINR for one signal against noise plus a list of interferers.
-
-    Args:
-        signal_dbm: received power of the serving link.
-        interferer_dbm: iterable of received interferer powers (may be empty).
-        p: channel parameters (sets the noise floor).
-    """
-    noise_mw = dbm_to_mw(p.noise_dbm)
-    inter_mw = sum((dbm_to_mw(i) for i in interferer_dbm), 0.0)
-    return dbm_to_mw(signal_dbm) / (noise_mw + inter_mw)
-
-
 def capacity_bps(sinr, bandwidth_hz):
     """Shannon capacity B log2(1 + SINR); zero when SINR <= 0."""
     s = np.maximum(np.asarray(sinr, dtype=float), 0.0)

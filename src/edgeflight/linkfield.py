@@ -2,9 +2,9 @@
 
 Shared by the simulator (per-tick true budgets, always computed from truth)
 and the full-knowledge planner arm (per-cell truth grids). Link states are
-evaluated at voxel resolution; powers use exact 3D distances. The UAV antenna
-boresight tracks the serving BS, so interference arrives through the antenna
-pattern while serving links see unit gain.
+evaluated at flight-layer cell resolution; powers use exact 3D distances. The
+UAV antenna boresight tracks the serving BS, so interference arrives through
+the antenna pattern while serving links see unit gain.
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
 """Incremental world knowledge: explored map, grid ray casting, sensing.
 
-Link and collision geometry reduce to one primitive: walk the grid cells a 3D
-segment crosses (in the horizontal plane) and compare the segment's
-interpolated altitude against each crossed cell's height. A cell blocks the
-segment iff the altitude at the cell's entry or exit point is strictly below
-the cell height. The two endpoint cells never block.
+Link geometry reduces to one primitive: walk the grid cells a 3D segment
+crosses (in the horizontal plane) and compare the segment's interpolated
+altitude against each crossed cell's height. A cell blocks the segment iff the
+altitude at the cell's entry or exit point is strictly below the cell height.
+The two endpoint cells never block. RayTable is the one implementation; the
+scalar cell-by-cell walk in tests/oracles.py is its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,17 +23,6 @@ _CORNER_EPS = 1e-12
 
 # Rays per RayTable build and classification block.
 _BLOCK_RAYS = 256
-
-
-class RayResult(Enum):
-    CLEAR = "clear"
-    BLOCKED = "blocked"
-    CROSSES_UNKNOWN = "crosses_unknown"
-
-
-class UnknownPolicy(Enum):
-    FREE = "free"
-    BLOCKED = "blocked"
 
 
 class ExploredMap:
@@ -70,101 +59,6 @@ class ExploredMap:
         ix = min(max(int(point[0] // s), 0), self.width_cells - 1)
         iy = min(max(int(point[1] // s), 0), self.depth_cells - 1)
         return ix, iy
-
-
-def _grid_arrays(grid) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """(known, heights, cell_size) for HeightField (all known) or ExploredMap."""
-    known = getattr(grid, "known", None)
-    return known, grid.heights, grid.cell_size_m
-
-
-def _traverse(ax, ay, bx, by, nx, ny):
-    """Yield (ix, iy, t0, t1) for every cell the segment crosses, in order.
-
-    Coordinates are in cell units. Exact corner crossings advance both axes so
-    zero-extent diagonal touches are skipped.
-    """
-    ix = min(max(int(np.floor(ax)), 0), nx - 1)
-    iy = min(max(int(np.floor(ay)), 0), ny - 1)
-    dx = bx - ax
-    dy = by - ay
-    step_x = 1 if dx > 0 else -1
-    step_y = 1 if dy > 0 else -1
-    if dx != 0:
-        t_dx = abs(1.0 / dx)
-        nxt = ix + 1 if dx > 0 else ix
-        t_mx = (nxt - ax) / dx
-    else:
-        t_dx = np.inf
-        t_mx = np.inf
-    if dy != 0:
-        t_dy = abs(1.0 / dy)
-        nxt = iy + 1 if dy > 0 else iy
-        t_my = (nxt - ay) / dy
-    else:
-        t_dy = np.inf
-        t_my = np.inf
-
-    t = 0.0
-    while True:
-        t_next = min(t_mx, t_my, 1.0)
-        yield ix, iy, t, min(t_next, 1.0)
-        if t_next >= 1.0:
-            return
-        if abs(t_mx - t_my) <= _CORNER_EPS:
-            ix += step_x
-            iy += step_y
-            t_mx += t_dx
-            t_my += t_dy
-        elif t_mx < t_my:
-            ix += step_x
-            t_mx += t_dx
-        else:
-            iy += step_y
-            t_my += t_dy
-        if not (0 <= ix < nx and 0 <= iy < ny):
-            return
-        t = t_next
-
-
-def ray_blocked(grid, a, b, unknown_policy: UnknownPolicy = UnknownPolicy.FREE) -> RayResult:
-    """Classify the segment a-b against a height grid.
-
-    Args:
-        grid: HeightField or ExploredMap.
-        a, b: 3D endpoints in meters, both inside the map footprint.
-        unknown_policy: whether unexplored cells block (collision queries) or
-            pass with a CROSSES_UNKNOWN verdict (link queries).
-
-    Returns:
-        BLOCKED if a known crossed cell rises strictly above the segment at its
-        entry or exit; otherwise CROSSES_UNKNOWN if any unexplored cell was
-        crossed; otherwise CLEAR. Endpoint cells are exempt.
-    """
-    known, heights, s = _grid_arrays(grid)
-    nx, ny = heights.shape
-    for p in (a, b):
-        if not (0 <= p[0] <= nx * s and 0 <= p[1] <= ny * s):
-            raise ValueError("ray endpoint outside the map")
-    ax, ay, az = a[0] / s, a[1] / s, a[2]
-    bx, by, bz = b[0] / s, b[1] / s, b[2]
-    cell_a = (min(max(int(ax), 0), nx - 1), min(max(int(ay), 0), ny - 1))
-    cell_b = (min(max(int(bx), 0), nx - 1), min(max(int(by), 0), ny - 1))
-    dz = bz - az
-
-    crossed_unknown = False
-    for ix, iy, t0, t1 in _traverse(ax, ay, bx, by, nx, ny):
-        if (ix, iy) == cell_a or (ix, iy) == cell_b:
-            continue
-        if known is None or known[ix, iy]:
-            h = heights[ix, iy]
-            if az + dz * t0 < h or az + dz * t1 < h:
-                return RayResult.BLOCKED
-        else:
-            if unknown_policy is UnknownPolicy.BLOCKED:
-                return RayResult.BLOCKED
-            crossed_unknown = True
-    return RayResult.CROSSES_UNKNOWN if crossed_unknown else RayResult.CLEAR
 
 
 @dataclass(frozen=True)
@@ -229,7 +123,9 @@ class RayTable:
     block is padded only to its own longest ray; rows are independent and the
     padding sorts last, so the table does not depend on the block size.
     classify_subset, one gather and one logical-or per ray, is the only
-    classifier, for truth and partial maps alike. Semantics match ray_blocked.
+    classifier, for truth and partial maps alike. Its verdicts follow the
+    contract in the module docstring and are checked against the scalar
+    cell-by-cell walk in tests/oracles.py.
     """
 
     def __init__(self, origin, nx: int, ny: int, cell_size_m: float, target_z: float):

@@ -1,18 +1,22 @@
 """Independent reference implementations the tests compare against.
 
-Everything here is deliberately slow and simple: dense sampling instead of
-exact traversal, relaxation to a fixpoint instead of a priority queue, and
-literal path enumeration where the grid is small enough. None of it imports
-the production geometry or search code paths it checks. The truth link
-budgets are composed from channel.py's per-link functions, the reference for
-TruthLink's inlined arithmetic. The ray table reference is the original
-single-block build, every ray padded to the longest one, which the block
-build must reproduce value for value.
+Everything here is deliberately slow and simple: dense sampling and a scalar
+cell-by-cell grid walk instead of batched ray tables, relaxation to a fixpoint
+instead of a priority queue, and literal path enumeration where the grid is
+small enough. None of it imports the production geometry or search code paths
+it checks. The grid walk, `ray_blocked`, is the reference for
+RayTable.classify_subset; acceptance gate 02 checks both against dense
+sampling. The truth link budgets are composed from channel.py's per-link
+functions and the SINR sum below, the reference for TruthLink's inlined
+arithmetic. The ray table reference is the original single-block build, every
+ray padded to the longest one, which the block build must reproduce value for
+value.
 """
 
 from __future__ import annotations
 
 import itertools
+from enum import Enum
 
 import numpy as np
 
@@ -22,8 +26,12 @@ from edgeflight.channel import (
     capacity_bps,
     dbm_to_mw,
     path_loss_db,
-    sinr_linear,
 )
+
+# Ties in the traversal parameter below this width are exact corner touches;
+# the segment has zero extent inside the off-diagonal cells, so they are not
+# visited. Genuine chords between cell-center endpoints are many orders wider.
+_CORNER_EPS = 1e-12
 
 _SQRT2 = float(np.sqrt(2.0))
 _NEIGH = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2),
@@ -59,6 +67,114 @@ def fine_sample_blocked(heights: np.ndarray, cell_size_m: float, a, b,
         if p[2] < heights[c]:
             return True
     return False
+
+
+class RayResult(Enum):
+    CLEAR = "clear"
+    BLOCKED = "blocked"
+    CROSSES_UNKNOWN = "crosses_unknown"
+
+
+def _grid_arrays(grid) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """(known, heights, cell_size) for HeightField (all known) or ExploredMap."""
+    known = getattr(grid, "known", None)
+    return known, grid.heights, grid.cell_size_m
+
+
+def _traverse(ax, ay, bx, by, nx, ny):
+    """Yield (ix, iy, t0, t1) for every cell the segment crosses, in order.
+
+    The Amanatides & Woo (1987) grid walk. Coordinates are in cell units.
+    Exact corner crossings advance both axes so zero-extent diagonal touches
+    are skipped.
+    """
+    ix = min(max(int(np.floor(ax)), 0), nx - 1)
+    iy = min(max(int(np.floor(ay)), 0), ny - 1)
+    dx = bx - ax
+    dy = by - ay
+    step_x = 1 if dx > 0 else -1
+    step_y = 1 if dy > 0 else -1
+    if dx != 0:
+        t_dx = abs(1.0 / dx)
+        nxt = ix + 1 if dx > 0 else ix
+        t_mx = (nxt - ax) / dx
+    else:
+        t_dx = np.inf
+        t_mx = np.inf
+    if dy != 0:
+        t_dy = abs(1.0 / dy)
+        nxt = iy + 1 if dy > 0 else iy
+        t_my = (nxt - ay) / dy
+    else:
+        t_dy = np.inf
+        t_my = np.inf
+
+    t = 0.0
+    while True:
+        t_next = min(t_mx, t_my, 1.0)
+        yield ix, iy, t, min(t_next, 1.0)
+        if t_next >= 1.0:
+            return
+        if abs(t_mx - t_my) <= _CORNER_EPS:
+            ix += step_x
+            iy += step_y
+            t_mx += t_dx
+            t_my += t_dy
+        elif t_mx < t_my:
+            ix += step_x
+            t_mx += t_dx
+        else:
+            iy += step_y
+            t_my += t_dy
+        if not (0 <= ix < nx and 0 <= iy < ny):
+            return
+        t = t_next
+
+
+def ray_blocked(grid, a, b) -> RayResult:
+    """Classify the segment a-b against a height grid, one crossed cell at a time.
+
+    Args:
+        grid: HeightField (every cell known) or ExploredMap.
+        a, b: 3D endpoints in meters, both inside the map footprint.
+
+    Returns:
+        BLOCKED if a known crossed cell rises strictly above the segment at its
+        entry or exit; otherwise CROSSES_UNKNOWN if any unexplored cell was
+        crossed; otherwise CLEAR. Endpoint cells are exempt.
+    """
+    known, heights, s = _grid_arrays(grid)
+    nx, ny = heights.shape
+    for p in (a, b):
+        if not (0 <= p[0] <= nx * s and 0 <= p[1] <= ny * s):
+            raise ValueError("ray endpoint outside the map")
+    ax, ay, az = a[0] / s, a[1] / s, a[2]
+    bx, by, bz = b[0] / s, b[1] / s, b[2]
+    cell_a = (min(max(int(ax), 0), nx - 1), min(max(int(ay), 0), ny - 1))
+    cell_b = (min(max(int(bx), 0), nx - 1), min(max(int(by), 0), ny - 1))
+    dz = bz - az
+
+    crossed_unknown = False
+    for ix, iy, t0, t1 in _traverse(ax, ay, bx, by, nx, ny):
+        if (ix, iy) == cell_a or (ix, iy) == cell_b:
+            continue
+        if known is None or known[ix, iy]:
+            h = heights[ix, iy]
+            if az + dz * t0 < h or az + dz * t1 < h:
+                return RayResult.BLOCKED
+        else:
+            crossed_unknown = True
+    return RayResult.CROSSES_UNKNOWN if crossed_unknown else RayResult.CLEAR
+
+
+def ray_blocked_grid(truth, bs, alt: float) -> np.ndarray:
+    """Truth NLoS verdict per flight-layer cell, one scalar ray_blocked cast each."""
+    s = truth.cell_size_m
+    out = np.zeros((truth.width_cells, truth.depth_cells), dtype=bool)
+    for ix, iy in np.ndindex(out.shape):
+        tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, alt])
+        out[ix, iy] = ray_blocked(truth, bs, tgt) is RayResult.BLOCKED
+    return out
 
 
 def edge_cost(u, v, limits, pen, cell_size_m) -> float:
@@ -144,6 +260,19 @@ def wedge_cells(nx, ny, cell_size_m, position, heading_deg, fov_deg, range_m):
     return out
 
 
+def sinr_linear(signal_dbm, interferer_dbm, p):
+    """Linear SINR for one signal against noise plus a list of interferers.
+
+    Args:
+        signal_dbm: received power of the serving link.
+        interferer_dbm: iterable of received interferer powers (may be empty).
+        p: channel parameters (sets the noise floor).
+    """
+    noise_mw = dbm_to_mw(p.noise_dbm)
+    inter_mw = sum((dbm_to_mw(i) for i in interferer_dbm), 0.0)
+    return dbm_to_mw(signal_dbm) / (noise_mw + inter_mw)
+
+
 def truth_budgets(params, bs_positions, serving: int, pos, nlos):
     """(uplink_bps, (downlink_bps, downlink_sinr, interference_fraction)) at pos.
 
@@ -180,7 +309,6 @@ def truth_budgets(params, bs_positions, serving: int, pos, nlos):
 
 def padded_ray_table(origin, nx: int, ny: int, cell_size_m: float, target_z: float):
     """(offsets, cells, minz) of a RayTable, built in one block padded to the longest ray."""
-    corner_eps = 1e-12
     s = cell_size_m
     n = nx * ny
     origin = np.asarray(origin, dtype=float)
@@ -217,7 +345,7 @@ def padded_ray_table(origin, nx: int, ny: int, cell_size_m: float, target_z: flo
     t_all = np.sort(t_all, axis=1)
     t0 = t_all[:, :-1]
     t1 = t_all[:, 1:]
-    good = (t1 - t0 > corner_eps) & (t1 <= 1.0)
+    good = (t1 - t0 > _CORNER_EPS) & (t1 <= 1.0)
     tm = 0.5 * (t0 + t1)
     cx = np.clip((ox + tm * (tx - ox)[:, None]).astype(int), 0, nx - 1)
     cy = np.clip((oy + tm * (ty - oy)[:, None]).astype(int), 0, ny - 1)

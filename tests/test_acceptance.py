@@ -23,18 +23,16 @@ from edgeflight.offload import OffloadConfig, remote_update_rate, speed_limit
 from edgeflight.planner import PlanConfig, PlannerKind
 from edgeflight.radiomap import _STATE_CODE, MISSING, RadioMap
 from edgeflight.scenario import ScenarioConfig, build_scenario, generate_city
-from edgeflight.worldmap import (
-    ExploredMap,
+from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
+from oracles import (
     RayResult,
-    RayTable,
-    SensorModel,
-    UnknownPolicy,
+    enumerate_best_path_cost,
+    fine_sample_blocked,
     ray_blocked,
-    sense,
+    ray_blocked_grid,
+    relaxed_cost_to_go,
 )
-from oracles import enumerate_best_path_cost, fine_sample_blocked, relaxed_cost_to_go
 from test_planner import make_planner, make_world, planner_pen, random_world
-from test_radiomap import ray_blocked_grid
 
 MASTER_SEED = 0
 BATCH_EPISODES = 20
@@ -65,31 +63,56 @@ def test_01_speed_governor_reference_point():
 def test_02_ray_casts_match_fine_sampling():
     # A fixed-step oracle cannot see crossings narrower than its step, so a
     # cell_size/10 disagreement is adjudicated at cell_size/1000 before it
-    # counts. The exact traversal must win every adjudication; demanding it
+    # counts. The ray casters must win every adjudication; demanding they
     # reproduce the coarse oracle's blind spots would reward missing real
-    # sub-step blockages.
-    checked = 0
-    escalated = 0
+    # sub-step blockages. Both the exact scalar traversal (free endpoints) and
+    # the production RayTable (one origin per city, cell-centre targets at
+    # flight altitude) are checked directly against the sampling oracle.
+    checked = {"traversal": 0, "table": 0}
+    escalated = {"traversal": 0, "table": 0}
+    table_blocked = 0
+
+    def check(kind, got, heights, s, a, b, city_seed):
+        want = fine_sample_blocked(heights, s, a, b)
+        if got != want:
+            escalated[kind] += 1
+            want = fine_sample_blocked(heights, s, a, b, step_divisor=1000)
+        assert got == want, f"{kind} verdict diverged at seed {city_seed}: {a} -> {b}"
+        checked[kind] += 1
+
     for city_seed in range(10):
         cfg = ScenarioConfig(rng_seed=100 + city_seed)
         sc = build_scenario(cfg)
-        full = ExploredMap.fully_known(sc.truth)
+        truth = sc.truth
+        s = cfg.cell_size_m
+        full = ExploredMap.fully_known(truth)
         rng = np.random.default_rng(city_seed)
         w, d = cfg.map_size_m
         for _ in range(100):
             a = np.array([rng.uniform(0, w), rng.uniform(0, d), rng.uniform(1, 80)])
             b = np.array([rng.uniform(0, w), rng.uniform(0, d), rng.uniform(1, 80)])
-            got = ray_blocked(full, a, b, UnknownPolicy.FREE) is RayResult.BLOCKED
-            want = fine_sample_blocked(sc.truth.heights, cfg.cell_size_m, a, b)
-            if got != want:
-                escalated += 1
-                want = fine_sample_blocked(sc.truth.heights, cfg.cell_size_m, a, b,
-                                           step_divisor=1000)
-            assert got == want, f"ray verdict diverged at seed {city_seed}: {a} -> {b}"
-            checked += 1
-    assert escalated <= 10  # blind-spot grazes are rare; more means a real bug
-    print(f"\nPASS ray casting: {checked}/1000 queries match the sampling oracle "
-          f"({escalated} sub-step grazes adjudicated at 100x resolution)")
+            got = ray_blocked(full, a, b) is RayResult.BLOCKED
+            check("traversal", got, truth.heights, s, a, b, city_seed)
+
+        origin = np.array([rng.uniform(0, w), rng.uniform(0, d), rng.uniform(1, 80)])
+        alt = cfg.uav_altitude_m
+        table = RayTable(origin, truth.width_cells, truth.depth_cells, s, alt)
+        ix = rng.integers(0, truth.width_cells, size=100)
+        iy = rng.integers(0, truth.depth_cells, size=100)
+        blocked, crosses = table.classify_subset(ix * truth.depth_cells + iy,
+                                                 full.known, full.heights)
+        assert not crosses.any()
+        table_blocked += int(blocked.sum())
+        for i, j, got in zip(ix, iy, blocked):
+            tgt = np.array([(i + 0.5) * s, (j + 0.5) * s, alt])
+            check("table", bool(got), truth.heights, s, origin, tgt, city_seed)
+    # blind-spot grazes are rare; more means a real bug
+    assert escalated["traversal"] <= 10
+    assert escalated["table"] <= 10
+    print(f"\nPASS ray casting: traversal {checked['traversal']}/1000 and RayTable "
+          f"{checked['table']}/1000 ({table_blocked} blocked) queries match the "
+          f"sampling oracle ({escalated['traversal']} and {escalated['table']} "
+          f"sub-step grazes adjudicated at 100x resolution)")
 
 
 def test_03_three_arm_ordering(comparison_batch):

@@ -15,9 +15,9 @@ from edgeflight.channel import (
     path_loss_db,
     path_loss_db_scalar,
     plos_probability,
-    sinr_linear,
 )
 from edgeflight.errors import ConfigError
+from oracles import sinr_linear
 
 P = ChannelParams()
 

@@ -154,9 +154,8 @@ def test_malformed_value_is_config_error_naming_the_field(tmp_path, capsys, text
 
 
 def test_map_too_large_for_memory_is_config_error(tmp_path, capsys):
-    # 6e6 x 6e6 cells of 8 bytes is 262 TiB, past what a 47-bit address space
-    # maps, so the first grid allocation fails at once even where the kernel
-    # overcommits; wide streets keep the per-axis block lists short
+    # 6e6 x 6e6 cells of 5 m: ScenarioConfig's ray-table budget rejects the
+    # config before any grid is allocated, so this exits at once on any host
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"scenario": {"map_size_m": [3e7, 3e7],
                                             "street_width_m": 1e4}}))

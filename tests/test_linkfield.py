@@ -5,8 +5,7 @@ import numpy as np
 from edgeflight.config import default_config
 from edgeflight.linkfield import TruthLink, ray_table_for
 from edgeflight.scenario import build_scenario
-from edgeflight.worldmap import RayResult, ray_blocked
-from oracles import truth_budgets
+from oracles import RayResult, ray_blocked, truth_budgets
 
 
 def test_truth_budgets_equal_the_per_link_formulas_exactly():

@@ -4,7 +4,8 @@ import pytest
 from edgeflight.channel import ChannelParams, LinkState, path_loss_db
 from edgeflight.radiomap import _CODE_STATE, _STATE_CODE, MISSING, RadioMap
 from edgeflight.scenario import HeightField, ScenarioConfig, generate_city
-from edgeflight.worldmap import ExploredMap, RayResult, RayTable, SensorModel, ray_blocked, sense
+from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
+from oracles import RayResult, ray_blocked, ray_blocked_grid
 
 P = ChannelParams()
 ALT = 50.0
@@ -28,16 +29,6 @@ def make_rm(explored: ExploredMap, bs) -> RadioMap:
 
 
 BS = np.array([102.5, 102.5, 25.0])
-
-
-def ray_blocked_grid(truth: HeightField, bs, alt: float = ALT) -> np.ndarray:
-    """Truth NLoS verdict per flight-layer cell, one scalar ray_blocked cast each."""
-    s = truth.cell_size_m
-    out = np.zeros((truth.width_cells, truth.depth_cells), dtype=bool)
-    for ix, iy in np.ndindex(out.shape):
-        tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, alt])
-        out[ix, iy] = ray_blocked(truth, bs, tgt) is RayResult.BLOCKED
-    return out
 
 
 def test_classify_three_verdicts():
@@ -78,7 +69,7 @@ def test_full_knowledge_matches_truth_rays():
     table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
     rm = RadioMap(table, em, P, sticky_nlos=False)
     rm.ensure_layer_evaluated()
-    want_blocked = ray_blocked_grid(truth, BS)
+    want_blocked = ray_blocked_grid(truth, BS, ALT)
     got_nlos = rm.state_grid == _STATE_CODE[LinkState.NLOS]
     assert np.array_equal(got_nlos, want_blocked)
     assert not np.any(rm.state_grid == _STATE_CODE[LinkState.ASSUMED_LOS])
@@ -87,7 +78,7 @@ def test_full_knowledge_matches_truth_rays():
 def test_optimism_invariant():
     truth = city(3)
     rng = np.random.default_rng(5)
-    truth_blocked = ray_blocked_grid(truth, BS)
+    truth_blocked = ray_blocked_grid(truth, BS, ALT)
     for _ in range(4):
         em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
         for _ in range(int(rng.integers(1, 8))):
@@ -154,7 +145,7 @@ def test_assumed_entries_repriced_as_map_grows():
     assert int((grid_states == _STATE_CODE[LinkState.NLOS]).sum()) > 0
     # discovered geometry must never be contradicted: every NLoS estimate is
     # NLoS under ground truth too
-    truth_blocked = ray_blocked_grid(truth, BS)
+    truth_blocked = ray_blocked_grid(truth, BS, ALT)
     nlos_mask = grid_states == _STATE_CODE[LinkState.NLOS]
     assert np.all(truth_blocked[nlos_mask])
 

@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from edgeflight.scenario import HeightField, ScenarioConfig, generate_city
-from edgeflight.worldmap import (
-    ExploredMap,
+from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
+from oracles import (
     RayResult,
-    RayTable,
-    SensorModel,
-    UnknownPolicy,
+    fine_sample_blocked,
+    padded_ray_table,
     ray_blocked,
-    sense,
+    wedge_cells,
 )
-from oracles import fine_sample_blocked, padded_ray_table, wedge_cells
 
 
 def random_city(seed: int) -> HeightField:
@@ -69,15 +67,14 @@ def test_ray_against_explored_map_tristate():
     em = ExploredMap(6, 6, 5.0)
     a = np.array([2.5, 2.5, 10.0])
     b = np.array([27.5, 27.5, 10.0])
-    assert ray_blocked(em, a, b, UnknownPolicy.FREE) is RayResult.CROSSES_UNKNOWN
-    assert ray_blocked(em, a, b, UnknownPolicy.BLOCKED) is RayResult.BLOCKED
+    assert ray_blocked(em, a, b) is RayResult.CROSSES_UNKNOWN
     sense(truth, em, a, 45.0, SensorModel(fov_deg=360.0, range_m=100.0))
-    assert ray_blocked(em, a, b, UnknownPolicy.FREE) is RayResult.CLEAR
+    assert ray_blocked(em, a, b) is RayResult.CLEAR
     # a known obstacle wins over unknown cells elsewhere on the ray
     em2 = ExploredMap(6, 6, 5.0)
     em2.known[2, 2] = True
     em2.heights[2, 2] = 50.0
-    assert ray_blocked(em2, a, b, UnknownPolicy.FREE) is RayResult.BLOCKED
+    assert ray_blocked(em2, a, b) is RayResult.BLOCKED
 
 
 def test_ray_rejects_outside_endpoints():
@@ -227,7 +224,7 @@ def test_ray_table_matches_ray_blocked_on_partial_map():
     for r, b, c in zip(rays, blocked, crosses):
         ix, iy = divmod(int(r), truth.depth_cells)
         tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, 50.0])
-        verdict = ray_blocked(em, origin, tgt, UnknownPolicy.FREE)
+        verdict = ray_blocked(em, origin, tgt)
         verdicts.add(verdict)
         assert (bool(b), bool(c)) == (verdict is RayResult.BLOCKED,
                                       verdict is RayResult.CROSSES_UNKNOWN)
@@ -310,7 +307,7 @@ def test_classify_subset_of_unsorted_duplicated_and_empty_rays():
     for r, b, c in zip(rays, blocked, crosses):
         ix, iy = divmod(int(r), ny)
         tgt = np.array([(ix + 0.5) * s, (iy + 0.5) * s, 50.0])
-        verdict = ray_blocked(em, origin, tgt, UnknownPolicy.FREE)
+        verdict = ray_blocked(em, origin, tgt)
         verdicts.add(verdict)
         assert (bool(b), bool(c)) == (verdict is RayResult.BLOCKED,
                                       verdict is RayResult.CROSSES_UNKNOWN)
