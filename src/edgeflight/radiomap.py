@@ -8,6 +8,12 @@ crosses only explored free cells are LoS; rays crossing a known obstacle are
 NLoS and stay NLoS (sticky); rays touching unexplored cells are assumed LoS
 and priced optimistically until the area is explored or measured. Rays are
 classified through the BS's precomputed RayTable.
+
+Refreshes are event-driven. Known heights never change, so a ray's verdict
+can change only when one of its crossed cells turns known. Each refresh
+first marks dirty the rays crossing the cells learned since the last one,
+then classifies only the stale cells that are missing or whose ray is
+dirty. On an unchanged map nothing is classified.
 """
 
 from __future__ import annotations
@@ -51,17 +57,32 @@ class RadioMap:
         # Assumed LoS is priced as LoS.
         self._los_gain = -path_loss_db(self._dist_grid, LinkState.LOS, params).ravel()
         self._nlos_gain = -path_loss_db(self._dist_grid, LinkState.NLOS, params).ravel()
+        # The explored cells as of the last refresh, and per estimated cell
+        # whether its state may differ from its ray's verdict on the current
+        # map. Knowledge is monotone, so a fully known map learns nothing.
+        self._known_seen = None if explored.known.all() else explored.known.copy()
+        self._dirty = np.zeros((nx, ny), dtype=bool)
 
-    def _stale(self, codes: np.ndarray) -> np.ndarray:
-        """Cells a refresh may change: missing, assumed LoS and, unless sticky, NLoS.
+    def _due(self, win) -> np.ndarray:
+        """Mask of the cells in window `win` that a refresh must classify.
 
-        LoS came from rays over explored cells only, and explored knowledge
-        is monotone, so re-classifying it would confirm it.
+        Due are the missing cells, and the assumed-LoS and, unless sticky,
+        NLoS cells whose ray is dirty. LoS came from rays over explored cells
+        only, and explored knowledge is monotone, so re-classifying it would
+        confirm it. First marks dirty the rays crossing every cell learned
+        since the last call.
         """
-        stale = (codes == MISSING) | (codes == _ASSUMED)
+        if self._known_seen is not None:
+            known = self.explored.known
+            learned = np.flatnonzero(known != self._known_seen)
+            if len(learned):
+                self._dirty.reshape(-1)[self.table.rays_crossing(learned)] = True
+                self._known_seen[:] = known
+        codes = self.state_grid[win]
+        stale = codes == _ASSUMED
         if not self.sticky_enabled:
             stale |= codes == _NLOS
-        return stale
+        return (codes == MISSING) | (stale & self._dirty[win])
 
     def _write(self, idx: np.ndarray, codes: np.ndarray) -> None:
         """Store new state codes at flat cell indices, touching only changed cells."""
@@ -82,9 +103,10 @@ class RadioMap:
         )
         codes = np.where(blocked, _NLOS, np.where(crosses, _ASSUMED, _LOS)).astype(np.int8)
         self._write(idx, codes)
+        self._dirty.reshape(-1)[idx] = False
 
     def update_around(self, around, radius_m: float) -> None:
-        """Re-estimate every stale cell within radius of `around`."""
+        """Re-estimate every missing or dirty stale cell within radius of `around`."""
         s = self.explored.cell_size_m
         nx, ny = self.state_grid.shape
         px, py = float(around[0]), float(around[1])
@@ -97,20 +119,20 @@ class RadioMap:
         cx = (np.arange(ix0, ix1) + 0.5) * s - px
         cy = (np.arange(iy0, iy1) + 0.5) * s - py
         inside = np.hypot(cx[:, None], cy[None, :]) <= radius_m
-        i, j = np.nonzero(inside & self._stale(self.state_grid[ix0:ix1, iy0:iy1]))
+        i, j = np.nonzero(inside & self._due(np.s_[ix0:ix1, iy0:iy1]))
         self._refresh((i + ix0) * ny + (j + iy0))
 
     def ensure_layer_evaluated(self) -> None:
         """Bring every flight-layer cell up to date with the explored map.
 
-        Missing cells get a first estimate; assumed-LoS cells are
-        re-predicted, since geometry discovered anywhere along their rays can
-        disprove the assumption long before the vehicle gets near. On an
-        unchanged map every estimate re-confirms and nothing is written,
-        except that without sticky NLoS a measured NLoS cell returns to its
-        estimate from the explored map.
+        Missing cells get a first estimate; assumed-LoS cells whose rays
+        cross a cell learned since their last estimate are re-estimated,
+        since geometry discovered anywhere along a ray can disprove the
+        assumption long before the vehicle gets near. Without sticky NLoS a
+        measured NLoS cell also returns to its estimate from the explored
+        map. On an unchanged map nothing is classified.
         """
-        self._refresh(np.flatnonzero(self._stale(self.state_grid)))
+        self._refresh(np.flatnonzero(self._due(np.s_[:])))
 
     def csi_correct(self, position, measured: LinkState) -> None:
         """Overwrite the current cell with a measured LoS/NLoS state.
@@ -127,6 +149,7 @@ class RadioMap:
             return
         self._write(np.array([ix * self.state_grid.shape[1] + iy]),
                     np.array([code], dtype=np.int8))
+        self._dirty[ix, iy] = True  # a measurement, not the ray's verdict
 
     def state_at(self, point) -> LinkState | None:
         """Estimated state of the cell holding `point`; None if never estimated."""

@@ -25,6 +25,12 @@ _CORNER_EPS = 1e-12
 _BLOCK_RAYS = 256
 
 
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, start): ranges lo[i]:lo[i] + counts[i] concatenated, and where each begins in at."""
+    start = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(lo - start, counts), start
+
+
 class ExploredMap:
     """Monotone per-cell knowledge of the truth field.
 
@@ -126,6 +132,10 @@ class RayTable:
     classifier, for truth and partial maps alike. Its verdicts follow the
     contract in the module docstring and are checked against the scalar
     cell-by-cell walk in tests/oracles.py.
+
+    rays_crossing answers the inverse question, which rays cross a cell,
+    from a cell -> rays index in the same CSR layout. The index is built on
+    its first call, so a table whose map never learns a cell never holds it.
     """
 
     def __init__(self, origin, nx: int, ny: int, cell_size_m: float, target_z: float):
@@ -133,6 +143,7 @@ class RayTable:
         self.nx, self.ny = nx, ny
         self.cell_size_m = float(cell_size_m)
         self.target_z = float(target_z)
+        self._inverse = None  # (offsets, rays) of the cell -> rays index
         self._build()
 
     def _build(self):
@@ -219,12 +230,29 @@ class RayTable:
         lo, counts = lo[some], counts[some]
         if not len(counts):
             return
-        start = np.cumsum(counts) - counts  # each ray's first gathered crossing
-        # table entry of each gathered crossing: its ray's start plus its rank
-        at = np.arange(start[-1] + counts[-1]) + np.repeat(lo - start, counts)
+        at, start = _ranges(lo, counts)  # table entries, each ray's first gathered one
         c = self.cells[at].astype(np.intp)  # numpy gathers slower by an int32 index
         k = known[c]
         hit = k & (heights[c] > self.minz[at])
         b = np.logical_or.reduceat(hit, start)
         blocked[some] = b
         crosses[some] = ~b & ~np.logical_and.reduceat(k, start)
+
+    def rays_crossing(self, cells: np.ndarray) -> np.ndarray:
+        """Flat indices of the rays that cross any of the given flat cells.
+
+        A ray is listed once for each given cell it crosses, in no particular
+        order. Endpoint cells are not crossings, as in classify_subset.
+        """
+        if self._inverse is None:
+            n = self.nx * self.ny
+            owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.offsets))
+            # order within a cell is irrelevant, so the sort need not be stable
+            rays = owner[np.argsort(self.cells)]
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.cells, minlength=n), out=offsets[1:])
+            self._inverse = (offsets, rays)
+        offsets, rays = self._inverse
+        cells = np.asarray(cells, dtype=np.intp)
+        lo = offsets[cells]
+        return rays[_ranges(lo, offsets[cells + 1] - lo)[0]]

@@ -10,7 +10,10 @@ sampling. The truth link budgets are composed from channel.py's per-link
 functions and the SINR sum below, the reference for TruthLink's inlined
 arithmetic. The ray table reference is the original single-block build, every
 ray padded to the longest one, which the block build must reproduce value for
-value.
+value. FullRefreshRadioMap is the one exception to the rule above: it keeps
+RadioMap's classification and replaces only its choice of cells to refresh,
+re-classifying every stale cell as RadioMap did before it tracked which rays
+new geometry can change.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from edgeflight.channel import (
     dbm_to_mw,
     path_loss_db,
 )
+from edgeflight.radiomap import _ASSUMED, _NLOS, MISSING, RadioMap
 
 # Ties in the traversal parameter below this width are exact corner touches;
 # the segment has zero extent inside the off-diagonal cells, so they are not
@@ -357,3 +361,18 @@ def padded_ray_table(origin, nx: int, ny: int, cell_size_m: float, target_z: flo
     minz = np.minimum(z0, z1)
     offsets = np.concatenate([[0], np.cumsum(good.sum(axis=1))]).astype(np.int64)
     return offsets, cell[good].astype(np.int64), minz[good]
+
+
+class FullRefreshRadioMap(RadioMap):
+    """RadioMap whose every refresh re-classifies each stale cell in range.
+
+    Stale: missing, assumed LoS and, without sticky NLoS, NLoS. Whether a
+    crossed cell turned known since the last estimate is not consulted.
+    """
+
+    def _due(self, win):
+        codes = self.state_grid[win]
+        due = (codes == MISSING) | (codes == _ASSUMED)
+        if not self.sticky_enabled:
+            due |= codes == _NLOS
+        return due

@@ -215,7 +215,7 @@ def test_06_full_knowledge_map_equals_truth_ray_casting():
     mismatches = int(np.sum(rm.state_grid != want_codes))
     assert mismatches == 0
     n = truth.width_cells * truth.depth_cells
-    print(f"\nPASS full-knowledge equivalence: {n}/{n} voxels match truth ray casting")
+    print(f"\nPASS full-knowledge equivalence: {n}/{n} cells match truth ray casting")
 
 
 def test_07_partial_map_estimates_are_never_pessimistic():
@@ -248,7 +248,7 @@ def test_07_partial_map_estimates_are_never_pessimistic():
             t_gain = -path_loss_db(float(rm._dist_grid[i, j]), t_state, params)
             assert rm.gain_grid[i, j] >= t_gain - 1e-12
             checked += 1
-    print(f"\nPASS optimism: {checked}/10000 voxel estimates at or above truth gain")
+    print(f"\nPASS optimism: {checked}/10000 cell estimates at or above truth gain")
 
 
 def test_08_batch_runs_are_byte_identical(tmp_path):

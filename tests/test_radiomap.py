@@ -5,7 +5,7 @@ from edgeflight.channel import ChannelParams, LinkState, path_loss_db
 from edgeflight.radiomap import _CODE_STATE, _STATE_CODE, MISSING, RadioMap
 from edgeflight.scenario import HeightField, ScenarioConfig, generate_city
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
-from oracles import RayResult, ray_blocked, ray_blocked_grid
+from oracles import FullRefreshRadioMap, RayResult, ray_blocked, ray_blocked_grid
 
 P = ChannelParams()
 ALT = 50.0
@@ -150,7 +150,7 @@ def test_assumed_entries_repriced_as_map_grows():
     assert np.all(truth_blocked[nlos_mask])
 
 
-def test_missing_voxel_evaluated_on_demand():
+def test_missing_cell_evaluated_on_demand():
     em = ExploredMap(10, 10, 5.0)
     bs = np.array([25.0, 25.0, 25.0])
     rm = make_rm(em, bs)
@@ -189,3 +189,110 @@ def test_update_around_classifies_only_stale_cells_in_range(monkeypatch):
     rm.update_around(pos, 20.0)
     assert calls == [[20 * truth.depth_cells + 20]]
     assert rm.state_grid[20, 20] == grid[20, 20]
+
+
+def counting_classify(monkeypatch) -> list:
+    """Patch RayTable.classify_subset to record the rays of every call."""
+    calls = []
+    classify = RayTable.classify_subset
+
+    def counting(table, rays, known, heights):
+        calls.append(list(rays))
+        return classify(table, rays, known, heights)
+
+    monkeypatch.setattr(RayTable, "classify_subset", counting)
+    return calls
+
+
+def test_unchanged_map_classifies_nothing(monkeypatch):
+    truth = city(7)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    rm = make_rm(em, BS)
+    rm.ensure_layer_evaluated()
+    sense(truth, em, (100.0, 100.0, ALT), 45.0, SensorModel(120.0, 80.0))
+    rm.ensure_layer_evaluated()  # re-estimates the rays over the learned cells
+    assert (rm.state_grid == _STATE_CODE[LinkState.ASSUMED_LOS]).sum() > 100
+    calls = counting_classify(monkeypatch)
+    rm.ensure_layer_evaluated()
+    rm.update_around((100.0, 100.0, ALT), 80.0)
+    assert calls == []
+
+
+def test_refresh_classifies_missing_rays_and_rays_crossing_learned_cells(monkeypatch):
+    truth = city(8)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    sensor = SensorModel(120.0, 50.0)
+    sense(truth, em, (60.0, 60.0, ALT), 30.0, sensor)
+    rm = make_rm(em, BS)
+    rm.update_around((80.0, 80.0, ALT), 70.0)  # leaves the far cells missing
+    before_known = em.known.copy()
+    before = rm.state_grid.copy().ravel()
+    sense(truth, em, (150.0, 120.0, ALT), 200.0, sensor)
+    learned = em.known & ~before_known
+    assert learned.any()
+
+    table = rm.table
+    crosses_learned = np.array([
+        learned.ravel()[table.cells[table.offsets[r]:table.offsets[r + 1]]].any()
+        for r in range(len(before))
+    ])
+    assumed = before == _STATE_CODE[LinkState.ASSUMED_LOS]
+    missing = before == MISSING
+    want = np.flatnonzero(missing | (assumed & crosses_learned))
+    assert missing.any() and (assumed & crosses_learned).any()
+    assert (assumed & ~crosses_learned).any()
+
+    calls = counting_classify(monkeypatch)
+    rm.ensure_layer_evaluated()
+    assert len(calls) == 1
+    assert calls[0] == list(want)
+
+
+def test_measured_nlos_reverts_without_sticky():
+    truth = city(9)
+    em = ExploredMap.fully_known(truth)
+    table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
+    rm = RadioMap(table, em, P, sticky_nlos=False)
+    rm.ensure_layer_evaluated()
+    ix, iy = np.argwhere(rm.state_grid == _STATE_CODE[LinkState.LOS])[0]
+    pos = ((ix + 0.5) * truth.cell_size_m, (iy + 0.5) * truth.cell_size_m, ALT)
+    rm.csi_correct(pos, LinkState.NLOS)
+    assert rm.state_at(pos) is LinkState.NLOS
+    rm.ensure_layer_evaluated()  # nothing was learned, yet the measurement is due
+    assert rm.state_at(pos) is LinkState.LOS
+
+
+@pytest.mark.parametrize("sticky", [True, False])
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_dirty_refresh_matches_full_refresh(seed, sticky):
+    truth = city(seed)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
+    maps = [RadioMap(table, em, P, sticky_nlos=sticky),
+            FullRefreshRadioMap(table, em, P, sticky_nlos=sticky)]
+    sensor = SensorModel(120.0, 50.0)
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(150):
+        pos = (rng.uniform(0, 200), rng.uniform(0, 200), ALT)
+        op = rng.choice(["sense", "update_around", "csi_correct", "ensure_layer_evaluated"],
+                        p=[0.3, 0.3, 0.3, 0.1])
+        if op == "sense":
+            sense(truth, em, pos, rng.uniform(-180, 180), sensor)
+        elif op == "update_around":
+            radius = rng.uniform(0.0, 60.0)
+            for rm in maps:
+                rm.update_around(pos, radius)
+        elif op == "csi_correct":
+            measured = LinkState.NLOS if rng.random() < 0.5 else LinkState.LOS
+            for rm in maps:
+                rm.csi_correct(pos, measured)
+        else:
+            for rm in maps:
+                rm.ensure_layer_evaluated()
+        fast, full = maps
+        assert fast.state_grid.tobytes() == full.state_grid.tobytes(), op
+        assert fast.gain_grid.tobytes() == full.gain_grid.tobytes(), op
+        seen.update(np.unique(fast.state_grid).tolist())
+    assert seen == {MISSING, *_CODE_STATE}
+    assert 0.2 < em.known.mean() < 1.0

@@ -1,10 +1,15 @@
+import dataclasses
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from edgeflight.scenario import HeightField, ScenarioConfig, generate_city
+from edgeflight.config import default_config
+from edgeflight.linkfield import ray_table_for
+from edgeflight.planner import PlannerKind
+from edgeflight.scenario import HeightField, ScenarioConfig, build_scenario, generate_city
+from edgeflight.simcore import run_episode
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
 from oracles import (
     RayResult,
@@ -313,3 +318,51 @@ def test_classify_subset_of_unsorted_duplicated_and_empty_rays():
                                       verdict is RayResult.CROSSES_UNKNOWN)
     assert verdicts == set(RayResult)
     assert (blocked[-2], crosses[-2]) == (blocked[8], crosses[8])
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 40), (7, 13), (37, 50)])
+def test_rays_crossing_matches_a_scan_of_the_table(nx, ny):
+    s = 5.0
+    w, d = nx * s, ny * s
+    origins = [(0.0, 0.0), (w, d), (w, 0.5 * s), (s * (nx // 2), s * (ny // 2))]
+    rng = np.random.default_rng(nx * 100 + ny)
+    for x, y in origins:
+        table = RayTable(np.array([x, y, 25.0]), nx, ny, s, 50.0)
+        owner = np.repeat(np.arange(nx * ny), np.diff(table.offsets))
+        crossed = np.zeros(nx * ny, dtype=bool)
+        crossed[table.cells] = True
+        never = np.flatnonzero(~crossed)
+        assert len(never)  # the origin cell at least
+        some = rng.choice(nx * ny, size=min(nx * ny, 20), replace=False)
+        for cells in (np.array([], dtype=np.int64), never, some, np.arange(nx * ny)):
+            got = table.rays_crossing(cells)
+            want = [r for c in cells for r in owner[table.cells == c]]
+            assert np.array_equal(np.sort(got), np.sort(want))
+        assert len(table.rays_crossing(never)) == 0
+
+
+def test_inverse_index_is_built_only_when_asked_for():
+    cfg = default_config(seed=2)
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+        cfg.scenario, map_size_m=(200.0, 200.0), endpoint_distance_m=(80.0, 160.0)))
+    sc = build_scenario(cfg.scenario)
+    table = ray_table_for(sc, sc.serving_bs, sc.cfg.uav_altitude_m)
+    assert table._inverse is None
+    # the global arm's map is fully known from the start: no cell is ever learned
+    metrics, _ = run_episode(sc, PlannerKind.GLOBAL, cfg, collect_log=False)
+    assert metrics.reached
+    assert sc._ray_tables and all(t._inverse is None for t in sc._ray_tables.values())
+    run_episode(sc, PlannerKind.EXPLORED, cfg, collect_log=False)
+    assert table._inverse is not None
+
+
+def test_inverse_index_memory_is_bounded_by_the_table():
+    table = RayTable(np.array([202.5, 197.5, 25.0]), 80, 80, 5.0, 50.0)
+    tracemalloc.start()
+    try:
+        table.rays_crossing(np.array([0]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = table.offsets.nbytes + table.cells.nbytes + table.minz.nbytes
+    assert peak <= 2 * size
