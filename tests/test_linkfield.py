@@ -2,9 +2,12 @@ import dataclasses
 
 import numpy as np
 
+from edgeflight.channel import free_space_path_loss_db
 from edgeflight.config import default_config
 from edgeflight.linkfield import TruthLink, ray_table_for
+from edgeflight.radiomap import RadioMap
 from edgeflight.scenario import build_scenario
+from edgeflight.worldmap import ExploredMap
 from oracles import RayResult, ray_blocked, truth_budgets
 
 
@@ -58,3 +61,42 @@ def test_truth_links_on_one_scenario_share_their_masks():
     # another layer is another mask
     other = TruthLink(sc, cfg.channel, alt + 10.0)
     assert all(a is not b for a, b in zip(first.blocked, other.blocked))
+
+
+def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
+    """The global arm plans on the same bits the simulator flies on.
+
+    At every cell centre of three default cities, the uplink, downlink and
+    interference-fraction grids equal the per-tick budgets exactly, and a
+    radio map over the fully known city prices the truth serving gain.
+    """
+    cfg = default_config()
+    ch = cfg.channel
+    for seed in (4, 9, 11):
+        sc = build_scenario(dataclasses.replace(cfg.scenario, rng_seed=seed))
+        alt = sc.cfg.uav_altitude_m
+        truth = sc.truth
+        nx, ny = truth.width_cells, truth.depth_cells
+        tl = TruthLink(sc, ch, alt)
+        serving = sc.serving_bs
+        up = tl.uplink_grid()
+        dn, frac = tl.downlink_grid()
+        _, dist = tl._geometry(sc.bs_positions[serving])
+        gain = -(free_space_path_loss_db(dist, ch.carrier_hz)
+                 + np.where(tl.blocked[serving].reshape(nx, ny), ch.nlos_excess_db, 0.0))
+
+        tick_up = np.empty((nx, ny))
+        tick_dn = np.empty((nx, ny))
+        tick_frac = np.empty((nx, ny))
+        for ix in range(nx):
+            for iy in range(ny):
+                pos = np.array([*truth.cell_center(ix, iy), alt])
+                tick_up[ix, iy] = tl.uplink_capacity(pos)
+                tick_dn[ix, iy], _, tick_frac[ix, iy] = tl.downlink(pos)
+        assert np.array_equal(up, tick_up), int((up != tick_up).sum())
+        assert np.array_equal(dn, tick_dn), int((dn != tick_dn).sum())
+        assert np.array_equal(frac, tick_frac), int((frac != tick_frac).sum())
+
+        rm = RadioMap(ray_table_for(sc, serving, alt), ExploredMap.fully_known(truth), ch)
+        rm.ensure_layer_evaluated()
+        assert np.array_equal(rm.gain_grid, gain)
