@@ -1,10 +1,13 @@
-"""Ground-truth link budgets over a scenario's flight layer.
+"""Flight-layer link pricing: cell geometry, gains and ground-truth budgets.
 
-Shared by the simulator (per-tick true budgets, always computed from truth)
-and the full-knowledge planner arm (per-cell truth grids). Link states are
-evaluated at flight-layer cell resolution; powers use exact 3D distances. The
-UAV antenna boresight tracks the serving BS, so interference arrives through
-the antenna pattern while serving links see unit gain.
+`layer_offsets` and `layer_gain_db` are the one flight-layer cell geometry and
+per-BS gain that every arm prices from: the radio map's LoS/NLoS gains, the
+baseline's expected loss and the global arm's truth grids. `TruthLink` gives
+the simulator its per-tick true budgets, always computed from truth, and the
+global arm its per-cell truth grids. Link states are evaluated at flight-layer
+cell resolution; powers use exact 3D distances. The UAV antenna boresight
+tracks the serving BS, so interference arrives through the antenna pattern
+while serving links see unit gain.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from .channel import (
     LinkState,
     antenna_gain_db,
     antenna_gain_db_scalar,
-    capacity_bps,
     capacity_bps_scalar,
     carrier_loss_db,
     dbm_to_mw,
@@ -25,6 +27,19 @@ from .channel import (
 )
 from .scenario import Scenario
 from .worldmap import RayTable
+
+
+def layer_offsets(origin, nx: int, ny: int, cell_size_m: float, z: float):
+    """(dx (nx, 1), dy (1, ny), dz, dist (nx, ny)) from `origin` to every cell centre at height z."""
+    dx = (np.arange(nx) + 0.5)[:, None] * cell_size_m - origin[0]
+    dy = (np.arange(ny) + 0.5)[None, :] * cell_size_m - origin[1]
+    dz = z - origin[2]
+    return dx, dy, dz, np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def layer_gain_db(dist, nlos, p: ChannelParams):
+    """Channel gain, minus free-space loss and the NLoS excess where `nlos`."""
+    return -(free_space_path_loss_db(dist, p.carrier_hz) + np.where(nlos, p.nlos_excess_db, 0.0))
 
 
 def ray_table_for(scenario: Scenario, bs_index: int, layer_z: float) -> RayTable:
@@ -121,50 +136,21 @@ class TruthLink:
         sinr = float(s_mw / (self._noise_mw + i_mw))
         return capacity_bps_scalar(sinr, p.bandwidth_hz), sinr, i_mw / (i_mw + s_mw)
 
-    # ---- per-cell grids for the full-knowledge planner arm ----
+    # ---- per-cell grids for the global planner arm ----
 
-    def _geometry(self, bs) -> tuple[np.ndarray, np.ndarray]:
-        s = self._s
-        cx = (np.arange(self._nx) + 0.5) * s
-        cy = (np.arange(self._ny) + 0.5) * s
-        dx = cx[:, None] - bs[0]
-        dy = cy[None, :] - bs[1]
-        dz = self.layer_z - bs[2]
-        return np.stack([np.broadcast_to(dx, (self._nx, self._ny)),
-                         np.broadcast_to(dy, (self._nx, self._ny)),
-                         np.full((self._nx, self._ny), dz)], axis=-1), \
-            np.sqrt(dx * dx + dy * dy + dz * dz)
-
-    def uplink_grid(self) -> np.ndarray:
+    def layer_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(serving gain dB, downlink interference mW) at every flight-layer cell centre."""
+        p = self.p
+        nx, ny = self._nx, self._ny
         serving = self.sc.serving_bs
-        _, dist = self._geometry(self.sc.bs_positions[serving])
-        pl = free_space_path_loss_db(dist, self.p.carrier_hz)
-        pl = pl + np.where(self.blocked[serving].reshape(self._nx, self._ny),
-                           self.p.nlos_excess_db, 0.0)
-        snr = dbm_to_mw(self.p.uav_tx_power_dbm - pl) / dbm_to_mw(self.p.noise_dbm)
-        return capacity_bps(snr, self.p.bandwidth_hz)
-
-    def downlink_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(capacity grid, interference-fraction grid) over the flight layer."""
-        serving = self.sc.serving_bs
-        vec_s, dist_s = self._geometry(self.sc.bs_positions[serving])
-        pl_s = free_space_path_loss_db(dist_s, self.p.carrier_hz)
-        pl_s = pl_s + np.where(self.blocked[serving].reshape(self._nx, self._ny),
-                               self.p.nlos_excess_db, 0.0)
-        sig_mw = dbm_to_mw(self.p.bs_tx_power_dbm - pl_s)
-        int_mw = np.zeros((self._nx, self._ny))
-        for i, bs_i in enumerate(self.sc.bs_positions):
+        geo = [layer_offsets(bs, nx, ny, self._s, self.layer_z) for bs in self._bs]
+        gains = [layer_gain_db(g[3], b.reshape(nx, ny), p) for g, b in zip(geo, self.blocked)]
+        sx, sy, sz, dist_s = geo[serving]
+        int_mw = np.zeros((nx, ny))
+        for i, (dx, dy, dz, dist_i) in enumerate(geo):
             if i == serving:
                 continue
-            vec_i, dist_i = self._geometry(bs_i)
-            pl_i = free_space_path_loss_db(dist_i, self.p.carrier_hz)
-            pl_i = pl_i + np.where(self.blocked[i].reshape(self._nx, self._ny),
-                                   self.p.nlos_excess_db, 0.0)
-            cosang = np.sum(vec_s * vec_i, axis=-1) / np.maximum(dist_s * dist_i, 1e-12)
+            cosang = (sx * dx + sy * dy + sz * dz) / np.maximum(dist_s * dist_i, 1e-12)
             ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-            gain = antenna_gain_db(ang, self.p)
-            int_mw += dbm_to_mw(self.p.bs_tx_power_dbm + gain - pl_i)
-        noise_mw = float(dbm_to_mw(self.p.noise_dbm))
-        sinr = sig_mw / (noise_mw + int_mw)
-        cap = capacity_bps(sinr, self.p.bandwidth_hz)
-        return cap, int_mw / (int_mw + sig_mw)
+            int_mw += dbm_to_mw(p.bs_tx_power_dbm + antenna_gain_db(ang, p) + gains[i])
+        return gains[serving], int_mw

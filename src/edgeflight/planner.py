@@ -41,7 +41,7 @@ from .channel import (
     expected_path_loss_db,
 )
 from .errors import ConfigError, StuckError
-from .linkfield import TruthLink
+from .linkfield import TruthLink, layer_offsets
 from .offload import OffloadConfig
 from .radiomap import _STATE_CODE, RadioMap
 from .scenario import inflate_obstacles
@@ -99,9 +99,15 @@ def rate_to_limit_grid(up_bps: np.ndarray, dn_bps: np.ndarray, oc: OffloadConfig
     return np.minimum(fps / oc.frames_per_meter, oc.v_max_mps)
 
 
-def snr_capacity_grid(gain_db: np.ndarray, tx_dbm: float, p: ChannelParams) -> np.ndarray:
-    snr = dbm_to_mw(tx_dbm + gain_db) / dbm_to_mw(p.noise_dbm)
-    return capacity_bps(snr, p.bandwidth_hz)
+def capacity_grids(gain_db: np.ndarray, int_mw, ch: ChannelParams):
+    """(uplink, downlink, downlink signal mW) grids from the serving gain.
+
+    `int_mw` is the downlink interference power; the uplink has none.
+    """
+    noise_mw = dbm_to_mw(ch.noise_dbm)
+    up = capacity_bps(dbm_to_mw(ch.uav_tx_power_dbm + gain_db) / noise_mw, ch.bandwidth_hz)
+    sig_mw = dbm_to_mw(ch.bs_tx_power_dbm + gain_db)
+    return up, capacity_bps(sig_mw / (noise_mw + int_mw), ch.bandwidth_hz), sig_mw
 
 
 class Planner:
@@ -133,28 +139,21 @@ class Planner:
 
     def _static_grids(self):
         if self.kind is PlannerKind.BASELINE:
-            bs = self.sc.bs_positions[self.sc.serving_bs]
-            s = self._s
-            cx = (np.arange(self._nx) + 0.5) * s
-            cy = (np.arange(self._ny) + 0.5) * s
-            dx = cx[:, None] - bs[0]
-            dy = cy[None, :] - bs[1]
-            dz = self._alt - bs[2]
+            dx, dy, dz, _ = layer_offsets(self.sc.bs_positions[self.sc.serving_bs],
+                                          self._nx, self._ny, self._s, self._alt)
+            # the elevation needs the horizontal distance, so the 3-D one is
+            # rebuilt from it rather than taken from layer_offsets
             horiz = np.hypot(dx, dy)
             dist = np.sqrt(horiz**2 + dz**2)
             elev = np.degrees(np.arctan2(dz, horiz))
-            gain = -expected_path_loss_db(dist, elev, self.ch)
-            up = snr_capacity_grid(gain, self.ch.uav_tx_power_dbm, self.ch)
-            dn = snr_capacity_grid(gain, self.ch.bs_tx_power_dbm, self.ch)
-            limits = rate_to_limit_grid(up, dn, self.oc)
+            up, dn, _ = capacity_grids(-expected_path_loss_db(dist, elev, self.ch), 0.0, self.ch)
             zeros = np.zeros((self._nx, self._ny))
-            return limits, zeros.astype(bool), zeros
+            return rate_to_limit_grid(up, dn, self.oc), zeros.astype(bool), zeros
         if self.kind is PlannerKind.GLOBAL:
-            up = self.tl.uplink_grid()
-            dn, int_frac = self.tl.downlink_grid()
-            limits = rate_to_limit_grid(up, dn, self.oc)
+            gain, int_mw = self.tl.layer_grids()
+            up, dn, sig_mw = capacity_grids(gain, int_mw, self.ch)
             nlos = self.tl.blocked[self.sc.serving_bs].reshape(self._nx, self._ny)
-            return limits, nlos, int_frac
+            return rate_to_limit_grid(up, dn, self.oc), nlos, int_mw / (int_mw + sig_mw)
         return None
 
     def _grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,9 +161,7 @@ class Planner:
         if self._static is not None:
             return self._static
         self.rm.ensure_layer_evaluated()
-        gain = self.rm.gain_grid
-        up = snr_capacity_grid(gain, self.ch.uav_tx_power_dbm, self.ch)
-        dn = snr_capacity_grid(gain, self.ch.bs_tx_power_dbm, self.ch)
+        up, dn, _ = capacity_grids(self.rm.gain_grid, 0.0, self.ch)
         limits = rate_to_limit_grid(up, dn, self.oc)
         nlos = self.rm.state_grid == _STATE_CODE[LinkState.NLOS]
         return limits, nlos, np.zeros((self._nx, self._ny))

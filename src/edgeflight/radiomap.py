@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelParams, LinkState, path_loss_db
+from .channel import ChannelParams, LinkState
+from .linkfield import layer_gain_db, layer_offsets
 from .worldmap import ExploredMap, RayTable
 
 _STATE_CODE = {LinkState.LOS: 0, LinkState.NLOS: 1, LinkState.ASSUMED_LOS: 2}
@@ -46,17 +47,14 @@ class RadioMap:
         nx, ny = explored.width_cells, explored.depth_cells
         self.state_grid = np.full((nx, ny), MISSING, dtype=np.int8)
         self.gain_grid = np.full((nx, ny), np.nan)
-        s = explored.cell_size_m
-        bs = table.origin
-        cx = (np.arange(nx) + 0.5) * s
-        cy = (np.arange(ny) + 0.5) * s
-        dx = cx[:, None] - bs[0]
-        dy = cy[None, :] - bs[1]
-        self._dist_grid = np.sqrt(dx * dx + dy * dy + (table.target_z - bs[2]) ** 2)
-        # UAV boresight tracks the serving BS: both antenna gains at 0 dB.
-        # Assumed LoS is priced as LoS.
-        self._los_gain = -path_loss_db(self._dist_grid, LinkState.LOS, params).ravel()
-        self._nlos_gain = -path_loss_db(self._dist_grid, LinkState.NLOS, params).ravel()
+        # Every cell's LoS and NLoS gain toward the BS, from the flight-layer
+        # geometry and gain the other arms price with. UAV boresight tracks
+        # the serving BS: both antenna gains at 0 dB. Assumed LoS is priced
+        # as LoS.
+        *_, self._dist_grid = layer_offsets(table.origin, nx, ny, explored.cell_size_m,
+                                            table.target_z)
+        self._los_gain = layer_gain_db(self._dist_grid, False, params).ravel()
+        self._nlos_gain = layer_gain_db(self._dist_grid, True, params).ravel()
         # The explored cells as of the last refresh, and per estimated cell
         # whether its state may differ from its ray's verdict on the current
         # map. Knowledge is monotone, so a fully known map learns nothing.

@@ -2,9 +2,9 @@ import dataclasses
 
 import numpy as np
 
-from edgeflight.channel import free_space_path_loss_db
 from edgeflight.config import default_config
 from edgeflight.linkfield import TruthLink, ray_table_for
+from edgeflight.planner import capacity_grids
 from edgeflight.radiomap import RadioMap
 from edgeflight.scenario import build_scenario
 from edgeflight.worldmap import ExploredMap
@@ -79,11 +79,9 @@ def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
         nx, ny = truth.width_cells, truth.depth_cells
         tl = TruthLink(sc, ch, alt)
         serving = sc.serving_bs
-        up = tl.uplink_grid()
-        dn, frac = tl.downlink_grid()
-        _, dist = tl._geometry(sc.bs_positions[serving])
-        gain = -(free_space_path_loss_db(dist, ch.carrier_hz)
-                 + np.where(tl.blocked[serving].reshape(nx, ny), ch.nlos_excess_db, 0.0))
+        gain, int_mw = tl.layer_grids()
+        up, dn, sig_mw = capacity_grids(gain, int_mw, ch)
+        frac = int_mw / (int_mw + sig_mw)
 
         tick_up = np.empty((nx, ny))
         tick_dn = np.empty((nx, ny))

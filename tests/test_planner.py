@@ -12,8 +12,8 @@ from edgeflight.planner import (
     PlannerKind,
     rate_to_limit_grid,
     replan_due,
+    capacity_grids,
     segment_invalidated,
-    snr_capacity_grid,
 )
 from edgeflight.radiomap import _STATE_CODE, RadioMap
 from edgeflight.scenario import HeightField, Scenario, ScenarioConfig
@@ -252,12 +252,16 @@ def test_rate_to_limit_grid_matches_scalar_pipeline():
             assert got[i, j] == pytest.approx(speed_limit(fps, OC))
 
 
-def test_snr_capacity_grid_matches_channel_math():
+def test_capacity_grids_match_channel_math():
+    ch = ChannelParams(uav_tx_power_dbm=20.0, bs_tx_power_dbm=30.0)
     gain = np.array([-90.0, -120.0])
-    got = snr_capacity_grid(gain, 30.0, CH)
-    snr = 10 ** ((30.0 + gain - CH.noise_dbm) / 10.0)
-    want = CH.bandwidth_hz * np.log2(1.0 + snr)
-    assert np.allclose(got, want)
+    int_mw = np.array([0.0, 1e-9])
+    up, dn, sig_mw = capacity_grids(gain, int_mw, ch)
+    noise_mw = 10 ** (ch.noise_dbm / 10.0)
+    sig = 10 ** ((30.0 + gain) / 10.0)
+    assert np.allclose(sig_mw, sig)
+    assert np.allclose(up, ch.bandwidth_hz * np.log2(1.0 + 10 ** ((20.0 + gain) / 10.0) / noise_mw))
+    assert np.allclose(dn, ch.bandwidth_hz * np.log2(1.0 + sig / (noise_mw + int_mw)))
 
 
 def test_replan_cadence_and_invalidation():
