@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
+    PRESETS,
     Config,
     config_digest,
     load_config,
@@ -154,13 +155,7 @@ def cmd_batch(args) -> int:
         "nlos_ratio,reached,stuck"
     )
     for r in result.rows:
-        m = r.metrics
-        ep_lines.append(
-            f"{r.episode},{r.scenario_seed},{r.kind.value},"
-            f"{m.flight_distance_m:.3f},{m.flight_duration_s:.1f},"
-            f"{m.avg_uplink_capacity_bps / 1e6:.6f},{m.nlos_distance_ratio:.6f},"
-            f"{int(m.reached)},{int(m.stuck)}"
-        )
+        ep_lines.append(f"{r.episode},{r.scenario_seed},{_metrics_row(r.kind, r.metrics)}")
     (out / "episodes.csv").write_text("\n".join(ep_lines) + "\n")
 
     agg_lines = [f"# {h}" for h in head]
@@ -196,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="path to a JSON config file")
-        sp.add_argument("--preset", choices=["default", "flat", "example"],
+        sp.add_argument("--preset", choices=list(PRESETS),
                         help="built-in config preset (default: default)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the scenario master seed")

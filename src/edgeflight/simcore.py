@@ -19,7 +19,7 @@ from .channel import LinkState
 from .config import Config
 from .errors import StuckError
 from .linkfield import TruthLink, ray_table_for
-from .offload import ProcessingMode, remote_update_rate, select_mode, speed_limit
+from .offload import remote_update_rate, select_mode, speed_limit
 from .planner import Planner, PlannerKind, replan_due, segment_invalidated
 from .radiomap import RadioMap
 from .scenario import Scenario, build_scenario
@@ -30,7 +30,6 @@ from .worldmap import ExploredMap, SensorModel, sense
 class UavState:
     position: np.ndarray
     heading_deg: float
-    mode: ProcessingMode
     time_s: float
 
 
@@ -101,7 +100,6 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     state = UavState(
         position=np.asarray(scenario.start, dtype=float).copy(),
         heading_deg=bearing_deg(scenario.start, scenario.goal),
-        mode=ProcessingMode.REMOTE,
         time_s=0.0,
     )
     goal = np.asarray(scenario.goal, dtype=float)
@@ -125,7 +123,6 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         dn_true, dn_sinr, _ = tl.downlink(pos)
         remote_fps = remote_update_rate(up_true, dn_true, cfg.offload)
         mode, eff_fps = select_mode(remote_fps, cfg.offload.local_fps)
-        state.mode = mode
         true_lim = speed_limit(eff_fps, cfg.offload)
 
         # 3: sensing and radio-map maintenance at the frame cadence
