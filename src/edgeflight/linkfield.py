@@ -30,7 +30,10 @@ from .worldmap import RayTable
 
 
 def layer_offsets(origin, nx: int, ny: int, cell_size_m: float, z: float):
-    """(dx (nx, 1), dy (1, ny), dz, dist (nx, ny)) from `origin` to every cell centre at height z."""
+    """Offsets and distances from `origin` to every cell centre at height z.
+
+    Returns (dx (nx, 1), dy (1, ny), dz, dist (nx, ny)).
+    """
     dx = (np.arange(nx) + 0.5)[:, None] * cell_size_m - origin[0]
     dy = (np.arange(ny) + 0.5)[None, :] * cell_size_m - origin[1]
     dz = z - origin[2]
@@ -38,7 +41,7 @@ def layer_offsets(origin, nx: int, ny: int, cell_size_m: float, z: float):
 
 
 def layer_gain_db(dist, nlos, p: ChannelParams):
-    """Channel gain, minus free-space loss and the NLoS excess where `nlos`."""
+    """Channel gain in dB: minus the free-space loss, and minus the NLoS excess where `nlos`."""
     return -(free_space_path_loss_db(dist, p.carrier_hz) + np.where(nlos, p.nlos_excess_db, 0.0))
 
 

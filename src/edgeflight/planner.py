@@ -141,8 +141,8 @@ class Planner:
         if self.kind is PlannerKind.BASELINE:
             dx, dy, dz, _ = layer_offsets(self.sc.bs_positions[self.sc.serving_bs],
                                           self._nx, self._ny, self._s, self._alt)
-            # the elevation needs the horizontal distance, so the 3-D one is
-            # rebuilt from it rather than taken from layer_offsets
+            # the 3-D distance is rebuilt from the horizontal one the
+            # elevation needs; layer_offsets' dist rounds differently
             horiz = np.hypot(dx, dy)
             dist = np.sqrt(horiz**2 + dz**2)
             elev = np.degrees(np.arctan2(dz, horiz))

@@ -14,7 +14,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 @pytest.mark.parametrize("script, args, header", [
     ("single_mission.py", [], "distance"),
     ("batch_table.py", ["1"], "mean duration"),
-])
+], ids=["single_mission", "batch_table"])
 def test_demo_prints_its_results_table(script, args, header, monkeypatch, capsys):
     path = DEMOS / script
     monkeypatch.setattr(sys, "argv", [str(path), *args])
