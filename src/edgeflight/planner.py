@@ -130,8 +130,9 @@ class Planner:
         self._alt = scenario.cfg.uav_altitude_m
         self._goal_cell = scenario.truth.cell_of(scenario.goal)
         self._static = self._static_grids()
+        self._fully_known = bool(explored.known.all())
         self._edges = self._lattice_edges()
-        # each cache holds the inputs it was built from, compared by value
+        # each cache holds the inputs it was built from
         self._forbidden_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._field_cache: tuple | None = None
 
@@ -169,10 +170,14 @@ class Planner:
     def forbidden_mask(self) -> np.ndarray:
         """Known obstacle cells at flight altitude, inflated by the margin.
 
-        Returns the same array object until the obstacle cells change.
+        Returns the same array object until the obstacle cells change. On a
+        map fully known at construction they never do (a known cell already
+        holds its truth height), so the mask is built once.
         """
-        obstacles = self.explored.known & (self.explored.heights >= self._alt)
         cache = self._forbidden_cache
+        if cache is not None and self._fully_known:
+            return cache[1]
+        obstacles = self.explored.known & (self.explored.heights >= self._alt)
         if cache is None or not np.array_equal(obstacles, cache[0]):
             cache = (obstacles, inflate_obstacles(obstacles, self.pc.safety_margin_cells))
             self._forbidden_cache = cache
@@ -203,15 +208,20 @@ class Planner:
         One goal-rooted shortest-path sweep prices every cell; plans then
         walk next hops, so successive replans descend a single potential and
         cannot cycle. Rebuilt only when the speed limits, cost rates or
-        forbidden cells it was built from change.
+        forbidden cells it was built from change. The static arms' speed
+        limits and cost rates never change, so their field is returned while
+        the forbidden mask is the object it was built from; the explored
+        arm's grids are compared by value.
         """
         limits, nlos, intf = self._grids()
         forb = self.forbidden_mask()
+        cache = self._field_cache
+        if cache is not None and cache[0] is forb and self._static is not None:
+            return cache[3]
         lam = self.pc.nlos_penalty if self.kind is not PlannerKind.BASELINE else 0.0
         mu = self.pc.interference_weight if self.kind is PlannerKind.GLOBAL else 0.0
         # per-cell cost rate; an edge charges the mean of its two endpoints
         pen = 1.0 + lam * nlos.ravel().astype(float) + mu * intf.ravel()
-        cache = self._field_cache
         if (cache is not None and cache[0] is forb and np.array_equal(cache[1], limits)
                 and np.array_equal(cache[2], pen)):
             return cache[3]

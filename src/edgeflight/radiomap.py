@@ -3,7 +3,9 @@
 The vehicle flies at one altitude and measures one serving BS, so the map is
 two dense grids over the flight layer, one value per map cell: `state_grid`
 holds a link-state code (MISSING until the cell is first estimated) and
-`gain_grid` the channel gain that state implies. Cells whose ray to the BS
+`gain_grid` the channel gain that state implies. A map bound to a fully
+known explored map has nothing to learn, so it estimates every cell once
+at construction and holds no missing cell. Cells whose ray to the BS
 crosses only explored free cells are LoS; rays crossing a known obstacle are
 NLoS and stay NLoS (sticky); rays touching unexplored cells are assumed LoS
 and priced optimistically until the area is explored or measured. Rays are
@@ -60,6 +62,8 @@ class RadioMap:
         # map. Knowledge is monotone, so a fully known map learns nothing.
         self._known_seen = None if explored.known.all() else explored.known.copy()
         self._dirty = np.zeros((nx, ny), dtype=bool)
+        if self._known_seen is None:
+            self._refresh(np.arange(nx * ny))
 
     def _due(self, win) -> np.ndarray:
         """Mask of the cells in window `win` that a refresh must classify.
@@ -114,10 +118,13 @@ class RadioMap:
         iy1 = min(int((py + radius_m) // s) + 1, ny)
         if ix0 >= ix1 or iy0 >= iy1:
             return
+        due = self._due(np.s_[ix0:ix1, iy0:iy1])
+        if not due.any():
+            return
         cx = (np.arange(ix0, ix1) + 0.5) * s - px
         cy = (np.arange(iy0, iy1) + 0.5) * s - py
         inside = np.hypot(cx[:, None], cy[None, :]) <= radius_m
-        i, j = np.nonzero(inside & self._due(np.s_[ix0:ix1, iy0:iy1]))
+        i, j = np.nonzero(inside & due)
         self._refresh((i + ix0) * ny + (j + iy0))
 
     def ensure_layer_evaluated(self) -> None:

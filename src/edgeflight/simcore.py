@@ -44,7 +44,14 @@ class Metrics:
 
 
 class TrajectoryLog:
-    """Per-tick mission record, one row per simulated tick."""
+    """Per-tick mission record, one row per simulated tick.
+
+    `true_state` is the serving link's ground-truth state at the tick's
+    position; `est_state` is the radio map's estimate of that cell before
+    the tick's measurement is written, or `none` if the cell was never
+    estimated. The global arm's map is fully known, so it reads the truth
+    state from tick 0.
+    """
 
     COLUMNS = (
         "time_s", "x_m", "y_m", "z_m", "speed_mps", "mode",

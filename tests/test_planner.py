@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import edgeflight.planner as planner_mod
 from edgeflight.channel import ChannelParams, LinkState
+from edgeflight.config import default_config
 from edgeflight.errors import StuckError
 from edgeflight.linkfield import TruthLink
 from edgeflight.offload import OffloadConfig, remote_update_rate, speed_limit
@@ -16,7 +19,8 @@ from edgeflight.planner import (
     segment_invalidated,
 )
 from edgeflight.radiomap import _STATE_CODE, RadioMap
-from edgeflight.scenario import HeightField, Scenario, ScenarioConfig
+from edgeflight.scenario import HeightField, Scenario, ScenarioConfig, build_scenario
+from edgeflight.simcore import run_episode
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
 from oracles import enumerate_best_path_cost, relaxed_cost_to_go
 
@@ -364,3 +368,62 @@ def test_field_is_rebuilt_only_when_its_inputs_change(monkeypatch):
     # the NLoS penalty alone, as where the speed limit saturates at v_max
     rm.state_grid[5, 12] = _STATE_CODE[LinkState.NLOS]
     assert rebuilds() == (0, 1, 0)
+
+
+def count_value_compares(monkeypatch, outside_forbidden: bool = False) -> list:
+    """Record every np.array_equal call, optionally only those outside forbidden_mask."""
+    calls, inside = [], []
+    equal, forbidden = np.array_equal, Planner.forbidden_mask
+
+    def counting(*args, **kwargs):
+        if not inside:
+            calls.append(1)
+        return equal(*args, **kwargs)
+
+    def flagged(pl):
+        inside.append(1)
+        try:
+            return forbidden(pl)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np, "array_equal", counting)
+    if outside_forbidden:
+        monkeypatch.setattr(Planner, "forbidden_mask", flagged)
+    return calls
+
+
+def test_fully_known_map_inflates_its_obstacles_once_per_global_episode(monkeypatch):
+    cfg = default_config(seed=4)
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+        cfg.scenario, map_size_m=(200.0, 200.0), endpoint_distance_m=(80.0, 160.0)))
+    sc = build_scenario(cfg.scenario)
+    inflations = []
+    inflate = planner_mod.inflate_obstacles
+
+    def counting(obstacles, margin):
+        inflations.append(1)
+        return inflate(obstacles, margin)
+
+    monkeypatch.setattr(planner_mod, "inflate_obstacles", counting)
+    compares = count_value_compares(monkeypatch)
+    metrics, _ = run_episode(sc, PlannerKind.GLOBAL, cfg, collect_log=False)
+    assert metrics.reached
+    assert len(inflations) == 1
+    assert compares == []
+
+
+def test_static_arms_reuse_their_field_without_comparing_grids(monkeypatch):
+    sc = make_world(np.zeros((16, 16)), (0, 0), (2, 8), (13, 8))
+    explored = ExploredMap(16, 16, 5.0)
+    arms = {PlannerKind.BASELINE: make_planner(sc, PlannerKind.BASELINE, explored=explored),
+            PlannerKind.GLOBAL: make_planner(sc, PlannerKind.GLOBAL)}
+    fields = {kind: pl._cost_field() for kind, pl in arms.items()}
+    compares = count_value_compares(monkeypatch, outside_forbidden=True)
+    for heading in (0.0, 90.0, 180.0):
+        sense(sc.truth, explored, sc.start, heading, SensorModel(120.0, 30.0))
+        for kind, pl in arms.items():
+            pl.plan(sc.start)
+            assert pl._cost_field() is fields[kind], kind
+    assert explored.known.any()
+    assert compares == []

@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from edgeflight.channel import ChannelParams, LinkState, path_loss_db
+from edgeflight.config import default_config
+from edgeflight.linkfield import TruthLink, ray_table_for
+from edgeflight.planner import PlannerKind
 from edgeflight.radiomap import _CODE_STATE, _STATE_CODE, MISSING, RadioMap
-from edgeflight.scenario import HeightField, ScenarioConfig, generate_city
+from edgeflight.scenario import HeightField, ScenarioConfig, build_scenario, generate_city
+from edgeflight.simcore import run_episode
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
 from oracles import FullRefreshRadioMap, RayResult, ray_blocked, ray_blocked_grid
 
@@ -296,3 +302,48 @@ def test_dirty_refresh_matches_full_refresh(seed, sticky):
         seen.update(np.unique(fast.state_grid).tolist())
     assert seen == {MISSING, *_CODE_STATE}
     assert 0.2 < em.known.mean() < 1.0
+
+
+@pytest.mark.parametrize("seed", [4, 9, 11])
+def test_fully_known_map_is_estimated_at_construction(seed):
+    cfg = default_config(seed=seed)
+    sc = build_scenario(cfg.scenario)
+    alt = sc.cfg.uav_altitude_m
+    rm = RadioMap(ray_table_for(sc, sc.serving_bs, alt), ExploredMap.fully_known(sc.truth),
+                  cfg.channel)
+    codes = rm.state_grid.ravel()
+    assert not np.any(codes == MISSING)
+    assert not np.any(codes == _STATE_CODE[LinkState.ASSUMED_LOS])
+    truth_nlos = TruthLink(sc, cfg.channel, alt).blocked[sc.serving_bs]
+    assert np.array_equal(codes == _STATE_CODE[LinkState.NLOS], truth_nlos)
+
+
+@pytest.mark.parametrize("kind, learns", [(PlannerKind.GLOBAL, False),
+                                          (PlannerKind.EXPLORED, True)])
+def test_update_around_classifies_only_while_the_map_can_learn(monkeypatch, kind, learns):
+    cfg = default_config(seed=4)
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+        cfg.scenario, map_size_m=(200.0, 200.0), endpoint_distance_m=(80.0, 160.0)))
+    sc = build_scenario(cfg.scenario)
+    updates, from_update, inside = [], [], []
+    update, classify = RadioMap.update_around, RayTable.classify_subset
+
+    def flagged_update(rm, around, radius_m):
+        updates.append(1)
+        inside.append(1)
+        try:
+            return update(rm, around, radius_m)
+        finally:
+            inside.pop()
+
+    def counting(table, rays, known, heights):
+        if inside:
+            from_update.append(len(rays))
+        return classify(table, rays, known, heights)
+
+    monkeypatch.setattr(RadioMap, "update_around", flagged_update)
+    monkeypatch.setattr(RayTable, "classify_subset", counting)
+    metrics, _ = run_episode(sc, kind, cfg, collect_log=False)
+    assert metrics.reached
+    assert len(updates) > 100
+    assert bool(from_update) is learns

@@ -4,7 +4,7 @@ import pytest
 from edgeflight.config import default_config, flat_city_config, with_seed
 from edgeflight.planner import PlannerKind
 from edgeflight.scenario import build_scenario
-from edgeflight.simcore import batch_seeds, run_batch, run_episode
+from edgeflight.simcore import TrajectoryLog, batch_seeds, run_batch, run_episode
 
 
 def small_cfg(seed: int = 0):
@@ -136,3 +136,13 @@ def test_batch_shares_scenarios_across_kinds():
         by_ep.setdefault(row.episode, set()).add(row.scenario_seed)
     for ep, seeds in by_ep.items():
         assert len(seeds) == 1
+
+
+def test_global_arm_estimates_the_truth_state_from_the_first_tick():
+    # this city's first tick comes before its first sensing frame
+    cfg = with_seed(default_config(), batch_seeds(0, 6)[0])
+    sc = build_scenario(cfg.scenario, cfg.planner.safety_margin_cells)
+    metrics, log = run_episode(sc, PlannerKind.GLOBAL, cfg)
+    assert metrics.reached
+    true_col, est_col = (TrajectoryLog.COLUMNS.index(c) for c in ("true_state", "est_state"))
+    assert [r[est_col] for r in log.rows] == [r[true_col] for r in log.rows]
