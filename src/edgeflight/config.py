@@ -43,6 +43,10 @@ class SimParams:
     def __post_init__(self):
         if self.tick_s <= 0 or self.timeout_s <= 0:
             raise ConfigError("tick and timeout must be positive")
+        if not math.isfinite(self.timeout_s / self.tick_s):
+            raise ConfigError(
+                f"sim.timeout_s / sim.tick_s ({self.timeout_s!r} / {self.tick_s!r}) "
+                "is not a finite number of ticks; raise sim.tick_s")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ streets, one i.i.d. Rayleigh-distributed height per block, streets at height 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,14 @@ class ScenarioConfig:
             raise ConfigError("need at least one base station")
         if self.bs_height_m <= 0 or self.uav_altitude_m <= 0:
             raise ConfigError("heights must be positive")
+        # every squared BS-to-vehicle distance is at most three times the
+        # square of the largest of these lengths, so it stays finite
+        for name, length in (("map_size_m", max(w, d)), ("bs_height_m", self.bs_height_m),
+                             ("uav_altitude_m", self.uav_altitude_m)):
+            if not math.isfinite(3.0 * length * length):
+                raise ConfigError(
+                    f"scenario.{name} = {length!r} m is too large: squared distances "
+                    "overflow a float")
         lo, hi = self.endpoint_distance_m
         if not (0 < lo <= hi):
             raise ConfigError("endpoint distance range must satisfy 0 < lo <= hi")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .scenario import HeightField
 
@@ -102,7 +103,7 @@ def sense(truth: HeightField, explored: ExploredMap, position, heading_deg: floa
         return explored
     cx = (np.arange(ix0, ix1) + 0.5) * s - px
     cy = (np.arange(iy0, iy1) + 0.5) * s - py
-    dx, dy = np.meshgrid(cx, cy, indexing="ij")
+    dx, dy = cx[:, None], cy[None, :]
     dist = np.hypot(dx, dy)
     vis = dist <= r
     if sensor.fov_deg < 360.0:
@@ -129,12 +130,15 @@ class RayTable:
     block is padded only to its own longest ray; rows are independent and the
     padding sorts last, so the table does not depend on the block size.
     classify_subset, one gather and one logical-or per ray, is the only
-    classifier, for truth and partial maps alike. Its verdicts follow the
-    contract in the module docstring and are checked against the scalar
-    cell-by-cell walk in tests/oracles.py.
+    classifier, for truth and partial maps alike. A block of consecutive rays
+    owns one contiguous run of entries, which it reads as a slice; any other
+    block gathers its rays' ranges. Its verdicts follow the contract in the
+    module docstring and are checked against the scalar cell-by-cell walk in
+    tests/oracles.py.
 
     rays_crossing answers the inverse question, which rays cross a cell,
-    from a cell -> rays index in the same CSR layout. The index is built on
+    from a cell -> rays index in the same CSR layout: the table's transpose,
+    built by scipy's counting sort into int32 arrays. The index is built on
     its first call, so a table whose map never learns a cell never holds it.
     """
 
@@ -230,7 +234,10 @@ class RayTable:
         lo, counts = lo[some], counts[some]
         if not len(counts):
             return
-        at, start = _ranges(lo, counts)  # table entries, each ray's first gathered one
+        if (np.diff(rays) == 1).all():  # one run of the table
+            at, start = slice(lo[0], lo[-1] + counts[-1]), lo - lo[0]
+        else:  # table entries, each ray's first gathered one
+            at, start = _ranges(lo, counts)
         c = self.cells[at].astype(np.intp)  # numpy gathers slower by an int32 index
         k = known[c]
         hit = k & (heights[c] > self.minz[at])
@@ -246,12 +253,12 @@ class RayTable:
         """
         if self._inverse is None:
             n = self.nx * self.ny
-            owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.offsets))
-            # order within a cell is irrelevant, so the sort need not be stable
-            rays = owner[np.argsort(self.cells)]
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.cells, minlength=n), out=offsets[1:])
-            self._inverse = (offsets, rays)
+            # the ray -> cells table as a sparse matrix; its CSC form is the
+            # cell -> rays index, made by a counting sort in compiled code
+            inverse = sparse.csr_array(
+                (np.ones(len(self.cells), dtype=bool), self.cells,
+                 self.offsets.astype(np.int32)), shape=(n, n)).tocsc()
+            self._inverse = (inverse.indptr, inverse.indices)
         offsets, rays = self._inverse
         cells = np.asarray(cells, dtype=np.intp)
         lo = offsets[cells]

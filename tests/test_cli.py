@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from edgeflight.cli import EXIT_CONFIG, EXIT_OK, main
+from edgeflight.cli import EXIT_CONFIG, EXIT_OK, EXIT_STUCK, main
 from edgeflight.config import config_to_dict, default_config
 from edgeflight.gridfile import load_grid
 from edgeflight.scenario import _MAX_RAY_TABLE_ENTRIES, ScenarioConfig
@@ -179,6 +179,22 @@ def test_map_just_over_the_ray_table_budget_is_config_error(tmp_path, capsys):
     assert err.startswith("config error:")
     assert "scenario.map_size_m" in err and "scenario.cell_size_m" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("altitude, codes", [
+    (1e160, {EXIT_CONFIG}),          # its squared distances overflow
+    (1e20, {EXIT_OK, EXIT_STUCK}),   # absurd but finite link budgets
+])
+def test_absurd_altitude_is_rejected_only_where_distances_overflow(
+        tmp_path, capsys, small_config_path, altitude, codes):
+    d = json.loads(small_config_path.read_text())
+    d["scenario"]["uav_altitude_m"] = altitude
+    cfg = tmp_path / "alt.json"
+    cfg.write_text(json.dumps(d))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc in codes
+    if rc == EXIT_CONFIG:
+        assert "scenario.uav_altitude_m" in capsys.readouterr().err
 
 
 def test_memory_error_outside_the_map_grid_keeps_its_traceback(

@@ -107,3 +107,12 @@ def test_with_seed_touches_only_the_seed():
     assert other.scenario.rng_seed == 42
     assert config_to_dict(other)["offload"] == config_to_dict(cfg)["offload"]
     assert other.scenario.map_size_m == cfg.scenario.map_size_m
+
+
+@pytest.mark.parametrize("sim", [
+    {"tick_s": 5e-324},                    # 600 s over a denormal tick
+    {"tick_s": 1e-300, "timeout_s": 1e10},
+])
+def test_tick_count_that_is_not_finite_is_config_error(sim):
+    with pytest.raises(ConfigError, match="tick_s"):
+        config_from_dict({"sim": sim})

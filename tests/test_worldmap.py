@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from edgeflight import worldmap
 from edgeflight.config import default_config
 from edgeflight.linkfield import ray_table_for
 from edgeflight.planner import PlannerKind
@@ -320,6 +321,54 @@ def test_classify_subset_of_unsorted_duplicated_and_empty_rays():
     assert (blocked[-2], crosses[-2]) == (blocked[8], crosses[8])
 
 
+def _oracle_verdicts(table: RayTable, em: ExploredMap, rays) -> tuple[list, list]:
+    s, ny = em.cell_size_m, em.depth_cells
+    verdicts = [ray_blocked(em, table.origin, np.array([(r // ny + 0.5) * s,
+                                                       (r % ny + 0.5) * s, table.target_z]))
+                for r in rays]
+    return ([v is RayResult.BLOCKED for v in verdicts],
+            [v is RayResult.CROSSES_UNKNOWN for v in verdicts])
+
+
+def test_consecutive_rays_read_as_one_slice_match_the_oracle_and_any_order(monkeypatch):
+    truth = random_city(6)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    sense(truth, em, (60.0, 140.0, 50.0), 30.0, SensorModel(200.0, 80.0))
+    table = RayTable(np.array([57.5, 142.5, 25.0]), truth.width_cells, truth.depth_cells,
+                     truth.cell_size_m, target_z=50.0)
+    ny = truth.depth_cells
+    origin_ray = 11 * ny + 28  # no crossing, nor have the rays beside it
+    runs = [
+        np.arange(100, 700),                          # over the 256-ray call blocks
+        np.arange(origin_ray, origin_ray + 300),      # starts on zero-crossing rays,
+        np.arange(origin_ray - 299, origin_ray + 1),  # ends on them,
+        np.arange(10 * ny + 20, 12 * ny + 35),        # passes through them
+        np.arange(origin_ray - 1, origin_ray + 2),    # or holds nothing else
+        np.array([5 * ny + 3]),                       # single rays
+        np.array([origin_ray]),
+    ]
+    ranges_calls = []
+    ranges = worldmap._ranges
+    monkeypatch.setattr(worldmap, "_ranges",
+                        lambda *a: ranges_calls.append(1) or ranges(*a))
+    rng = np.random.default_rng(13)
+    seen = set()
+    for run in runs:
+        blocked, crosses = table.classify_subset(run, em.known, em.heights)
+        assert not ranges_calls  # every block of a run is one slice of the table
+        want_blocked, want_crosses = _oracle_verdicts(table, em, run)
+        assert blocked.tolist() == want_blocked and crosses.tolist() == want_crosses
+        # the same rays out of order, or a single ray twice, take the gathered ranges
+        order = rng.permutation(len(run)) if len(run) > 1 else np.array([0, 0])
+        assert not np.all(np.diff(run[order]) == 1)
+        b, c = table.classify_subset(run[order], em.known, em.heights)
+        assert np.array_equal(b, blocked[order]) and np.array_equal(c, crosses[order])
+        assert ranges_calls or not np.diff(table.offsets)[run].any()
+        ranges_calls.clear()
+        seen.update(zip(want_blocked, want_crosses))
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 40), (7, 13), (37, 50)])
 def test_rays_crossing_matches_a_scan_of_the_table(nx, ny):
     s = 5.0
@@ -366,3 +415,17 @@ def test_inverse_index_memory_is_bounded_by_the_table():
         tracemalloc.stop()
     size = table.offsets.nbytes + table.cells.nbytes + table.minz.nbytes
     assert peak <= 2 * size
+
+
+def test_inverse_index_is_the_int32_transpose_built_below_the_table_size():
+    table = RayTable(np.array([202.5, 197.5, 25.0]), 80, 80, 5.0, 50.0)
+    tracemalloc.start()
+    try:
+        table.rays_crossing(np.array([0]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    offsets, rays = table._inverse
+    assert offsets.dtype == np.int32 and rays.dtype == np.int32
+    assert offsets.shape == (80 * 80 + 1,) and rays.shape == table.cells.shape
+    assert peak < table.offsets.nbytes + table.cells.nbytes + table.minz.nbytes
