@@ -25,7 +25,6 @@ from .channel import (
     capacity_bps,
     expected_path_loss_db,
     free_space_path_loss_db,
-    path_loss_db,
     plos_probability,
 )
 from .config import (
@@ -39,11 +38,10 @@ from .config import (
     flat_city_config,
     load_config,
     preset_config,
-    save_config,
     with_seed,
 )
 from .errors import ConfigError, ScenarioError, StuckError
-from .gridfile import load_grid, parse_grid, save_grid
+from .gridfile import save_grid
 from .linkfield import TruthLink, ray_table_for
 from .offload import OffloadConfig, ProcessingMode, remote_update_rate, select_mode, speed_limit
 from .planner import PlanConfig, Planner, PlannerKind
@@ -89,16 +87,12 @@ __all__ = [
     "flat_city_config",
     "free_space_path_loss_db",
     "load_config",
-    "load_grid",
-    "parse_grid",
-    "path_loss_db",
     "plos_probability",
     "preset_config",
     "ray_table_for",
     "remote_update_rate",
     "run_batch",
     "run_episode",
-    "save_config",
     "save_grid",
     "select_mode",
     "sense",

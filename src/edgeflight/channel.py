@@ -64,21 +64,17 @@ def free_space_path_loss_db(distance_m, carrier_hz):
     return 20.0 * np.log10(d) + carrier_loss_db(carrier_hz) + _FOUR_PI_OVER_C_DB
 
 
-def path_loss_db(distance_m, state: LinkState, p: ChannelParams):
-    """Free-space loss plus the NLoS excess; assumed-LoS is priced as LoS."""
-    pl = free_space_path_loss_db(distance_m, p.carrier_hz)
-    if state is LinkState.NLOS:
-        pl = pl + p.nlos_excess_db
-    return pl
-
-
 # The *_scalar helpers price one link for per-tick callers. They equal their
 # array versions bit for bit: the same numpy ufuncs (the math module's can
 # differ in the last bit) in the same order, without array dispatch.
 
 def path_loss_db_scalar(distance_m: float, nlos: bool, carrier_loss: float,
                         p: ChannelParams) -> float:
-    """path_loss_db for one distance; `carrier_loss` is carrier_loss_db(p.carrier_hz)."""
+    """Free-space loss at one distance, plus the NLoS excess where `nlos`.
+
+    `carrier_loss` is carrier_loss_db(p.carrier_hz). Equals minus
+    linkfield.layer_gain_db at that distance.
+    """
     pl = 20.0 * np.log10(max(distance_m, 1e-9)) + carrier_loss + _FOUR_PI_OVER_C_DB
     if nlos:
         pl = pl + p.nlos_excess_db

@@ -26,7 +26,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .channel import ChannelParams
+import numpy as np
+
+from .channel import ChannelParams, dbm_to_mw, free_space_path_loss_db
 from .errors import ConfigError
 from .offload import OffloadConfig
 from .planner import PlanConfig
@@ -49,6 +51,36 @@ class SimParams:
                 "is not a finite number of ticks; raise sim.tick_s")
 
 
+def _check_link_powers(ch: ChannelParams, sc: ScenarioConfig) -> None:
+    """Reject a channel whose powers over this map leave a float's range.
+
+    The noise power, and every received power at the nearest and the
+    farthest BS-to-vehicle distance the map allows, in LoS and NLoS and
+    through either antenna level, must be a positive finite float in mW, and
+    so must its ratio to the noise. Otherwise the link budgets divide zero
+    by zero or overflow.
+    """
+    dz = abs(sc.uav_altitude_m - sc.bs_height_m)
+    powers = [("the noise power from channel.noise_figure_db", ch.noise_dbm)]
+    for name, tx in (("uav_tx_power_dbm", ch.uav_tx_power_dbm),
+                     ("bs_tx_power_dbm", ch.bs_tx_power_dbm),
+                     ("bs_tx_power_dbm through channel.antenna_backlobe_db",
+                      ch.bs_tx_power_dbm + ch.antenna_backlobe_db)):
+        for d in (dz, math.hypot(*sc.map_size_m, dz)):
+            los = tx - float(free_space_path_loss_db(d, ch.carrier_hz))
+            what = f"the power received {d:.6g} m away from channel.{name}"
+            powers += [(f"{what} in LoS", los),
+                       (f"{what} in NLoS, less channel.nlos_excess_db", los - ch.nlos_excess_db)]
+    with np.errstate(over="ignore"):
+        noise_mw = float(dbm_to_mw(ch.noise_dbm))
+        for what, dbm in powers:
+            mw = float(dbm_to_mw(dbm))
+            if not (0.0 < mw < math.inf and mw / noise_mw < math.inf):
+                raise ConfigError(
+                    f"{what} is {dbm:.6g} dBm, {mw!r} mW against a noise power of "
+                    f"{noise_mw!r} mW; keep powers and their ratios within a float's range")
+
+
 @dataclass(frozen=True)
 class Config:
     scenario: ScenarioConfig = ScenarioConfig()
@@ -57,6 +89,9 @@ class Config:
     offload: OffloadConfig = OffloadConfig()
     planner: PlanConfig = PlanConfig()
     sim: SimParams = SimParams()
+
+    def __post_init__(self):
+        _check_link_powers(self.channel, self.scenario)
 
 
 _SECTIONS = {
@@ -144,12 +179,6 @@ def load_config(path) -> Config:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     return config_from_dict(data)
-
-
-def save_config(path, cfg: Config) -> None:
-    with open(path, "w") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def config_digest(cfg: Config) -> str:

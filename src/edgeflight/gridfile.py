@@ -1,4 +1,4 @@
-"""Portable text format for height grids.
+"""Portable text format for height grids, as `edgeflight generate` writes them.
 
 Layout:
     # optional comment lines
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-
 
 def dump_grid(heights: np.ndarray, cell_size_m: float, comments: list[str] | None = None) -> str:
     nx, ny = heights.shape
@@ -24,33 +22,7 @@ def dump_grid(heights: np.ndarray, cell_size_m: float, comments: list[str] | Non
     return "\n".join(lines) + "\n"
 
 
-def parse_grid(text: str) -> tuple[np.ndarray, float]:
-    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not rows:
-        raise ConfigError("empty grid file")
-    head = rows[0].split()
-    if len(head) != 3:
-        raise ConfigError("grid header must be: width depth cell_size")
-    try:
-        nx, ny, cell = int(head[0]), int(head[1]), float(head[2])
-    except ValueError as e:
-        raise ConfigError(f"bad grid header: {e}") from None
-    if len(rows) - 1 != ny:
-        raise ConfigError(f"expected {ny} grid rows, found {len(rows) - 1}")
-    heights = np.empty((nx, ny))
-    for iy, ln in enumerate(rows[1:]):
-        vals = ln.split()
-        if len(vals) != nx:
-            raise ConfigError(f"row {iy} has {len(vals)} values, expected {nx}")
-        heights[:, iy] = [float(v) for v in vals]
-    return heights, cell
-
-
 def save_grid(path, heights: np.ndarray, cell_size_m: float, comments=None) -> None:
     with open(path, "w") as f:
         f.write(dump_grid(heights, cell_size_m, comments))
 
-
-def load_grid(path) -> tuple[np.ndarray, float]:
-    with open(path) as f:
-        return parse_grid(f.read())

@@ -1,8 +1,8 @@
 """Flight-layer link pricing: cell geometry, gains and ground-truth budgets.
 
 `layer_offsets` and `layer_gain_db` are the one flight-layer cell geometry and
-per-BS gain that every arm prices from: the radio map's LoS/NLoS gains, the
-baseline's expected loss and the global arm's truth grids. `TruthLink` gives
+per-BS gain that every arm prices from: the explored arm's LoS/NLoS limit
+grids, the baseline's expected loss and the global arm's truth grids. `TruthLink` gives
 the simulator its per-tick true budgets, always computed from truth, and the
 global arm its per-cell truth grids. Link states are evaluated at flight-layer
 cell resolution; powers use exact 3D distances. The UAV antenna boresight

@@ -6,9 +6,10 @@ speed-limit, NLoS, and interference grids fed to the cost model:
     baseline  - elevation-angle LoS probability prices every cell, no NLoS
                 penalty (the arm is LoS-blind), explored map used for
                 obstacles only.
-    explored  - speed limits from the self-built radio map (assumed-LoS cells
-                priced as LoS, interference unknown), NLoS penalty from the
-                radio map's state estimates.
+    explored  - speed limits and NLoS penalty from the self-built radio
+                map's link states: each state is priced from two limit
+                grids, LoS and NLoS, built once (assumed-LoS cells priced as
+                LoS, interference unknown).
     global    - truth link states everywhere plus downlink interference, NLoS
                 penalty from truth, extra interference-weighted time penalty.
 
@@ -41,7 +42,7 @@ from .channel import (
     expected_path_loss_db,
 )
 from .errors import ConfigError, StuckError
-from .linkfield import TruthLink, layer_offsets
+from .linkfield import TruthLink, layer_gain_db, layer_offsets
 from .offload import OffloadConfig
 from .radiomap import _STATE_CODE, RadioMap
 from .scenario import inflate_obstacles
@@ -130,6 +131,8 @@ class Planner:
         self._alt = scenario.cfg.uav_altitude_m
         self._goal_cell = scenario.truth.cell_of(scenario.goal)
         self._static = self._static_grids()
+        if self._static is None:
+            self._state_limits = self._explored_limits()
         self._fully_known = bool(explored.known.all())
         self._edges = self._lattice_edges()
         # each cache holds the inputs it was built from
@@ -157,15 +160,26 @@ class Planner:
             return rate_to_limit_grid(up, dn, self.oc), nlos, int_mw / (int_mw + sig_mw)
         return None
 
+    def _explored_limits(self) -> np.ndarray:
+        """(LoS, NLoS) speed-limit grids, stacked, that price the explored arm's states.
+
+        No interference is known, and UAV boresight tracks the serving BS, so
+        both antenna gains are 0 dB.
+        """
+        *_, dist = layer_offsets(self.sc.bs_positions[self.sc.serving_bs],
+                                 self._nx, self._ny, self._s, self._alt)
+        gain = layer_gain_db(dist, np.array([False, True])[:, None, None], self.ch)
+        up, dn, _ = capacity_grids(gain, 0.0, self.ch)
+        return rate_to_limit_grid(up, dn, self.oc)
+
     def _grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(speed limit, nlos, interference-fraction) grids for this plan."""
+        """(speed limit, nlos, interference-fraction) grids; assumed LoS is priced as LoS."""
         if self._static is not None:
             return self._static
         self.rm.ensure_layer_evaluated()
-        up, dn, _ = capacity_grids(self.rm.gain_grid, 0.0, self.ch)
-        limits = rate_to_limit_grid(up, dn, self.oc)
         nlos = self.rm.state_grid == _STATE_CODE[LinkState.NLOS]
-        return limits, nlos, np.zeros((self._nx, self._ny))
+        lim_los, lim_nlos = self._state_limits
+        return np.where(nlos, lim_nlos, lim_los), nlos, np.zeros((self._nx, self._ny))
 
     def forbidden_mask(self) -> np.ndarray:
         """Known obstacle cells at flight altitude, inflated by the margin.

@@ -1,15 +1,15 @@
 """Incrementally learned radio map of the flight layer toward the serving BS.
 
 The vehicle flies at one altitude and measures one serving BS, so the map is
-two dense grids over the flight layer, one value per map cell: `state_grid`
-holds a link-state code (MISSING until the cell is first estimated) and
-`gain_grid` the channel gain that state implies. A map bound to a fully
+one dense grid over the flight layer: `state_grid` holds a link-state code
+per map cell, MISSING until the cell is first estimated. The map keeps
+states only; the explored planner arm prices them. A map bound to a fully
 known explored map has nothing to learn, so it estimates every cell once
 at construction and holds no missing cell. Cells whose ray to the BS
 crosses only explored free cells are LoS; rays crossing a known obstacle are
 NLoS and stay NLoS (sticky); rays touching unexplored cells are assumed LoS
-and priced optimistically until the area is explored or measured. Rays are
-classified through the BS's precomputed RayTable.
+until the area is explored or measured. Rays are classified through the
+BS's precomputed RayTable.
 
 Refreshes are event-driven. Known heights never change, so a ray's verdict
 can change only when one of its crossed cells turns known. Each refresh
@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelParams, LinkState
-from .linkfield import layer_gain_db, layer_offsets
+from .channel import LinkState
 from .worldmap import ExploredMap, RayTable
 
 _STATE_CODE = {LinkState.LOS: 0, LinkState.NLOS: 1, LinkState.ASSUMED_LOS: 2}
@@ -35,28 +34,18 @@ _ASSUMED = _STATE_CODE[LinkState.ASSUMED_LOS]
 
 
 class RadioMap:
-    """Flight-layer link estimates bound to one explored map and one BS.
+    """Flight-layer link-state estimates bound to one explored map and one BS.
 
     The BS position and the layer height are the ray table's origin and
     target altitude.
     """
 
-    def __init__(self, table: RayTable, explored: ExploredMap, params: ChannelParams,
-                 sticky_nlos: bool = True):
+    def __init__(self, table: RayTable, explored: ExploredMap, sticky_nlos: bool = True):
         self.table = table
         self.explored = explored
         self.sticky_enabled = bool(sticky_nlos)
         nx, ny = explored.width_cells, explored.depth_cells
         self.state_grid = np.full((nx, ny), MISSING, dtype=np.int8)
-        self.gain_grid = np.full((nx, ny), np.nan)
-        # Every cell's LoS and NLoS gain toward the BS, from the flight-layer
-        # geometry and gain the other arms price with. UAV boresight tracks
-        # the serving BS: both antenna gains at 0 dB. Assumed LoS is priced
-        # as LoS.
-        *_, self._dist_grid = layer_offsets(table.origin, nx, ny, explored.cell_size_m,
-                                            table.target_z)
-        self._los_gain = layer_gain_db(self._dist_grid, False, params).ravel()
-        self._nlos_gain = layer_gain_db(self._dist_grid, True, params).ravel()
         # The explored cells as of the last refresh, and per estimated cell
         # whether its state may differ from its ray's verdict on the current
         # map. Knowledge is monotone, so a fully known map learns nothing.
@@ -86,16 +75,6 @@ class RadioMap:
             stale |= codes == _NLOS
         return (codes == MISSING) | (stale & self._dirty[win])
 
-    def _write(self, idx: np.ndarray, codes: np.ndarray) -> None:
-        """Store new state codes at flat cell indices, touching only changed cells."""
-        state = self.state_grid.reshape(-1)
-        changed = state[idx] != codes
-        idx, codes = idx[changed], codes[changed]
-        state[idx] = codes
-        self.gain_grid.reshape(-1)[idx] = np.where(
-            codes == _NLOS, self._nlos_gain[idx], self._los_gain[idx]
-        )
-
     def _refresh(self, idx: np.ndarray) -> None:
         """Re-classify the rays to the given flat cells against the explored map."""
         if len(idx) == 0:
@@ -103,8 +82,8 @@ class RadioMap:
         blocked, crosses = self.table.classify_subset(
             idx, self.explored.known, self.explored.heights
         )
-        codes = np.where(blocked, _NLOS, np.where(crosses, _ASSUMED, _LOS)).astype(np.int8)
-        self._write(idx, codes)
+        self.state_grid.reshape(-1)[idx] = np.where(blocked, _NLOS,
+                                                     np.where(crosses, _ASSUMED, _LOS))
         self._dirty.reshape(-1)[idx] = False
 
     def update_around(self, around, radius_m: float) -> None:
@@ -152,8 +131,7 @@ class RadioMap:
         prev = self.state_grid[ix, iy]
         if prev == code or (prev == _NLOS and self.sticky_enabled):
             return
-        self._write(np.array([ix * self.state_grid.shape[1] + iy]),
-                    np.array([code], dtype=np.int8))
+        self.state_grid[ix, iy] = code
         self._dirty[ix, iy] = True  # a measurement, not the ray's verdict
 
     def state_at(self, point) -> LinkState | None:

@@ -8,9 +8,12 @@ it checks. The grid walk, `ray_blocked`, is the reference for
 RayTable.classify_subset; acceptance gate 02 checks both against dense
 sampling. The truth link budgets are composed from channel.py's per-link
 functions and the SINR sum below, the reference for TruthLink's inlined
-arithmetic. The ray table reference is the original single-block build, every
-ray padded to the longest one, which the block build must reproduce value for
-value. FullRefreshRadioMap is the one exception to the rule above: it keeps
+arithmetic; `path_loss_db` is the array path loss per link state they use.
+`serving_link_speed_limit` is the per-tick speed governor over the serving
+link alone, the reference for the explored planner's limit grids.
+`parse_grid` reads back the grid files `edgeflight generate` writes. The ray
+table reference is the original single-block build, every ray padded to the
+longest one, which the block build must reproduce value for value. FullRefreshRadioMap is the one exception to the rule above: it keeps
 RadioMap's classification and replaces only its choice of cells to refresh,
 re-classifying every stale cell as RadioMap did before it tracked which rays
 new geometry can change.
@@ -27,9 +30,13 @@ from edgeflight.channel import (
     LinkState,
     antenna_gain_db,
     capacity_bps,
+    capacity_bps_scalar,
+    carrier_loss_db,
     dbm_to_mw,
-    path_loss_db,
+    free_space_path_loss_db,
+    path_loss_db_scalar,
 )
+from edgeflight.offload import remote_update_rate, select_mode, speed_limit
 from edgeflight.radiomap import _ASSUMED, _NLOS, MISSING, RadioMap
 
 # Ties in the traversal parameter below this width are exact corner touches;
@@ -264,6 +271,28 @@ def wedge_cells(nx, ny, cell_size_m, position, heading_deg, fov_deg, range_m):
     return out
 
 
+def path_loss_db(distance_m, state: LinkState, p):
+    """Free-space loss plus the NLoS excess; assumed-LoS is priced as LoS."""
+    pl = free_space_path_loss_db(distance_m, p.carrier_hz)
+    if state is LinkState.NLOS:
+        pl = pl + p.nlos_excess_db
+    return pl
+
+
+def serving_link_speed_limit(distance_m: float, nlos: bool, ch, oc) -> float:
+    """Speed limit of one tick governed by the serving link alone, no interference.
+
+    path_loss_db_scalar, capacity_bps_scalar, then the per-tick governor
+    (remote_update_rate, select_mode, speed_limit), one link at a time.
+    """
+    pl = path_loss_db_scalar(distance_m, nlos, carrier_loss_db(ch.carrier_hz), ch)
+    noise_mw = dbm_to_mw(ch.noise_dbm)
+    up = capacity_bps_scalar(dbm_to_mw(ch.uav_tx_power_dbm - pl) / noise_mw, ch.bandwidth_hz)
+    dn = capacity_bps_scalar(dbm_to_mw(ch.bs_tx_power_dbm - pl) / noise_mw, ch.bandwidth_hz)
+    _, fps = select_mode(remote_update_rate(up, dn, oc), oc.local_fps)
+    return speed_limit(fps, oc)
+
+
 def sinr_linear(signal_dbm, interferer_dbm, p):
     """Linear SINR for one signal against noise plus a list of interferers.
 
@@ -376,3 +405,32 @@ class FullRefreshRadioMap(RadioMap):
         if not self.sticky_enabled:
             due |= codes == _NLOS
         return due
+
+
+def parse_grid(text: str) -> tuple[np.ndarray, float]:
+    """(heights, cell size) from the text of a grid file.
+
+    Raises:
+        ValueError: malformed header, row count or row length.
+    """
+    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    if not rows:
+        raise ValueError("empty grid file")
+    head = rows[0].split()
+    if len(head) != 3:
+        raise ValueError("grid header must be: width depth cell_size")
+    nx, ny, cell = int(head[0]), int(head[1]), float(head[2])
+    if len(rows) - 1 != ny:
+        raise ValueError(f"expected {ny} grid rows, found {len(rows) - 1}")
+    heights = np.empty((nx, ny))
+    for iy, ln in enumerate(rows[1:]):
+        vals = ln.split()
+        if len(vals) != nx:
+            raise ValueError(f"row {iy} has {len(vals)} values, expected {nx}")
+        heights[:, iy] = [float(v) for v in vals]
+    return heights, cell
+
+
+def load_grid(path) -> tuple[np.ndarray, float]:
+    with open(path) as f:
+        return parse_grid(f.read())

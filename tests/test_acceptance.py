@@ -16,11 +16,12 @@ import pytest
 from scipy import stats
 
 import edgeflight as ef
-from edgeflight.channel import LinkState, path_loss_db
+from edgeflight.channel import LinkState
 from edgeflight.cli import EXIT_OK, main
 from edgeflight.config import config_to_dict
 from edgeflight.offload import OffloadConfig, remote_update_rate, speed_limit
-from edgeflight.planner import PlanConfig, PlannerKind
+from edgeflight.linkfield import TruthLink, layer_offsets
+from edgeflight.planner import PlanConfig, Planner, PlannerKind
 from edgeflight.radiomap import _STATE_CODE, MISSING, RadioMap
 from edgeflight.scenario import ScenarioConfig, build_scenario, generate_city
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
@@ -31,6 +32,7 @@ from oracles import (
     ray_blocked,
     ray_blocked_grid,
     relaxed_cost_to_go,
+    serving_link_speed_limit,
 )
 from test_planner import make_planner, make_world, planner_pen, random_world
 
@@ -204,7 +206,7 @@ def test_06_full_knowledge_map_equals_truth_ray_casting():
     full = ExploredMap.fully_known(truth)
     bs = sc.bs_positions[sc.serving_bs]
     table = RayTable(bs, truth.width_cells, truth.depth_cells, truth.cell_size_m, alt)
-    rm = RadioMap(table, full, ef.ChannelParams(), sticky_nlos=False)
+    rm = RadioMap(table, full, sticky_nlos=False)
     rm.ensure_layer_evaluated()
 
     want_blocked = ray_blocked_grid(truth, bs, alt)
@@ -220,6 +222,7 @@ def test_06_full_knowledge_map_equals_truth_ray_casting():
 
 def test_07_partial_map_estimates_are_never_pessimistic():
     params = ef.ChannelParams()
+    oc = OffloadConfig()
     sensor = SensorModel()
     checked = 0
     for city_seed in range(10):
@@ -229,14 +232,18 @@ def test_07_partial_map_estimates_are_never_pessimistic():
         explored = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
         bs = sc.bs_positions[sc.serving_bs]
         table = RayTable(bs, truth.width_cells, truth.depth_cells, truth.cell_size_m, alt)
-        rm = RadioMap(table, explored, params)
+        rm = RadioMap(table, explored)
+        pl = Planner(PlannerKind.EXPLORED, sc, explored, rm, TruthLink(sc, params, alt),
+                     params, oc, PlanConfig())
 
         rng = np.random.default_rng(city_seed)
         w, d = sc.cfg.map_size_m
         for _ in range(30):
             pos = np.array([rng.uniform(0, w), rng.uniform(0, d), alt])
             sense(truth, explored, pos, rng.uniform(-180, 180), sensor)
-        rm.ensure_layer_evaluated()
+        limits, nlos, _ = pl._grids()  # brings the radio map up to date first
+        dist = layer_offsets(bs, truth.width_cells, truth.depth_cells, truth.cell_size_m,
+                             alt)[3]
 
         s = truth.cell_size_m
         ix = rng.integers(0, truth.width_cells, size=1000)
@@ -244,11 +251,11 @@ def test_07_partial_map_estimates_are_never_pessimistic():
         for i, j in zip(ix, iy):
             tgt = np.array([(i + 0.5) * s, (j + 0.5) * s, alt])
             blocked = ray_blocked(truth, bs, tgt) is RayResult.BLOCKED
-            t_state = LinkState.NLOS if blocked else LinkState.LOS
-            t_gain = -path_loss_db(float(rm._dist_grid[i, j]), t_state, params)
-            assert rm.gain_grid[i, j] >= t_gain - 1e-12
+            t_limit = serving_link_speed_limit(float(dist[i, j]), blocked, params, oc)
+            assert limits[i, j] >= t_limit - 1e-12
+            assert blocked or not nlos[i, j]  # no NLoS penalty the truth lacks
             checked += 1
-    print(f"\nPASS optimism: {checked}/10000 cell estimates at or above truth gain")
+    print(f"\nPASS optimism: {checked}/10000 cell speed limits at or above the truth's")
 
 
 def test_08_batch_runs_are_byte_identical(tmp_path):

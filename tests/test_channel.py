@@ -12,12 +12,11 @@ from edgeflight.channel import (
     dbm_to_mw,
     expected_path_loss_db,
     free_space_path_loss_db,
-    path_loss_db,
     path_loss_db_scalar,
     plos_probability,
 )
 from edgeflight.errors import ConfigError
-from oracles import sinr_linear
+from oracles import path_loss_db, sinr_linear
 
 P = ChannelParams()
 

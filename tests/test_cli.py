@@ -3,9 +3,15 @@ import json
 import pytest
 
 from edgeflight.cli import EXIT_CONFIG, EXIT_OK, EXIT_STUCK, main
-from edgeflight.config import config_to_dict, default_config
-from edgeflight.gridfile import load_grid
+from edgeflight.config import (
+    PRESETS,
+    config_from_dict,
+    config_to_dict,
+    default_config,
+    preset_config,
+)
 from edgeflight.scenario import _MAX_RAY_TABLE_ENTRIES, ScenarioConfig
+from oracles import load_grid
 
 
 @pytest.fixture()
@@ -195,6 +201,40 @@ def test_absurd_altitude_is_rejected_only_where_distances_overflow(
     assert rc in codes
     if rc == EXIT_CONFIG:
         assert "scenario.uav_altitude_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channel, field", [
+    ({"bs_tx_power_dbm": -4000}, "channel.bs_tx_power_dbm"),  # received powers underflow
+    ({"nlos_excess_db": 4000}, "channel.nlos_excess_db"),     # NLoS powers underflow
+    ({"bs_tx_power_dbm": 4000}, "channel.bs_tx_power_dbm"),   # received powers overflow
+    ({"noise_figure_db": 4000}, "channel.noise_figure_db"),   # the noise power overflows
+])
+def test_power_outside_a_float_is_config_error_naming_the_field(
+        tmp_path, capsys, small_config_path, channel, field):
+    d = json.loads(small_config_path.read_text())
+    d["channel"].update(channel)
+    cfg = tmp_path / "power.json"
+    cfg.write_text(json.dumps(d))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_power_check_accepts_the_presets_golden_and_dead_link_configs(small_config_path):
+    from test_golden import golden_config
+
+    configs = [preset_config(name) for name in PRESETS]
+    configs += [golden_config(), golden_config(sticky_nlos=False)]
+    for cfg in configs:
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+    # a dead link: no local processing and an uplink that cannot carry a frame
+    d = json.loads(small_config_path.read_text())
+    d["channel"]["uav_tx_power_dbm"] = -60.0
+    d["offload"]["local_fps"] = 0.0
+    assert config_from_dict(d).channel.uav_tx_power_dbm == -60.0
 
 
 def test_memory_error_outside_the_map_grid_keeps_its_traceback(

@@ -11,7 +11,6 @@ from edgeflight.config import (
     flat_city_config,
     load_config,
     preset_config,
-    save_config,
     with_seed,
 )
 from edgeflight.errors import ConfigError
@@ -20,7 +19,7 @@ from edgeflight.errors import ConfigError
 def test_roundtrip_through_file(tmp_path):
     cfg = default_config(seed=9)
     p = tmp_path / "cfg.json"
-    save_config(p, cfg)
+    p.write_text(json.dumps(config_to_dict(cfg)))
     back = load_config(p)
     assert back == cfg
     assert config_digest(back) == config_digest(cfg)

