@@ -47,7 +47,7 @@ from .offload import OffloadConfig, ProcessingMode, remote_update_rate, select_m
 from .planner import PlanConfig, Planner, PlannerKind
 from .radiomap import RadioMap
 from .scenario import HeightField, Scenario, ScenarioConfig, build_scenario
-from .simcore import BatchResult, Metrics, TrajectoryLog, UavState, run_batch, run_episode
+from .simcore import BatchResult, Metrics, TrajectoryLog, run_batch, run_episode
 from .worldmap import ExploredMap, RayTable, SensorModel, sense
 
 __version__ = "0.1.0"
@@ -76,7 +76,6 @@ __all__ = [
     "StuckError",
     "TrajectoryLog",
     "TruthLink",
-    "UavState",
     "capacity_bps",
     "config_digest",
     "config_from_dict",

@@ -67,18 +67,24 @@ def _parse_kinds(spec: str) -> tuple[PlannerKind, ...]:
     for name in spec.split(","):
         name = name.strip()
         try:
-            out.append(PlannerKind(name))
+            kind = PlannerKind(name)
         except ValueError:
             raise ConfigError(
                 f"unknown planner {name!r}; pick from "
                 f"{[k.value for k in _ALL_KINDS]} or 'all'"
             ) from None
+        if kind in out:
+            raise ConfigError(f"planner {name!r} is listed more than once in --planners")
+        out.append(kind)
     return tuple(out)
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {args.out!r} cannot be made a directory: {e.strerror}") from None
     return out
 
 

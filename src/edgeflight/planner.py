@@ -1,28 +1,29 @@
 """LoS-aware lattice planning over per-cell speed limits.
 
-All three policy arms share one search; they differ only in the per-cell
-speed-limit, NLoS, and interference grids fed to the cost model:
+All three policy arms share one search and one cost model; they differ only
+in the per-cell speed-limit, NLoS, and interference grids fed to it:
 
-    baseline  - elevation-angle LoS probability prices every cell, no NLoS
-                penalty (the arm is LoS-blind), explored map used for
-                obstacles only.
-    explored  - speed limits and NLoS penalty from the self-built radio
-                map's link states: each state is priced from two limit
-                grids, LoS and NLoS, built once (assumed-LoS cells priced as
-                LoS, interference unknown).
-    global    - truth link states everywhere plus downlink interference, NLoS
-                penalty from truth, extra interference-weighted time penalty.
+    baseline  - elevation-angle LoS probability prices every cell; LoS-blind,
+                it believes no cell NLoS; explored map for obstacles only.
+    explored  - speed limits and NLoS cells from the self-built radio map's
+                link states: each state is priced from two limit grids, LoS
+                and NLoS, built once (assumed-LoS cells priced as LoS,
+                interference unknown, so its grid is zero).
+    global    - truth link states everywhere plus downlink interference.
 
 Cost model: an edge u->v of length d is traversed at min(limit(u), limit(v)),
 taking time T = d / speed, half inside each cell. Edge cost is
 T + lambda * T/2 * (nlos(u) + nlos(v)) + mu * T/2 * (intf(u) + intf(v)).
 One goal-rooted shortest-path sweep over the whole lattice prices every
 cell, and it is rebuilt only when the speed limits, cost rates or forbidden
-cells it was built from change; a plan walks the next-hop chain from the
-current cell and commits only the prefix inside the time horizon (and,
-optionally, inside sensed ground). Replanning therefore always descends the
-same cost-to-go field until new information actually changes it, which rules
-out the oscillation a horizon-truncated search can fall into near walls.
+cells it was built from change. Forbidden cells are dead ends of the sweep:
+they get a cost-to-go through their cheapest free neighbour, and no path
+runs through them, so a vehicle whose cell a fresh margin swallowed hops out
+along the same next-hop chain. A plan walks that chain from the current cell
+and commits only the prefix inside the time horizon (and, optionally, inside
+sensed ground). Replanning therefore always descends the same cost-to-go
+field until new information actually changes it, which rules out the
+oscillation a horizon-truncated search can fall into near walls.
 """
 
 from __future__ import annotations
@@ -129,7 +130,8 @@ class Planner:
         self._ny = scenario.truth.depth_cells
         self._s = scenario.truth.cell_size_m
         self._alt = scenario.cfg.uav_altitude_m
-        self._goal_cell = scenario.truth.cell_of(scenario.goal)
+        gx, gy = scenario.truth.cell_of(scenario.goal)
+        self._goal_flat = gx * self._ny + gy
         self._static = self._static_grids()
         if self._static is None:
             self._state_limits = self._explored_limits()
@@ -219,10 +221,9 @@ class Planner:
     def _cost_field(self):
         """Cost-to-goal potential and next-hop table for the current map.
 
-        One goal-rooted shortest-path sweep prices every cell; plans then
-        walk next hops, so successive replans descend a single potential and
-        cannot cycle. Rebuilt only when the speed limits, cost rates or
-        forbidden cells it was built from change. The static arms' speed
+        Only free cells have edges out in the goal-rooted sweep, so a
+        forbidden cell is a dead end priced by its cheapest hop to a free
+        neighbour, and infinite if it has none. The static arms' speed
         limits and cost rates never change, so their field is returned while
         the forbidden mask is the object it was built from; the explored
         arm's grids are compared by value.
@@ -232,67 +233,51 @@ class Planner:
         cache = self._field_cache
         if cache is not None and cache[0] is forb and self._static is not None:
             return cache[3]
-        lam = self.pc.nlos_penalty if self.kind is not PlannerKind.BASELINE else 0.0
-        mu = self.pc.interference_weight if self.kind is PlannerKind.GLOBAL else 0.0
         # per-cell cost rate; an edge charges the mean of its two endpoints
-        pen = 1.0 + lam * nlos.ravel().astype(float) + mu * intf.ravel()
+        pen = (1.0 + self.pc.nlos_penalty * nlos.ravel()
+               + self.pc.interference_weight * intf.ravel())
         if (cache is not None and cache[0] is forb and np.array_equal(cache[1], limits)
                 and np.array_equal(cache[2], pen)):
             return cache[3]
         u, v, length = self._edges
         lim = limits.ravel()
         weight = length / np.minimum(lim[u], lim[v]) * 0.5 * (pen[u] + pen[v])
-        ok = ~forb.ravel()
-        m = ok[u] & ok[v]
+        # the sweep runs from the goal, so u is the cell a hop lands on
+        m = ~forb.ravel()[u]
         n = self._nx * self._ny
         graph = sparse.csr_matrix((weight[m], (u[m], v[m])), shape=(n, n))
-        goal_flat = self._goal_cell[0] * self._ny + self._goal_cell[1]
-        gstar, pred = csgraph.dijkstra(graph, directed=True, indices=goal_flat,
+        gstar, pred = csgraph.dijkstra(graph, directed=True, indices=self._goal_flat,
                                        return_predecessors=True)
-        field = (gstar, pred, limits, weight, forb)
+        field = (gstar, pred, limits)
         self._field_cache = (forb, limits, pen, field)
         return field
-
-    def _escape_hop(self, c, gstar, weight, forb):
-        """Cheapest hop out of a cell swallowed by a fresh obstacle margin."""
-        u, v, _ = self._edges
-        e = np.flatnonzero(u == c)
-        e = e[~forb.ravel()[v[e]] & np.isfinite(gstar[v[e]])]
-        if len(e) == 0:
-            return None, None
-        hop, total = v[e], weight[e] + gstar[v[e]]
-        best = np.lexsort((hop, total))[0]  # ties go to the lowest flat index
-        return int(hop[best]), float(total[best] - gstar[hop[best]])
 
     def plan(self, position) -> TrajectorySegment:
         """One planning step from the current position toward the goal.
 
+        Walks the next-hop chain from the current cell, which may be a
+        forbidden cell a fresh margin swallowed: its first hop then leads
+        out, and counts toward the horizon like any other edge.
+
         Raises:
-            StuckError: the goal is unreachable from the current cell.
+            StuckError: the current cell's cost-to-go is infinite, i.e. the
+                goal is unreachable from it.
         """
-        gstar, nxt, limits, weight, forb = self._cost_field()
+        gstar, nxt, limits = self._cost_field()
         ny = self._ny
         s = self._s
         start = self.sc.truth.cell_of(position)
-        goal_flat = self._goal_cell[0] * ny + self._goal_cell[1]
         c = start[0] * ny + start[1]
 
         cells_flat = [c]
         plan_cost = float(gstar[c])
         if not np.isfinite(plan_cost):
-            hop, edge = self._escape_hop(c, gstar, weight, forb)
-            if hop is None:
-                raise StuckError("goal unreachable from the current cell")
-            cells_flat.append(hop)
-            plan_cost = edge + float(gstar[hop])
-            c = hop
+            raise StuckError("goal unreachable from the current cell")
 
         lim = limits.ravel()
         t_acc = 0.0
-        while c != goal_flat:
+        while c != self._goal_flat:
             h = int(nxt[c])
-            if h < 0:
-                break
             dd = _SQRT2 if abs(h // ny - c // ny) + abs(h % ny - c % ny) == 2 else 1.0
             t_edge = dd * s / min(lim[c], lim[h])
             # the horizon bounds commitment, never reachability; always keep
@@ -312,11 +297,8 @@ class Planner:
                 commit += 1
         committed = cells[:commit]
 
-        if commit >= 2:
-            committed_cost = plan_cost - float(gstar[cells_flat[commit - 1]])
-        else:
-            committed_cost = 0.0
-        reaches_goal = cells_flat[-1] == goal_flat and commit == len(cells)
+        committed_cost = plan_cost - float(gstar[cells_flat[commit - 1]])
+        reaches_goal = cells_flat[-1] == self._goal_flat and commit == len(cells)
 
         heading_hint = None
         if len(committed) < 2 and len(cells) >= 2:
@@ -347,10 +329,9 @@ class Planner:
                 p = np.array([*self.sc.truth.cell_center(*c), self._alt])
             pts.append(p)
             speeds.append(min(limits[cells[i - 1]], limits[c]))
-        points = np.vstack(pts) if len(pts) > 1 else pos.reshape(1, 3)
         return TrajectorySegment(
             cells=cells,
-            points=points,
+            points=np.vstack(pts),
             leg_speeds=np.asarray(speeds),
             cost=cost,
             plan_cost=plan_cost,

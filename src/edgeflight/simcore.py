@@ -27,13 +27,6 @@ from .worldmap import ExploredMap, SensorModel, sense
 
 
 @dataclass
-class UavState:
-    position: np.ndarray
-    heading_deg: float
-    time_s: float
-
-
-@dataclass
 class Metrics:
     flight_distance_m: float
     flight_duration_s: float
@@ -81,10 +74,6 @@ class TrajectoryLog:
         return "\n".join(out) + "\n"
 
 
-def bearing_deg(a, b) -> float:
-    return float(np.degrees(np.arctan2(b[1] - a[1], b[0] - a[0])))
-
-
 def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
                 collect_log: bool = True) -> tuple[Metrics, TrajectoryLog]:
     """Fly one mission with one policy arm; deterministic for a given scenario."""
@@ -104,12 +93,10 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     tl = TruthLink(scenario, cfg.channel, alt)
     planner = Planner(kind, scenario, explored, rm, tl, cfg.channel, cfg.offload, cfg.planner)
 
-    state = UavState(
-        position=np.asarray(scenario.start, dtype=float).copy(),
-        heading_deg=bearing_deg(scenario.start, scenario.goal),
-        time_s=0.0,
-    )
+    pos = np.asarray(scenario.start, dtype=float).copy()
     goal = np.asarray(scenario.goal, dtype=float)
+    heading = float(np.degrees(np.arctan2(goal[1] - pos[1], goal[0] - pos[0])))
+    time_s = 0.0
     log = TrajectoryLog()
 
     seg = None
@@ -120,11 +107,9 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     nlos_dist = 0.0
     cap_integral = 0.0
     reached = False
-    stuck = False
     max_ticks = int(math.ceil(cfg.sim.timeout_s / dt))
 
     for _ in range(max_ticks):
-        pos = state.position
         # 1-2: true budgets -> mode, rate, speed cap
         up_true = tl.uplink_capacity(pos)
         dn_true, dn_sinr, _ = tl.downlink(pos)
@@ -136,7 +121,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         frame_credit += eff_fps * dt
         if frame_credit >= 1.0:
             frame_credit -= math.floor(frame_credit)
-            sense(truth, explored, pos, state.heading_deg, sensor)
+            sense(truth, explored, pos, heading, sensor)
             rm.update_around(pos, update_radius)
 
         # 4: measured state of the current cell
@@ -146,29 +131,26 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         rm.csi_correct(pos, true_state)
 
         # 5: planning
-        consumed = seg is None or seg_leg >= len(seg.leg_speeds)
-        invalid = consumed
-        if not invalid:
-            invalid = segment_invalidated(seg, seg_leg, planner.forbidden_mask())
-        if replan_due(state.time_s, last_plan, cfg.planner, invalidated=invalid):
+        invalid = (seg is None or seg_leg >= len(seg.leg_speeds)
+                   or segment_invalidated(seg, seg_leg, planner.forbidden_mask()))
+        if replan_due(time_s, last_plan, cfg.planner, invalidated=invalid):
             try:
                 seg = planner.plan(pos)
             except StuckError:
-                stuck = True
                 if collect_log:
-                    log.append(state.time_s, pos, 0.0, mode, true_state, est_name,
+                    log.append(time_s, pos, 0.0, mode, true_state, est_name,
                                up_true, 10.0 * math.log10(max(dn_sinr, 1e-30)))
                 break
             seg_leg = 0
-            last_plan = state.time_s
+            last_plan = time_s
 
         # 6: advance along the committed polyline
         v_plan = seg.leg_speeds[seg_leg] if seg_leg < len(seg.leg_speeds) else 0.0
         v = min(v_plan, true_lim)
         moved = 0.0
-        if v > 0.0 and seg_leg < len(seg.leg_speeds):
+        p = pos
+        if v > 0.0:
             budget = v * dt
-            p = pos.copy()
             while budget > 1e-12 and seg_leg < len(seg.leg_speeds):
                 tgt = seg.points[seg_leg + 1]
                 step = tgt - p
@@ -184,33 +166,32 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
                     budget = 0.0
             if moved > 1e-12:
                 delta = p - pos
-                state.heading_deg = float(np.degrees(np.arctan2(delta[1], delta[0])))
-            state.position = p
-        elif seg is not None and seg.heading_hint is not None:
-            state.heading_deg = seg.heading_hint
+                heading = float(np.degrees(np.arctan2(delta[1], delta[0])))
+        elif seg.heading_hint is not None:
+            heading = seg.heading_hint
 
         if collect_log:
-            log.append(state.time_s, pos, moved / dt, mode, true_state, est_name,
+            log.append(time_s, pos, moved / dt, mode, true_state, est_name,
                        up_true, 10.0 * math.log10(max(dn_sinr, 1e-30)))
         dist += moved
         if true_state is LinkState.NLOS:
             nlos_dist += moved
         cap_integral += up_true * dt
-        state.time_s += dt
+        time_s += dt
+        pos = p
 
-        off = state.position[:2] - goal[:2]
+        off = pos[:2] - goal[:2]
         if np.sqrt(off.dot(off)) < 1e-6:
             reached = True
             break
 
-    duration = state.time_s
     metrics = Metrics(
         flight_distance_m=dist,
-        flight_duration_s=duration,
-        avg_uplink_capacity_bps=cap_integral / duration if duration > 0 else 0.0,
+        flight_duration_s=time_s,
+        avg_uplink_capacity_bps=cap_integral / time_s if time_s > 0 else 0.0,
         nlos_distance_ratio=nlos_dist / dist if dist > 0 else 0.0,
         reached=reached,
-        stuck=stuck or not reached,
+        stuck=not reached,
     )
     return metrics, log
 

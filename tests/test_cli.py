@@ -118,6 +118,35 @@ def test_unknown_planner_is_config_error(tmp_path, small_config_path, capsys):
     assert "unknown planner" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_repeated_planner_is_config_error_naming_it(tmp_path, small_config_path, capsys,
+                                                    command):
+    out = tmp_path / "x"
+    rc = main([
+        command, "--config", str(small_config_path), "--planners", "global,explored, global",
+        "--out", str(out),
+    ])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'global'" in err and "--planners" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", ["generate", "run", "batch"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, small_config_path, capsys,
+                                                        command, under_file):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "sub" if under_file else afile
+    extra = ["--episodes", "1"] if command == "batch" else []
+    rc = main([command, "--config", str(small_config_path), "--out", str(out), *extra])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--out" in err and str(out) in err
+    assert afile.read_text() == "kept\n"
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     rc = main(["generate", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "x")])

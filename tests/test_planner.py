@@ -22,7 +22,12 @@ from edgeflight.radiomap import _STATE_CODE, RadioMap
 from edgeflight.scenario import HeightField, Scenario, ScenarioConfig, build_scenario
 from edgeflight.simcore import run_episode
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
-from oracles import enumerate_best_path_cost, relaxed_cost_to_go, serving_link_speed_limit
+from oracles import (
+    edge_cost,
+    enumerate_best_path_cost,
+    relaxed_cost_to_go,
+    serving_link_speed_limit,
+)
 
 CH = ChannelParams()
 OC = OffloadConfig()
@@ -66,9 +71,7 @@ def make_planner(sc: Scenario, kind: PlannerKind, pc: PlanConfig | None = None,
 def planner_pen(pl: Planner) -> np.ndarray:
     """The documented per-cell cost rate, rebuilt from the planner's grids."""
     limits, nlos, intf = pl._grids()
-    lam = pl.pc.nlos_penalty if pl.kind is not PlannerKind.BASELINE else 0.0
-    mu = pl.pc.interference_weight if pl.kind is PlannerKind.GLOBAL else 0.0
-    return limits, 1.0 + lam * nlos.astype(float) + mu * intf
+    return limits, 1.0 + pl.pc.nlos_penalty * nlos.astype(float) + pl.pc.interference_weight * intf
 
 
 def random_world(rng, nx, ny, p_obstacle=0.2):
@@ -172,36 +175,84 @@ def test_escape_hop_from_inflated_margin():
 
 
 def test_escape_hop_matches_a_neighbour_loop():
-    # reference: scan the eight neighbours with the documented edge cost
+    # a forbidden cell is a dead end of the sweep: its cost-to-go is the
+    # cheapest hop to a free neighbour, scanned here with the documented
+    # edge cost, and its next hop is a free neighbour that attains it
     rng = np.random.default_rng(9)
-    checked = 0
+    checked = dead = 0
     for _ in range(6):
         heights, bs_c, start_c, goal_c = random_world(rng, 10, 10)
         sc = make_world(heights, bs_c, start_c, goal_c)
         pl = make_planner(sc, PlannerKind.GLOBAL)
-        gstar, _, limits, weight, forb = pl._cost_field()
-        _, pen = planner_pen(pl)
-        for c in np.flatnonzero(forb):
-            ux, uy = divmod(int(c), 10)
-            best = None
-            for vx in range(ux - 1, ux + 2):
-                for vy in range(uy - 1, uy + 2):
-                    if (vx, vy) == (ux, uy) or not (0 <= vx < 10 and 0 <= vy < 10):
+        gstar, pred, _ = pl._cost_field()
+        limits, pen = planner_pen(pl)
+        forb = pl.forbidden_mask()
+        g = gstar.reshape(10, 10)
+        for c in map(tuple, np.argwhere(forb)):
+            totals = {}
+            for vx in range(c[0] - 1, c[0] + 2):
+                for vy in range(c[1] - 1, c[1] + 2):
+                    v = (vx, vy)
+                    if v == c or not (0 <= vx < 10 and 0 <= vy < 10):
                         continue
-                    if forb[vx, vy] or not np.isfinite(gstar[vx * 10 + vy]):
+                    if forb[v] or not np.isfinite(g[v]):
                         continue
-                    d = 5.0 * np.hypot(vx - ux, vy - uy)
-                    w = d / min(limits[ux, uy], limits[vx, vy]) * 0.5 * (pen[ux, uy] + pen[vx, vy])
-                    if best is None or (w + gstar[vx * 10 + vy], vx * 10 + vy) < best:
-                        best = (w + gstar[vx * 10 + vy], vx * 10 + vy)
-            hop, edge = pl._escape_hop(int(c), gstar, weight, forb)
-            if best is None:
-                assert hop is None
+                    totals[v] = edge_cost(c, v, limits, pen, 5.0) + g[v]
+            flat = c[0] * 10 + c[1]
+            if not totals:
+                assert g[c] == np.inf and pred[flat] < 0, c
+                dead += 1
                 continue
-            assert hop == best[1]
-            assert edge == pytest.approx(best[0] - gstar[best[1]], rel=1e-12)
+            assert g[c] == pytest.approx(min(totals.values()), rel=1e-12), c
+            hop = divmod(int(pred[flat]), 10)
+            assert hop in totals, c
+            assert totals[hop] == pytest.approx(g[c], rel=1e-12), c
             checked += 1
-    assert checked >= 50
+    assert checked >= 50 and dead >= 10
+
+
+def test_margin_that_leaves_the_start_no_free_neighbour_raises_stuck():
+    heights = np.zeros((12, 12))
+    sc = make_world(heights, (0, 0), (4, 4), (10, 4))
+    explored = ExploredMap.fully_known(sc.truth)
+    explored.heights[4, 5] = 80.0  # the margin of 2 covers the start and all its neighbours
+    pl = make_planner(sc, PlannerKind.GLOBAL, PlanConfig(horizon_s=1e9, safety_margin_cells=2),
+                      explored=explored)
+    forb = pl.forbidden_mask()
+    assert forb[3:6, 3:6].all()
+    gstar, _, _ = pl._cost_field()
+    assert gstar[4 * 12 + 4] == np.inf
+    assert np.isfinite(gstar[1 * 12 + 4])  # the goal stays reachable from free ground
+    with pytest.raises(StuckError):
+        pl.plan(sc.start)
+
+
+def test_hop_out_of_a_swallowed_start_counts_toward_the_horizon():
+    heights = np.zeros((16, 16))
+    sc = make_world(heights, (0, 0), (1, 8), (15, 8))
+    explored = ExploredMap.fully_known(sc.truth)
+    explored.heights[1, 9] = 80.0  # adjacent to the start cell
+    pl = make_planner(sc, PlannerKind.GLOBAL,
+                      PlanConfig(horizon_s=2.0, commit_within_sensed=False),
+                      explored=explored)
+    forb = pl.forbidden_mask()
+    seg = pl.plan(sc.start)
+    assert forb[seg.cells[0]] and not forb[seg.cells[1]]
+    assert not seg.reaches_goal and len(seg.cells) >= 3
+    leg_s = [
+        np.linalg.norm(seg.points[i + 1] - seg.points[i]) / seg.leg_speeds[i]
+        for i in range(len(seg.leg_speeds))
+    ]
+    # the hop out is the first leg, and the horizon caps the committed time
+    # with it: the plan stops one edge short of overrunning it
+    _, pred, limits = pl._cost_field()
+    last = seg.cells[-1]
+    nxt = divmod(int(pred[last[0] * 16 + last[1]]), 16)
+    next_s = 5.0 * np.hypot(nxt[0] - last[0], nxt[1] - last[1]) / min(limits[last], limits[nxt])
+    assert sum(leg_s) <= 2.0 + 1e-9
+    assert sum(leg_s) + next_s > 2.0
+    assert seg.plan_cost == pytest.approx(seg.cost + pl._cost_field()[0][last[0] * 16 + last[1]],
+                                          rel=1e-12)
 
 
 def test_horizon_truncates_commitment_not_reachability():

@@ -67,22 +67,30 @@ def test_full_knowledge_matches_truth_rays():
 
 
 def test_optimism_invariant():
+    # at 25 m the site sees 0.6% of this layer; at 45 m it sees about 68%,
+    # so most sampled cells are truly LoS and most of those are assumed LoS
     truth = city(3)
+    bs = np.array([102.5, 102.5, 45.0])
     rng = np.random.default_rng(5)
-    truth_blocked = ray_blocked_grid(truth, BS, ALT)
+    truth_blocked = ray_blocked_grid(truth, bs, ALT)
+    los = assumed = nlos_est = 0
     for _ in range(4):
         em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
         for _ in range(int(rng.integers(1, 8))):
             pos = (rng.uniform(0, 200), rng.uniform(0, 200), ALT)
             sense(truth, em, pos, rng.uniform(-180, 180), SensorModel(120.0, 50.0))
-        rm = make_rm(em, BS)
+        rm = make_rm(em, bs)
         rm.ensure_layer_evaluated()
         # LoS and assumed LoS are priced as LoS, so an estimate is never
         # priced below the truth unless it says NLoS where the truth is LoS
         for flat in rng.integers(0, truth.width_cells * truth.depth_cells, 400):
             ix, iy = divmod(int(flat), truth.depth_cells)
-            est_nlos = rm.state_grid[ix, iy] == _STATE_CODE[LinkState.NLOS]
-            assert not est_nlos or truth_blocked[ix, iy]
+            state = _CODE_STATE[rm.state_grid[ix, iy]]
+            assert state is not LinkState.NLOS or truth_blocked[ix, iy]
+            los += not truth_blocked[ix, iy]
+            assumed += state is LinkState.ASSUMED_LOS and not truth_blocked[ix, iy]
+            nlos_est += state is LinkState.NLOS
+    assert los >= 800 and assumed >= 500 and nlos_est >= 50, (los, assumed, nlos_est)
 
 
 def test_sticky_nlos_survives_updates():
