@@ -87,7 +87,15 @@ class RadioMap:
         self._dirty.reshape(-1)[idx] = False
 
     def update_around(self, around, radius_m: float) -> None:
-        """Re-estimate every missing or dirty stale cell within radius of `around`."""
+        """Re-estimate every missing or dirty stale cell within radius of `around`.
+
+        A map fully known at construction has no missing cell and, since
+        nothing is unknown, no assumed-LoS one; with sticky NLoS those are
+        the only stale states, so no cell can ever be due and the call
+        returns at once.
+        """
+        if self._known_seen is None and self.sticky_enabled:
+            return
         s = self.explored.cell_size_m
         nx, ny = self.state_grid.shape
         px, py = float(around[0]), float(around[1])

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_dilation
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import ConfigError, ScenarioError
 
@@ -198,11 +199,44 @@ def inflate_obstacles(blocked: np.ndarray, margin_cells: int) -> np.ndarray:
 
     Diagonal moves graze corners, so diagonal neighbours get the margin too.
     Both the planner's forbidden mask and endpoint placement use this shell.
+    The square of side 2m + 1 is the product of two segments, so the shell
+    is a run of 2m + 1 shifted ORs along x, then along y, over a copy padded
+    with m free cells on each side. A margin of 0 returns `blocked` itself.
     """
     if margin_cells <= 0:
-        return blocked  # binary_dilation reads iterations < 1 as "until stable"
-    return binary_dilation(blocked, structure=np.ones((3, 3), dtype=bool),
-                           iterations=margin_cells)
+        return blocked
+    nx, ny = blocked.shape
+    m = min(margin_cells, max(nx, ny))  # a wider shell covers no more cells
+    pad = np.zeros((nx + 2 * m, ny + 2 * m), dtype=bool)
+    pad[m:m + nx, m:m + ny] = blocked
+    along_x = pad[:nx].copy()
+    for d in range(1, 2 * m + 1):
+        along_x |= pad[d:d + nx]
+    out = along_x[:, :ny].copy()
+    for d in range(1, 2 * m + 1):
+        out |= along_x[:, d:d + ny]
+    return out
+
+
+def free_components(free: np.ndarray) -> np.ndarray:
+    """Per-cell label of the 8-connected component of `free` holding it.
+
+    The planner moves between 8-neighbours, so two free cells share a label
+    exactly when a path of free cells joins them. Blocked cells get labels
+    of their own.
+    """
+    nx, ny = free.shape
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    us, vs = [], []
+    for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
+        a = np.s_[:nx - dx, max(0, -dy):ny - max(0, dy)]
+        b = np.s_[dx:, max(0, dy):ny - max(0, -dy)]
+        both = free[a] & free[b]
+        us.append(idx[a][both])
+        vs.append(idx[b][both])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    graph = sparse.coo_array((np.ones(len(u), dtype=bool), (u, v)), shape=(nx * ny,) * 2)
+    return csgraph.connected_components(graph, directed=False)[1].reshape(nx, ny)
 
 
 def place_bs_and_endpoints(
@@ -214,8 +248,8 @@ def place_bs_and_endpoints(
     BSs sit on distinct street cells, pairwise separated by at least a quarter
     of the map diagonal. Start and goal sit on cell centers at flight altitude,
     outside the planner's obstacle shell of `margin_cells` cells, with
-    straight-line separation inside the configured range. The serving BS is
-    the one nearest the start.
+    straight-line separation inside the configured range, and joined by a
+    path of free cells. The serving BS is the one nearest the start.
 
     Raises:
         ScenarioError: constraints not satisfiable within max_tries draws.
@@ -246,6 +280,7 @@ def place_bs_and_endpoints(
         raise ScenarioError("no collision-free cells at flight altitude")
     lo, hi = cfg.endpoint_distance_m
     centers = (free_cells + 0.5) * s
+    label = free_components(free)[free]
 
     start = goal = None
     for _ in range(max_tries):
@@ -255,11 +290,14 @@ def place_bs_and_endpoints(
         if len(ring) == 0:
             continue
         j = int(ring[rng.integers(len(ring))])
+        if label[j] != label[i]:
+            continue  # no path of free cells joins them: draw again
         start = np.array([*centers[i], cfg.uav_altitude_m])
         goal = np.array([*centers[j], cfg.uav_altitude_m])
         break
     if start is None:
-        raise ScenarioError("could not place endpoints in the requested distance range")
+        raise ScenarioError("could not place endpoints joined by free cells in the requested "
+                            "distance range")
 
     serving = int(np.argmin([np.linalg.norm(p[:2] - start[:2]) for p in bs_positions]))
     return bs_positions, serving, start, goal

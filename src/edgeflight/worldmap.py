@@ -32,6 +32,26 @@ def _ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.arange(counts.sum()) + np.repeat(lo - start, counts), start
 
 
+def _crossings(p0: float, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, count, d) of the rays from coordinate p0 to each p1 along one axis.
+
+    Row i of t holds the ray parameters of the count[i] grid lines the ray
+    p0 -> p1[i] crosses, padded with 2.0; d = p1 - p0.
+    """
+    lo = np.minimum(p0, p1)
+    hi = np.maximum(p0, p1)
+    k_lo = np.floor(lo).astype(int) + 1
+    k_hi = np.ceil(hi).astype(int) - 1
+    count = np.maximum(k_hi - k_lo + 1, 0)
+    m = int(count.max())
+    k = k_lo[:, None] + np.arange(m)[None, :]
+    valid = np.arange(m)[None, :] < count[:, None]
+    d = p1 - p0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(valid, (k - p0) / d[:, None], 2.0)
+    return t, count, d
+
+
 class ExploredMap:
     """Monotone per-cell knowledge of the truth field.
 
@@ -126,9 +146,17 @@ class RayTable:
     budget keeps every scenario grid far below 2**31 cells.
 
     The build and classify_subset both work on blocks of _BLOCK_RAYS rays, so
-    their temporaries grow with nx + ny, not with the cell count. A build
-    block is padded only to its own longest ray; rows are independent and the
-    padding sorts last, so the table does not depend on the block size.
+    their temporaries grow with nx + ny, not with the cell count. A ray's
+    crossings of the x grid lines depend only on its target column and those
+    of the y lines only on its target row, so the build computes them once
+    per table, one padded row per column and per row. A block copies its
+    rays' rows side by side, padded only to its own longest ray, and sorts
+    each; the ray's pieces are the leading ncx + ncy + 1 gaps of its sorted
+    row, cut out into flat arrays before any per-piece work. Rows are
+    independent and the padding sorts last, so the table does not depend on
+    the block size. Blocks write into arrays sized for every piece of every
+    ray, which shrink to the kept entries at the end.
+
     classify_subset, one gather and one logical-or per ray, is the only
     classifier, for truth and partial maps alike. A block of consecutive rays
     owns one contiguous run of entries, which it reads as a slice; any other
@@ -151,58 +179,68 @@ class RayTable:
         self._build()
 
     def _build(self):
-        n = self.nx * self.ny
-        blocks = [self._build_block(np.arange(lo, min(lo + _BLOCK_RAYS, n)))
-                  for lo in range(0, n, _BLOCK_RAYS)]
-        counts, self.cells, self.minz = (np.concatenate(part) for part in zip(*blocks))
-        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-
-    def _build_block(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(counts, cells, minz) of the rays to flat cells `target`, in table layout."""
         s = self.cell_size_m
         nx, ny = self.nx, self.ny
+        n = nx * ny
         ox, oy = self.origin[0] / s, self.origin[1] / s
-        oz = self.origin[2]
-        tz = self.target_z
-        tx = target // ny + 0.5
-        ty = target % ny + 0.5
+        cols, rows = _crossings(ox, np.arange(nx) + 0.5), _crossings(oy, np.arange(ny) + 0.5)
+        # room for every ray's ncx + ncy + 1 pieces; a few per ray are dropped
+        size = ny * int(cols[1].sum()) + nx * int(rows[1].sum()) + n
+        self.cells = np.empty(size, dtype=np.int32)
+        self.minz = np.empty(size)
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        end = 0
+        for lo in range(0, n, _BLOCK_RAYS):
+            target = np.arange(lo, min(lo + _BLOCK_RAYS, n))
+            end = self._build_block(target, cols, rows, end)
+        np.cumsum(self.offsets, out=self.offsets)
+        # shrink in place to the kept entries
+        self.cells.resize(end, refcheck=False)
+        self.minz.resize(end, refcheck=False)
 
-        def crossings(p0, p1):
-            lo = np.minimum(p0, p1)
-            hi = np.maximum(p0, p1)
-            k_lo = np.floor(lo).astype(int) + 1
-            k_hi = np.ceil(hi).astype(int) - 1
-            count = np.maximum(k_hi - k_lo + 1, 0)
-            m = int(count.max())
-            k = k_lo[:, None] + np.arange(m)[None, :]
-            valid = np.arange(m)[None, :] < count[:, None]
-            d = p1 - p0
-            # pad with 2.0: real crossings lie in [0, 1], padding sorts last
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(valid, (k - p0) / d[:, None], 2.0)
-            return t
+    def _build_block(self, target: np.ndarray, cols, rows, end: int) -> int:
+        """Write the rays to flat cells `target` from table entry `end`; returns the new end.
 
-        b = len(target)
-        t_all = np.concatenate(
-            [np.zeros((b, 1)), crossings(ox, tx), crossings(oy, ty), np.ones((b, 1))],
-            axis=1,
-        )
-        t_all.sort(axis=1)
-        t0 = t_all[:, :-1]
-        t1 = t_all[:, 1:]
-        good = (t1 - t0 > _CORNER_EPS) & (t1 <= 1.0)
+        `cols` and `rows` are the per-column and per-row crossing tables of
+        _crossings. Each ray's row of piece ends, 0, its crossings and 1, is
+        sorted; every crossing lies strictly inside (0, 1), so the ray's
+        pieces are the first ncx + ncy + 1 gaps of its row and the padding
+        sorts past them. offsets[k + 1] gets ray k's entry count.
+        """
+        nx, ny = self.nx, self.ny
+        ox, oy = self.origin[0] / self.cell_size_m, self.origin[1] / self.cell_size_m
+        oz, tz = self.origin[2], self.target_z
+        ix, iy = target // ny, target % ny
+        (xt, ncx, dx), (yt, ncy, dy) = cols, rows
+        mx, my = int(ncx[ix].max()), int(ncy[iy].max())
+        t = np.empty((len(target), mx + my + 2))
+        t[:, 0] = 0.0
+        t[:, 1:mx + 1] = xt[:, :mx][ix]
+        t[:, mx + 1:-1] = yt[:, :my][iy]
+        t[:, -1] = 1.0
+        t.sort(axis=1)
+        # each ray's pieces (t0, t1) as one flat run
+        pieces = ncx[ix] + ncy[iy] + 1
+        at, start = _ranges(np.arange(len(target)) * t.shape[1], pieces)
+        t = t.ravel()
+        t0, t1 = t[at], t[at + 1]
         tm = 0.5 * (t0 + t1)
-        cx = np.clip((ox + tm * (tx - ox)[:, None]).astype(int), 0, nx - 1)
-        cy = np.clip((oy + tm * (ty - oy)[:, None]).astype(int), 0, ny - 1)
-        cell = cx * ny + cy
-        origin_cell = (
-            min(max(int(ox), 0), nx - 1) * ny + min(max(int(oy), 0), ny - 1)
-        )
-        good &= (cell != origin_cell) & (cell != target[:, None])
-        z0 = oz + t0 * (tz - oz)
-        z1 = oz + t1 * (tz - oz)
-        minz = np.minimum(z0, z1)
-        return good.sum(axis=1), cell[good].astype(np.int32), minz[good]
+        cx = (ox + tm * np.repeat(dx[ix], pieces)).astype(np.int32)
+        cy = (oy + tm * np.repeat(dy[iy], pieces)).astype(np.int32)
+        cell = np.clip(cx, 0, nx - 1, out=cx)
+        cell *= ny
+        cell += np.clip(cy, 0, ny - 1, out=cy)
+        origin_cell = min(max(int(ox), 0), nx - 1) * ny + min(max(int(oy), 0), ny - 1)
+        good = (t1 - t0 > _CORNER_EPS) & (cell != origin_cell)
+        good &= cell != np.repeat(target.astype(np.int32), pieces)
+        counts = np.add.reduceat(good, start, dtype=np.int64)
+        self.offsets[target + 1] = counts
+        keep = slice(end, end + int(counts.sum()))
+        self.cells[keep] = cell[good]
+        # z is monotone in t, so a piece's lowest point is one of its ends
+        minz = np.multiply((t0 if tz >= oz else t1)[good], tz - oz, out=self.minz[keep])
+        minz += oz
+        return keep.stop
 
     def classify_subset(self, rays: np.ndarray, known: np.ndarray,
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -161,6 +161,8 @@ def test_missing_cell_evaluated_on_demand():
 def test_update_around_classifies_only_stale_cells_in_range(monkeypatch):
     truth = city(6)
     rm = make_rm(ExploredMap.fully_known(truth), BS)
+    # with sticky NLoS a fully known map never looks at its window
+    rm.sticky_enabled = False
     rm.ensure_layer_evaluated()
     grid = rm.state_grid.copy()
     calls = []
@@ -334,3 +336,48 @@ def test_update_around_classifies_only_while_the_map_can_learn(monkeypatch, kind
     assert metrics.reached
     assert len(updates) > 100
     assert bool(from_update) is learns
+
+
+def test_update_around_on_a_global_episode_checks_no_window(monkeypatch):
+    # a fully known map with sticky NLoS can never have a due cell
+    cfg = default_config(seed=4)
+    cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
+        cfg.scenario, map_size_m=(200.0, 200.0), endpoint_distance_m=(80.0, 160.0)))
+    assert cfg.sim.sticky_nlos
+    sc = build_scenario(cfg.scenario)
+    updates, due_calls = [], []
+    update, due = RadioMap.update_around, RadioMap._due
+
+    def counting_update(rm, around, radius_m):
+        updates.append(1)
+        return update(rm, around, radius_m)
+
+    def counting_due(rm, win):
+        due_calls.append(win)
+        return due(rm, win)
+
+    monkeypatch.setattr(RadioMap, "update_around", counting_update)
+    monkeypatch.setattr(RadioMap, "_due", counting_due)
+    metrics, _ = run_episode(sc, PlannerKind.GLOBAL, cfg, collect_log=False)
+    assert metrics.reached
+    assert len(updates) > 100
+    assert due_calls == []
+
+
+@pytest.mark.parametrize("sticky", [True, False])
+def test_measured_nlos_on_a_fully_known_map_reverts_in_update_around_only_without_sticky(
+        sticky):
+    truth = city(9)
+    em = ExploredMap.fully_known(truth)
+    rm = make_rm(em, BS)
+    rm.sticky_enabled = sticky
+    ix, iy = np.argwhere(rm.state_grid == _STATE_CODE[LinkState.LOS])[0]
+    pos = ((ix + 0.5) * truth.cell_size_m, (iy + 0.5) * truth.cell_size_m, ALT)
+    rm.csi_correct(pos, LinkState.NLOS)
+    assert rm.state_at(pos) is LinkState.NLOS
+    before = rm.state_grid.copy()
+    rm.update_around(pos, 10.0)  # nothing was learned, yet without sticky it is due
+    want = LinkState.NLOS if sticky else LinkState.LOS
+    assert rm.state_at(pos) is want
+    changed = np.argwhere(rm.state_grid != before)
+    assert changed.tolist() == ([] if sticky else [[ix, iy]])

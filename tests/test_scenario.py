@@ -1,6 +1,14 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation, label
 
+import edgeflight
 from edgeflight.channel import ChannelParams
 from edgeflight.errors import ConfigError, ScenarioError
 from edgeflight.offload import OffloadConfig
@@ -9,11 +17,15 @@ from edgeflight.scenario import (
     HeightField,
     ScenarioConfig,
     build_scenario,
+    free_components,
     generate_city,
+    inflate_obstacles,
+    place_bs_and_endpoints,
     sample_building_heights,
     street_mask,
 )
-from edgeflight.simcore import batch_seeds
+from edgeflight.config import default_config
+from edgeflight.simcore import batch_seeds, run_batch
 from edgeflight.worldmap import ExploredMap
 
 
@@ -165,3 +177,80 @@ def test_unplaceable_endpoints_raise():
     # endpoint range wider than the map diagonal cannot be satisfied
     with pytest.raises(ScenarioError):
         build_scenario(small_cfg(endpoint_distance_m=(400.0, 500.0), rng_seed=0))
+
+
+def dilation_masks():
+    rng = np.random.default_rng(5)
+    yield np.ones((1, 1), dtype=bool)
+    yield np.zeros((1, 1), dtype=bool)
+    yield np.eye(1, 9, 4, dtype=bool)
+    yield np.eye(9, 1, 8, dtype=bool)
+    for shape in ((1, 12), (12, 1), (7, 13), (20, 20)):
+        for p in (0.05, 0.3):
+            mask = rng.random(shape) < p
+            mask[0, 0] = mask[-1, -1] = True  # obstacles on the borders
+            yield mask
+
+
+@pytest.mark.parametrize("margin", range(5))
+def test_inflate_obstacles_equals_iterated_binary_dilation(margin):
+    for mask in dilation_masks():
+        got = inflate_obstacles(mask, margin)
+        if margin == 0:
+            assert got is mask
+            continue
+        want = binary_dilation(mask, structure=np.ones((3, 3), dtype=bool), iterations=margin)
+        assert got.dtype == bool
+        assert np.array_equal(got, want), (mask.shape, margin)
+
+
+def test_import_leaves_scipy_ndimage_out():
+    # a fresh interpreter that finds the package where this one does
+    src = str(Path(edgeflight.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, edgeflight; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_free_components_partition_the_free_cells_as_8_connected_labels():
+    for mask in dilation_masks():
+        free = ~mask
+        got = free_components(free)[free]
+        want = label(free, structure=np.ones((3, 3), dtype=bool))[0][free]
+        # the same partition: the label pairs map one to one
+        pairs = set(zip(got.tolist(), want.tolist()))
+        assert len(pairs) == len(set(got.tolist())) == len(set(want.tolist()))
+
+
+def test_endpoints_share_a_free_component_where_the_first_draw_did_not():
+    # seed 4 with tall buildings and a 3-cell margin forbids most cells; the
+    # second episode's first endpoint draw lands in two components
+    cfg = default_config(seed=4)
+    cfg = dataclasses.replace(
+        cfg,
+        scenario=dataclasses.replace(cfg.scenario, map_size_m=(200.0, 200.0),
+                                     endpoint_distance_m=(80.0, 160.0),
+                                     rayleigh_scale_m=120.0),
+        planner=dataclasses.replace(cfg.planner, safety_margin_cells=3))
+    seed = batch_seeds(4, 2)[1]
+    sc = build_scenario(dataclasses.replace(cfg.scenario, rng_seed=seed), 3)
+    free = ~inflate_obstacles(sc.truth.heights >= sc.cfg.uav_altitude_m, 3)
+    labels, _ = label(free, structure=np.ones((3, 3), dtype=bool))
+    start, goal = sc.truth.cell_of(sc.start), sc.truth.cell_of(sc.goal)
+    assert free[start] and free[goal]
+    assert labels[start] == labels[goal]
+    rows = run_batch(cfg, episodes=2).rows
+    assert any(r.metrics.reached for r in rows if r.episode == 1)
+
+
+def test_endpoints_that_no_free_path_can_join_are_refused():
+    # walls along column 20 and row 20 cut the 200 m map into four 100 m
+    # quadrants, and no two cells of one quadrant lie 150 m apart
+    heights = np.zeros((40, 40))
+    heights[20, :] = heights[:, 20] = 100.0
+    cfg = small_cfg(endpoint_distance_m=(150.0, 200.0))
+    with pytest.raises(ScenarioError, match="joined by free cells"):
+        place_bs_and_endpoints(cfg, HeightField(heights, 5.0), np.random.default_rng(0), 0)

@@ -282,6 +282,36 @@ def test_block_build_equals_the_padded_build(nx, ny):
         assert table.minz.tobytes() == minz.tobytes()
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 6), (9, 14), (16, 16)])
+def test_build_equals_the_padded_build_at_level_and_edge_origins(nx, ny):
+    s = 5.0
+    w, d = nx * s, ny * s
+    ix, iy = nx // 2, ny // 3
+    centre = ((ix + 0.5) * s, (iy + 0.5) * s)  # its column and row cross no x or y line
+    origins = [
+        (w, d), (w, 0.5 * d), (0.5 * w, d), (w, 0.0), (0.0, d),  # far map edges
+        (s * ix, s * iy), (s * (nx - 1), s),                     # cell corners
+        centre,
+        (w, (iy + 0.5) * s), ((ix + 0.5) * s, d),                # edge origins on a centre line
+    ]
+    heights = ((50.0, 50.0), (80.0, 50.0), (25.0, 50.0), (50.0, 25.0), (0.0, 0.0))
+    for (x, y), (oz, tz) in itertools.product(origins, heights):
+        table = RayTable(np.array([x, y, oz]), nx, ny, s, tz)
+        offsets, cells, minz = padded_ray_table((x, y, oz), nx, ny, s, tz)
+        assert np.array_equal(table.offsets, offsets), (x, y, oz, tz)
+        assert np.array_equal(table.cells, cells), (x, y, oz, tz)
+        assert table.minz.tobytes() == minz.tobytes(), (x, y, oz, tz)
+        if tz == oz:
+            assert np.all(table.minz == oz)
+    table = RayTable(np.array([*centre, 25.0]), nx, ny, s, 50.0)
+    for k in range(nx * ny):
+        crossed = table.cells[table.offsets[k]:table.offsets[k + 1]]
+        if k // ny == ix:  # same column: only cells of that column
+            assert np.all(crossed // ny == ix)
+        if k % ny == iy:  # same row: only cells of that row
+            assert np.all(crossed % ny == iy)
+
+
 def test_ray_table_build_memory_is_bounded_by_the_table():
     tracemalloc.start()
     try:
