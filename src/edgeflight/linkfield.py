@@ -12,6 +12,8 @@ while serving links see unit gain.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channel import (
@@ -22,10 +24,11 @@ from .channel import (
     capacity_bps_scalar,
     carrier_loss_db,
     dbm_to_mw,
+    dbm_to_mw_scalar,
     free_space_path_loss_db,
     path_loss_db_scalar,
 )
-from .scenario import Scenario
+from .scenario import Scenario, grid_cell
 from .worldmap import RayTable
 
 
@@ -86,11 +89,11 @@ class TruthLink:
                         for i in range(len(scenario.bs_positions))]
         # Per-call invariants of the scalar budgets
         self._bs = [np.asarray(b, dtype=float) for b in scenario.bs_positions]
-        self._carrier_loss = carrier_loss_db(params.carrier_hz)
-        self._noise_mw = dbm_to_mw(params.noise_dbm)
+        self._carrier_loss = float(carrier_loss_db(params.carrier_hz))
+        self._noise_mw = dbm_to_mw_scalar(params.noise_dbm)
 
     def _flat_cell(self, pos) -> int:
-        ix, iy = self.sc.truth.cell_of(pos)
+        ix, iy = grid_cell(pos, self._s, self._nx, self._ny)
         return ix * self._ny + iy
 
     def serving_state(self, pos) -> LinkState:
@@ -100,7 +103,7 @@ class TruthLink:
 
     def _path_loss_db(self, v: np.ndarray, blocked) -> tuple[float, float]:
         """(distance, path loss) along vector v."""
-        d = float(np.sqrt(v.dot(v)))  # what np.linalg.norm computes
+        d = math.sqrt(v.dot(v))  # what np.linalg.norm computes
         return d, path_loss_db_scalar(d, blocked, self._carrier_loss, self.p)
 
     def uplink_capacity(self, pos) -> float:
@@ -108,7 +111,7 @@ class TruthLink:
         serving = self.sc.serving_bs
         v = np.asarray(pos, dtype=float) - self._bs[serving]
         _, pl = self._path_loss_db(v, self.blocked[serving][self._flat_cell(pos)])
-        sinr = dbm_to_mw(self.p.uav_tx_power_dbm - pl) / self._noise_mw
+        sinr = dbm_to_mw_scalar(self.p.uav_tx_power_dbm - pl) / self._noise_mw
         return capacity_bps_scalar(sinr, self.p.bandwidth_hz)
 
     def downlink(self, pos) -> tuple[float, float, float]:
@@ -125,18 +128,18 @@ class TruthLink:
         serving = self.sc.serving_bs
         bore = self._bs[serving] - pos
         d_s, pl_s = self._path_loss_db(bore, self.blocked[serving][cell])
-        s_mw = float(dbm_to_mw(p.bs_tx_power_dbm - pl_s))
+        s_mw = dbm_to_mw_scalar(p.bs_tx_power_dbm - pl_s)
         i_mw = 0.0
         for i, bs_i in enumerate(self._bs):
             if i == serving:
                 continue
             v = bs_i - pos
             d_i, pl_i = self._path_loss_db(v, self.blocked[i][cell])
-            cosang = float(bore.dot(v) / max(d_s * d_i, 1e-12))
-            ang = float(np.degrees(np.arccos(min(max(cosang, -1.0), 1.0))))
+            cosang = float(bore.dot(v)) / max(d_s * d_i, 1e-12)
+            ang = math.degrees(float(np.arccos(min(max(cosang, -1.0), 1.0))))
             g = antenna_gain_db_scalar(ang, p)
-            i_mw += float(dbm_to_mw(p.bs_tx_power_dbm + g - pl_i))
-        sinr = float(s_mw / (self._noise_mw + i_mw))
+            i_mw += dbm_to_mw_scalar(p.bs_tx_power_dbm + g - pl_i)
+        sinr = s_mw / (self._noise_mw + i_mw)
         return capacity_bps_scalar(sinr, p.bandwidth_hz), sinr, i_mw / (i_mw + s_mw)
 
     # ---- per-cell grids for the global planner arm ----

@@ -28,6 +28,7 @@ oscillation a horizon-truncated search can fall into near walls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -140,6 +141,9 @@ class Planner:
         # each cache holds the inputs it was built from
         self._forbidden_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._field_cache: tuple | None = None
+        # the field's next hops and flat limits as lists, which plan walks
+        # without a numpy scalar per step
+        self._walk: tuple[list, list] | None = None
 
     # ---- per-cell grids ----
 
@@ -250,6 +254,7 @@ class Planner:
                                        return_predecessors=True)
         field = (gstar, pred, limits)
         self._field_cache = (forb, limits, pen, field)
+        self._walk = (pred.tolist(), lim.tolist())
         return field
 
     def plan(self, position) -> TrajectorySegment:
@@ -263,7 +268,8 @@ class Planner:
             StuckError: the current cell's cost-to-go is infinite, i.e. the
                 goal is unreachable from it.
         """
-        gstar, nxt, limits = self._cost_field()
+        gstar, _, limits = self._cost_field()
+        nxt, lim = self._walk
         ny = self._ny
         s = self._s
         start = self.sc.truth.cell_of(position)
@@ -271,13 +277,12 @@ class Planner:
 
         cells_flat = [c]
         plan_cost = float(gstar[c])
-        if not np.isfinite(plan_cost):
+        if not math.isfinite(plan_cost):
             raise StuckError("goal unreachable from the current cell")
 
-        lim = limits.ravel()
         t_acc = 0.0
         while c != self._goal_flat:
-            h = int(nxt[c])
+            h = nxt[c]
             dd = _SQRT2 if abs(h // ny - c // ny) + abs(h % ny - c % ny) == 2 else 1.0
             t_edge = dd * s / min(lim[c], lim[h])
             # the horizon bounds commitment, never reachability; always keep
@@ -288,7 +293,7 @@ class Planner:
             cells_flat.append(h)
             c = h
 
-        cells = [(int(f // ny), int(f % ny)) for f in cells_flat]
+        cells = [divmod(f, ny) for f in cells_flat]
 
         commit = len(cells)
         if self.pc.commit_within_sensed:
@@ -303,36 +308,40 @@ class Planner:
         heading_hint = None
         if len(committed) < 2 and len(cells) >= 2:
             ahead = self.sc.truth.cell_center(*cells[1])
-            heading_hint = float(
-                np.degrees(np.arctan2(ahead[1] - position[1], ahead[0] - position[0]))
-            )
+            heading_hint = math.degrees(
+                float(np.arctan2(ahead[1] - position[1], ahead[0] - position[0])))
 
-        return self._segment(position, committed, limits, committed_cost, plan_cost,
-                             reaches_goal, heading_hint)
+        return self._segment(position, committed, limits.ravel()[cells_flat[:commit]],
+                             committed_cost, plan_cost, reaches_goal, heading_hint)
 
-    def _segment(self, position, cells, limits, cost, plan_cost,
+    def _segment(self, position, cells, lims, cost, plan_cost,
                  reaches_goal, heading_hint) -> TrajectorySegment:
+        """The polyline through `cells`, whose flat speed limits are `lims`.
+
+        Waypoints are the exact position, then the centres of the cells after
+        the first, the goal itself in place of the last centre when the
+        segment reaches it. Each leg is flown at the lesser limit of the two
+        cells it joins.
+        """
         pos = np.asarray(position, dtype=float)
-        pts = [pos]
-        speeds = []
-        if reaches_goal and len(cells) == 1:
+        goal = np.asarray(self.sc.goal, dtype=float)
+        if len(cells) > 1:
+            pts = np.empty((len(cells), 3))
+            pts[0] = pos
+            pts[1:, :2] = (np.array(cells[1:]) + 0.5) * self._s
+            pts[1:, 2] = self._alt
+            if reaches_goal:
+                pts[-1] = goal
+            speeds = np.minimum(lims[:-1], lims[1:])
+        elif reaches_goal and float(np.linalg.norm(goal - pos)) > 1e-9:
             # already inside the goal cell: close the remaining in-cell gap
-            gpt = np.asarray(self.sc.goal, dtype=float)
-            if float(np.linalg.norm(gpt - pos)) > 1e-9:
-                pts.append(gpt)
-                speeds.append(limits[cells[0]])
-        for i in range(1, len(cells)):
-            c = cells[i]
-            if reaches_goal and i == len(cells) - 1:
-                p = np.array(self.sc.goal, dtype=float)
-            else:
-                p = np.array([*self.sc.truth.cell_center(*c), self._alt])
-            pts.append(p)
-            speeds.append(min(limits[cells[i - 1]], limits[c]))
+            pts, speeds = np.vstack([pos, goal]), lims
+        else:
+            pts, speeds = np.vstack([pos]), lims[:0]
         return TrajectorySegment(
             cells=cells,
-            points=np.vstack(pts),
-            leg_speeds=np.asarray(speeds),
+            points=pts,
+            leg_speeds=speeds,
             cost=cost,
             plan_cost=plan_cost,
             reaches_goal=reaches_goal,

@@ -97,6 +97,20 @@ class ScenarioConfig:
         return int(round(self.map_size_m[1] / self.cell_size_m))
 
 
+def grid_cell(point, cell_size_m: float, nx: int, ny: int) -> tuple[int, int]:
+    """Cell (ix, iy) of an nx x ny grid holding an (x, y[, z]) point.
+
+    Points off the grid clip to its border cells. This is the one cell lookup
+    behind every `cell_of`. The coordinates are read as Python floats, whose
+    floor division gives the bits numpy's gives on float64, without a numpy
+    scalar per call.
+    """
+    ix = int(float(point[0]) // cell_size_m)
+    iy = int(float(point[1]) // cell_size_m)
+    return (0 if ix < 0 else nx - 1 if ix >= nx else ix,
+            0 if iy < 0 else ny - 1 if iy >= ny else iy)
+
+
 class HeightField:
     """Immutable per-cell building heights, indexed heights[ix, iy]."""
 
@@ -116,10 +130,7 @@ class HeightField:
 
     def cell_of(self, point) -> tuple[int, int]:
         """Grid cell containing an (x, y[, z]) point; boundary points clip inward."""
-        s = self.cell_size_m
-        ix = min(int(point[0] // s), self.width_cells - 1)
-        iy = min(int(point[1] // s), self.depth_cells - 1)
-        return max(ix, 0), max(iy, 0)
+        return grid_cell(point, self.cell_size_m, *self.heights.shape)
 
     def cell_center(self, ix: int, iy: int) -> np.ndarray:
         s = self.cell_size_m

@@ -95,11 +95,17 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
 
     pos = np.asarray(scenario.start, dtype=float).copy()
     goal = np.asarray(scenario.goal, dtype=float)
-    heading = float(np.degrees(np.arctan2(goal[1] - pos[1], goal[0] - pos[0])))
+    goal_xy = goal[:2]
+    heading = math.degrees(float(np.arctan2(goal[1] - pos[1], goal[0] - pos[0])))
     time_s = 0.0
     log = TrajectoryLog()
 
+    # the committed segment's waypoint rows and leg speeds as lists, indexed
+    # without a numpy scalar per tick; the speeds stay numpy float64s, whose
+    # type the metrics inherit when one binds a tick
     seg = None
+    waypoints: list[np.ndarray] = []
+    legs: list = []
     seg_leg = 0
     last_plan = -math.inf
     frame_credit = 0.0
@@ -131,7 +137,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         rm.csi_correct(pos, true_state)
 
         # 5: planning
-        invalid = (seg is None or seg_leg >= len(seg.leg_speeds)
+        invalid = (seg is None or seg_leg >= len(legs)
                    or segment_invalidated(seg, seg_leg, planner.forbidden_mask()))
         if replan_due(time_s, last_plan, cfg.planner, invalidated=invalid):
             try:
@@ -141,32 +147,35 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
                     log.append(time_s, pos, 0.0, mode, true_state, est_name,
                                up_true, 10.0 * math.log10(max(dn_sinr, 1e-30)))
                 break
+            waypoints = list(seg.points)
+            legs = list(seg.leg_speeds)
             seg_leg = 0
             last_plan = time_s
 
         # 6: advance along the committed polyline
-        v_plan = seg.leg_speeds[seg_leg] if seg_leg < len(seg.leg_speeds) else 0.0
+        n_legs = len(legs)
+        v_plan = legs[seg_leg] if seg_leg < n_legs else 0.0
         v = min(v_plan, true_lim)
         moved = 0.0
         p = pos
         if v > 0.0:
             budget = v * dt
-            while budget > 1e-12 and seg_leg < len(seg.leg_speeds):
-                tgt = seg.points[seg_leg + 1]
+            while budget > 1e-12 and seg_leg < n_legs:
+                tgt = waypoints[seg_leg + 1]
                 step = tgt - p
-                d = float(np.sqrt(step.dot(step)))  # np.linalg.norm, without its dispatch
+                d = math.sqrt(step.dot(step))  # np.linalg.norm, without its dispatch
                 if d <= budget:
                     budget -= d
                     moved += d
                     p = tgt.copy()
                     seg_leg += 1
                 else:
-                    p = p + (tgt - p) * (budget / d)
+                    p = p + step * (budget / d)
                     moved += budget
                     budget = 0.0
             if moved > 1e-12:
                 delta = p - pos
-                heading = float(np.degrees(np.arctan2(delta[1], delta[0])))
+                heading = math.degrees(float(np.arctan2(delta[1], delta[0])))
         elif seg.heading_hint is not None:
             heading = seg.heading_hint
 
@@ -180,8 +189,8 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         time_s += dt
         pos = p
 
-        off = pos[:2] - goal[:2]
-        if np.sqrt(off.dot(off)) < 1e-6:
+        off = pos[:2] - goal_xy
+        if math.sqrt(off.dot(off)) < 1e-6:
             reached = True
             break
 

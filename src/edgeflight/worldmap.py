@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .scenario import HeightField
+from .scenario import HeightField, grid_cell
 
 # Ties in the traversal parameter below this width are exact corner touches;
 # the segment has zero extent inside the off-diagonal cells, so they are not
@@ -82,10 +82,7 @@ class ExploredMap:
         return self.known.shape[1]
 
     def cell_of(self, point) -> tuple[int, int]:
-        s = self.cell_size_m
-        ix = min(max(int(point[0] // s), 0), self.width_cells - 1)
-        iy = min(max(int(point[1] // s), 0), self.depth_cells - 1)
-        return ix, iy
+        return grid_cell(point, self.cell_size_m, *self.known.shape)
 
 
 @dataclass(frozen=True)

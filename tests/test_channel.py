@@ -10,6 +10,7 @@ from edgeflight.channel import (
     capacity_bps_scalar,
     carrier_loss_db,
     dbm_to_mw,
+    dbm_to_mw_scalar,
     expected_path_loss_db,
     free_space_path_loss_db,
     path_loss_db_scalar,
@@ -110,6 +111,9 @@ def test_scalar_helpers_equal_their_array_versions_exactly():
         assert antenna_gain_db_scalar(float(a), P) == antenna_gain_db(a, P)
     for snr in np.concatenate([[-1.0, 0.0, 1e-300], rng.lognormal(0.0, 5.0, 300)]):
         assert capacity_bps_scalar(float(snr), P.bandwidth_hz) == capacity_bps(snr, P.bandwidth_hz)
+    dbm = np.concatenate([[-300.0, 0.0, 30.0], rng.uniform(-200.0, 60.0, 300)])
+    for x, want in zip(dbm, dbm_to_mw(dbm)):
+        assert dbm_to_mw_scalar(float(x)) == want
 
 
 def test_param_validation():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from scipy.ndimage import binary_dilation, label
 import edgeflight
 from edgeflight.channel import ChannelParams
 from edgeflight.errors import ConfigError, ScenarioError
+from edgeflight.linkfield import TruthLink
 from edgeflight.offload import OffloadConfig
 from edgeflight.planner import PlanConfig, Planner, PlannerKind
 from edgeflight.scenario import (
@@ -19,6 +21,7 @@ from edgeflight.scenario import (
     build_scenario,
     free_components,
     generate_city,
+    grid_cell,
     inflate_obstacles,
     place_bs_and_endpoints,
     sample_building_heights,
@@ -156,6 +159,53 @@ def test_cell_addressing_roundtrip():
     center = field.cell_center(3, 4)
     assert field.cell_of(center) == (3, 4)
     assert np.allclose(center, [17.5, 22.5])
+
+
+def clamped_floor_cell(point, s: float, nx: int, ny: int) -> tuple[int, int]:
+    """The cell lookup as `cell_of` wrote it before it read Python floats."""
+    return (min(max(int(point[0] // s), 0), nx - 1),
+            min(max(int(point[1] // s), 0), ny - 1))
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (6, 6)])
+@pytest.mark.parametrize("s", [5.0, 0.3])
+def test_shared_cell_lookup_equals_the_clamped_floor_division(shape, s):
+    """`grid_cell` and both `cell_of`s give the old lookup's cells.
+
+    Points on and beside cell edges and corners, on the map border, at
+    negative and beyond-map coordinates and at random, each given as an
+    ndarray, a tuple and a list.
+    """
+    nx, ny = shape
+    rng = np.random.default_rng(17)
+    lines = np.arange(-2, max(nx, ny) + 3) * s
+    near = np.concatenate([lines, np.nextafter(lines, -np.inf), np.nextafter(lines, np.inf),
+                           lines + s / 2, [-0.0, -1e-300, 1e-300]])
+    xs = np.concatenate([near, rng.uniform(-2 * s, (nx + 2) * s, 300)])
+    ys = np.concatenate([near, rng.uniform(-2 * s, (ny + 2) * s, 300)])
+    field = HeightField(np.zeros(shape), s)
+    explored = ExploredMap(nx, ny, s)
+    points = list(zip(xs, ys)) + list(itertools.product(near, near))
+    for x, y in points:
+        for point in (np.array([x, y, 7.0]), (float(x), float(y), 7.0), [float(x), float(y)]):
+            want = clamped_floor_cell(point, s, nx, ny)
+            assert grid_cell(point, s, nx, ny) == want, (point, s, shape)
+            assert field.cell_of(point) == want
+            assert explored.cell_of(point) == want
+    assert field.cell_of((0, 0, 0)) == (0, 0)  # integer coordinates
+
+
+def test_truth_link_flat_cell_is_the_shared_lookup():
+    cfg = small_cfg(map_size_m=(200.0, 120.0), endpoint_distance_m=(80.0, 100.0), rng_seed=3)
+    sc = build_scenario(cfg)
+    tl = TruthLink(sc, ChannelParams(), sc.cfg.uav_altitude_m)
+    nx, ny = sc.truth.width_cells, sc.truth.depth_cells
+    s = sc.truth.cell_size_m
+    rng = np.random.default_rng(3)
+    edges = rng.integers(-1, max(nx, ny) + 2, size=(200, 2)) * s
+    for x, y in np.vstack([edges, rng.uniform(-10.0, 210.0, size=(200, 2))]):
+        ix, iy = clamped_floor_cell(np.array([x, y, 50.0]), s, nx, ny)
+        assert tl._flat_cell(np.array([x, y, 50.0])) == ix * ny + iy
 
 
 def test_config_rejections():

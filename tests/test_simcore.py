@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from edgeflight.simcore import TrajectoryLog, batch_seeds, run_batch, run_episod
 
 def small_cfg(seed: int = 0):
     cfg = default_config(seed=seed)
-    import dataclasses
-
     return dataclasses.replace(
         cfg,
         scenario=dataclasses.replace(
@@ -39,6 +39,25 @@ def test_episode_is_deterministic():
     m2, l2 = run_episode(sc2, PlannerKind.EXPLORED, cfg)
     assert m1 == m2
     assert l1.rows == l2.rows
+
+
+def test_logged_and_unlogged_episodes_give_the_same_metrics():
+    """`collect_log` changes nothing a batch or the benchmark digest reads.
+
+    The repr of the metrics tuple pins the value and the type of every field,
+    numpy float64 or plain float (both occur on these cities), on every arm
+    of two golden-config cities.
+    """
+    cfg = small_cfg(seed=4)
+    for seed in batch_seeds(cfg.scenario.rng_seed, 2):
+        sc = build_scenario(dataclasses.replace(cfg.scenario, rng_seed=seed),
+                            cfg.planner.safety_margin_cells)
+        for kind in PlannerKind:
+            logged, log = run_episode(sc, kind, cfg, collect_log=True)
+            unlogged, empty = run_episode(sc, kind, cfg, collect_log=False)
+            assert log.rows and not empty.rows
+            assert (repr(dataclasses.astuple(logged))
+                    == repr(dataclasses.astuple(unlogged))), (seed, kind)
 
 
 def test_metrics_invariants(episode_result):
