@@ -224,18 +224,26 @@ class BatchResult:
         return [r for r in self.rows if r.kind is kind]
 
     def aggregate(self, kind: PlannerKind) -> dict:
+        """One arm's totals and means over the episodes that reached the goal.
+
+        A stuck episode ends early, so counting its distance and duration
+        would make an arm that gives up look faster; `episodes` and
+        `stuck_episodes` count every episode.
+        """
         rows = self.kind_rows(kind)
-        dist = sum(r.metrics.flight_distance_m for r in rows)
-        dur = sum(r.metrics.flight_duration_s for r in rows)
-        nlos = sum(r.metrics.nlos_distance_ratio * r.metrics.flight_distance_m for r in rows)
+        reached = [r.metrics for r in rows if r.metrics.reached]
+        dist = sum(m.flight_distance_m for m in reached)
+        dur = sum(m.flight_duration_s for m in reached)
+        nlos = sum(m.nlos_distance_ratio * m.flight_distance_m for m in reached)
         return {
             "kind": kind.value,
             "episodes": len(rows),
             "total_distance_m": dist,
             "total_duration_s": dur,
-            "mean_duration_s": dur / len(rows) if rows else 0.0,
+            "mean_duration_s": dur / len(reached) if reached else 0.0,
             "avg_uplink_capacity_bps": (
-                sum(r.metrics.avg_uplink_capacity_bps for r in rows) / len(rows) if rows else 0.0
+                sum(m.avg_uplink_capacity_bps for m in reached) / len(reached)
+                if reached else 0.0
             ),
             "nlos_distance_ratio": nlos / dist if dist > 0 else 0.0,
             "stuck_episodes": sum(1 for r in rows if r.metrics.stuck),

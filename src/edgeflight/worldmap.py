@@ -22,8 +22,11 @@ from .scenario import HeightField, grid_cell
 # visited. Genuine chords between cell-center endpoints are many orders wider.
 _CORNER_EPS = 1e-12
 
-# Rays per RayTable build and classification block.
+# Rays per RayTable build, cut and classification block.
 _BLOCK_RAYS = 256
+
+# (key, corner half table) of the last RayTable cut: see RayTable._cut.
+_half = None
 
 
 def _ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +157,20 @@ class RayTable:
     the block size. Blocks write into arrays sized for every piece of every
     ray, which shrink to the kept entries at the end.
 
+    An origin at the exact centre of a grid cell, as every scenario base
+    station is, is not traced but cut (_cut). From a cell centre the ray to
+    offset (dx, dy) crosses its grid lines at t = (m - 0.5) / |dx| and
+    (m - 0.5) / |dy| whatever the signs, so every such table of one grid and
+    altitude pair is one corner-origin table reflected, translated and, where
+    |dx| > |dy|, mirrored in the diagonal. Only that table's rays to offsets
+    (a, b) with a <= b are traced, once per process for the last grid and
+    altitude pair, on a min(nx, ny) × max(nx, ny) grid; on the default
+    80×80 map it holds 247,243 entries, about 4 MB. Reflection and the swap
+    keep every t, hence the row sort, the corner filter and minz. A kept
+    piece's midpoint lies at least 1 / (4·max(|dx|, |dy|)) cell widths from
+    any grid line, so the cut's cells equal the traced ones bit for bit.
+    Any other origin is traced.
+
     classify_subset, one gather and one logical-or per ray, is the only
     classifier, for truth and partial maps alike. A block of consecutive rays
     owns one contiguous run of entries, which it reads as a slice; any other
@@ -173,23 +190,30 @@ class RayTable:
         self.cell_size_m = float(cell_size_m)
         self.target_z = float(target_z)
         self._inverse = None  # (offsets, rays) of the cell -> rays index
-        self._build()
+        ox, oy = self.origin[:2] / self.cell_size_m
+        i0, j0 = np.floor(ox), np.floor(oy)
+        if ox - i0 == 0.5 and oy - j0 == 0.5 and 0 <= i0 < nx and 0 <= j0 < ny:
+            self._cut(int(i0), int(j0))
+        else:
+            self._build(np.arange(nx * ny))
 
-    def _build(self):
+    def _build(self, targets: np.ndarray):
+        """Fill the table by tracing the rays to the flat cells `targets`, in increasing order.
+
+        Every other ray gets no entry.
+        """
         s = self.cell_size_m
         nx, ny = self.nx, self.ny
-        n = nx * ny
         ox, oy = self.origin[0] / s, self.origin[1] / s
         cols, rows = _crossings(ox, np.arange(nx) + 0.5), _crossings(oy, np.arange(ny) + 0.5)
         # room for every ray's ncx + ncy + 1 pieces; a few per ray are dropped
-        size = ny * int(cols[1].sum()) + nx * int(rows[1].sum()) + n
+        size = int((cols[1][targets // ny] + rows[1][targets % ny]).sum()) + len(targets)
         self.cells = np.empty(size, dtype=np.int32)
         self.minz = np.empty(size)
-        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        self.offsets = np.zeros(nx * ny + 1, dtype=np.int64)
         end = 0
-        for lo in range(0, n, _BLOCK_RAYS):
-            target = np.arange(lo, min(lo + _BLOCK_RAYS, n))
-            end = self._build_block(target, cols, rows, end)
+        for lo in range(0, len(targets), _BLOCK_RAYS):
+            end = self._build_block(targets[lo:lo + _BLOCK_RAYS], cols, rows, end)
         np.cumsum(self.offsets, out=self.offsets)
         # shrink in place to the kept entries
         self.cells.resize(end, refcheck=False)
@@ -238,6 +262,40 @@ class RayTable:
         minz = np.multiply((t0 if tz >= oz else t1)[good], tz - oz, out=self.minz[keep])
         minz += oz
         return keep.stop
+
+    def _cut(self, i0: int, j0: int):
+        """Fill the table from the corner half table, for an origin at cell (i0, j0)'s centre.
+
+        Entry (u, v) of half-table ray (min(|dx|, |dy|), max(|dx|, |dy|)) is
+        flat cell base + p·u + q·v, base the origin cell, with p, q in {±ny, ±1}
+        swapped where |dx| > |dy|; its minz is copied.
+        """
+        nx, ny, n = self.nx, self.ny, self.nx * self.ny
+        b = max(nx, ny)
+        offsets, u, v, minz = _corner_half(min(nx, ny), b, float(self.origin[2]), self.target_z)
+        dx = np.repeat(np.arange(nx) - i0, ny)
+        dy = np.tile(np.arange(ny) - j0, nx)
+        ax, ay = np.abs(dx), np.abs(dy)
+        swap = ax > ay
+        ray = np.where(swap, ay * b + ax, ax * b + ay)
+        sx = np.where(dx < 0, -ny, ny).astype(np.int32)
+        sy = np.where(dy < 0, -1, 1).astype(np.int32)
+        p, q = np.where(swap, sy, sx), np.where(swap, sx, sy)
+        lo = offsets[ray]
+        counts = offsets[ray + 1] - lo
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.offsets[1:])
+        self.cells = np.empty(int(self.offsets[-1]), dtype=np.int32)
+        self.minz = np.empty(len(self.cells))
+        base = i0 * ny + j0
+        for k in range(0, n, _BLOCK_RAYS):
+            rays = slice(k, k + _BLOCK_RAYS)
+            at = _ranges(lo[rays], counts[rays])[0]
+            keep = slice(self.offsets[k], self.offsets[min(k + _BLOCK_RAYS, n)])
+            cell = np.multiply(np.repeat(p[rays], counts[rays]), u[at], out=self.cells[keep])
+            cell += base
+            cell += np.repeat(q[rays], counts[rays]) * v[at]
+            np.take(minz, at, out=self.minz[keep])
 
     def classify_subset(self, rays: np.ndarray, known: np.ndarray,
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,3 +356,24 @@ class RayTable:
         cells = np.asarray(cells, dtype=np.intp)
         lo = offsets[cells]
         return rays[_ranges(lo, offsets[cells + 1] - lo)[0]]
+
+
+def _corner_half(a: int, b: int, oz: float, tz: float):
+    """(offsets, u, v, minz) of the corner half table of an a × b grid, a <= b.
+
+    Its rays run from cell (0, 0)'s centre at altitude oz to cells (u, v),
+    u <= v, at altitude tz; the other rays are empty. The cell size does not
+    enter. The last table is kept for the next cut.
+    """
+    global _half
+    key = (a, b, oz, tz)
+    if _half is None or _half[0] != key:
+        _half = None  # free the old table before building the new one
+        corner = RayTable.__new__(RayTable)
+        corner.origin, corner.cell_size_m, corner.target_z = np.array([0.5, 0.5, oz]), 1.0, tz
+        corner.nx, corner.ny = a, b
+        u, v = np.divmod(np.arange(a * b), b)
+        corner._build(np.flatnonzero(u <= v))
+        u, v = np.divmod(corner.cells, np.int32(b))
+        _half = key, (corner.offsets, u, v, corner.minz)
+    return _half[1]

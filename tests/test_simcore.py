@@ -6,7 +6,15 @@ import pytest
 from edgeflight.config import default_config, flat_city_config, with_seed
 from edgeflight.planner import PlannerKind
 from edgeflight.scenario import build_scenario
-from edgeflight.simcore import TrajectoryLog, batch_seeds, run_batch, run_episode
+from edgeflight.simcore import (
+    BatchResult,
+    EpisodeRow,
+    Metrics,
+    TrajectoryLog,
+    batch_seeds,
+    run_batch,
+    run_episode,
+)
 
 
 def small_cfg(seed: int = 0):
@@ -145,6 +153,35 @@ def test_batch_aggregate_shape():
             r.metrics.nlos_distance_ratio * r.metrics.flight_distance_m for r in rows
         ) / agg["total_distance_m"]
         assert agg["nlos_distance_ratio"] == pytest.approx(want)
+
+
+def test_batch_aggregate_counts_only_reached_episodes():
+    def row(episode, kind, dist, dur, uplink, nlos, reached):
+        return EpisodeRow(episode, episode, kind,
+                          Metrics(dist, dur, uplink, nlos, reached, not reached))
+
+    b, g = PlannerKind.BASELINE, PlannerKind.GLOBAL
+    res = BatchResult(rows=[
+        row(0, b, 300.0, 150.0, 4e6, 0.5, True),
+        row(0, g, 320.0, 100.0, 8e6, 0.25, True),
+        row(1, b, 100.0, 200.0, 1e6, 1.0, True),
+        row(1, g, 10.0, 2.0, 2e6, 0.0, False),  # gave up after 2 s
+    ], kinds=(b, g), episodes=2)
+    agg = res.aggregate(g)
+    assert (agg["episodes"], agg["stuck_episodes"]) == (2, 1)
+    assert agg["total_distance_m"] == 320.0
+    assert agg["total_duration_s"] == agg["mean_duration_s"] == 100.0
+    assert agg["avg_uplink_capacity_bps"] == 8e6
+    assert agg["nlos_distance_ratio"] == 0.25
+    agg = res.aggregate(b)
+    assert (agg["episodes"], agg["stuck_episodes"]) == (2, 0)
+    assert agg["total_duration_s"] == 350.0 and agg["mean_duration_s"] == 175.0
+    assert agg["avg_uplink_capacity_bps"] == 2.5e6
+    assert agg["nlos_distance_ratio"] == 250.0 / 400.0
+    only_stuck = BatchResult(rows=[res.rows[3]], kinds=(g,), episodes=1).aggregate(g)
+    assert (only_stuck["episodes"], only_stuck["stuck_episodes"]) == (1, 1)
+    assert only_stuck["total_duration_s"] == only_stuck["mean_duration_s"] == 0.0
+    assert only_stuck["avg_uplink_capacity_bps"] == only_stuck["nlos_distance_ratio"] == 0.0
 
 
 def test_batch_shares_scenarios_across_kinds():

@@ -312,15 +312,71 @@ def test_build_equals_the_padded_build_at_level_and_edge_origins(nx, ny):
             assert np.all(crossed % ny == iy)
 
 
-def test_ray_table_build_memory_is_bounded_by_the_table():
-    tracemalloc.start()
-    try:
-        table = RayTable(np.array([402.5, 397.5, 25.0]), 160, 160, 5.0, 50.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    size = table.offsets.nbytes + table.cells.nbytes + table.minz.nbytes
-    assert peak <= 3 * size
+@pytest.mark.parametrize("s", [5.0, 2.5, 0.3])
+@pytest.mark.parametrize("nx, ny", [(1, 9), (9, 1), (7, 7), (11, 6), (5, 12)])
+def test_cut_equals_the_padded_build_from_every_cell_centre(nx, ny, s, monkeypatch):
+    traced = []
+    build = RayTable._build
+
+    def spy(self, targets):
+        traced.append(self)
+        build(self, targets)
+
+    monkeypatch.setattr(RayTable, "_build", spy)
+    cut = 0
+    heights = ((25.0, 50.0), (60.0, 50.0), (50.0, 50.0), (0.0, 0.0))
+    for (oz, tz), ix, iy in itertools.product(heights, range(nx), range(ny)):
+        origin = ((ix + 0.5) * s, (iy + 0.5) * s, oz)
+        table = RayTable(np.array(origin), nx, ny, s, tz)
+        offsets, cells, minz = padded_ray_table(origin, nx, ny, s, tz)
+        assert np.array_equal(table.offsets, offsets), (origin, tz)
+        assert np.array_equal(table.cells, cells), (origin, tz)
+        assert table.minz.tobytes() == minz.tobytes(), (origin, tz)
+        # only an origin whose coordinates divide back to exact halves is cut
+        exact = origin[0] / s == ix + 0.5 and origin[1] / s == iy + 0.5
+        assert all(t is not table for t in traced) == exact, origin
+        cut += exact
+    # at s = 0.3 some centres (i + 0.5) * s / s miss i + 0.5 by an ulp
+    total = len(heights) * nx * ny
+    assert cut == total if s != 0.3 else 0 < cut < total
+
+
+@pytest.mark.parametrize("long_axis", [0, 1])
+def test_cut_of_a_strip_builds_its_half_table_on_the_strip(long_axis, monkeypatch):
+    # the 50-cell strip first: a half table on a max(nx, ny)² grid fails
+    # there, before the 2,000-cell strip would build one of 4 million rays
+    for n in (50, 2000):
+        nx, ny = (n, 1) if long_axis == 0 else (1, n)
+        for end in (0, n - 1):
+            monkeypatch.setattr(worldmap, "_half", None)
+            cell = [0, 0]
+            cell[long_axis] = end
+            origin = np.array([(cell[0] + 0.5) * 5.0, (cell[1] + 0.5) * 5.0, 25.0])
+            table = RayTable(origin, nx, ny, 5.0, 50.0)
+            key, (offsets, u, v, minz) = worldmap._half
+            assert key == (1, n, 25.0, 50.0)
+            assert len(offsets) == nx * ny + 1
+            assert len(u) == len(v) == len(minz) <= len(table.cells)
+            cut = table.offsets, table.cells, table.minz
+            table._build(np.arange(nx * ny))
+            assert np.array_equal(cut[0], table.offsets)
+            assert np.array_equal(cut[1], table.cells)
+            assert cut[2].tobytes() == table.minz.tobytes()
+
+
+def test_ray_table_build_memory_is_bounded_by_the_table(monkeypatch):
+    # a cell centre, cut from a half table built inside the traced window,
+    # and a point on a cell edge, traced
+    for origin in ((402.5, 397.5), (400.0, 397.5)):
+        monkeypatch.setattr(worldmap, "_half", None)
+        tracemalloc.start()
+        try:
+            table = RayTable(np.array([*origin, 25.0]), 160, 160, 5.0, 50.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = table.offsets.nbytes + table.cells.nbytes + table.minz.nbytes
+        assert peak <= 3 * size, origin
 
 
 def test_classify_subset_of_unsorted_duplicated_and_empty_rays():
