@@ -81,6 +81,35 @@ def _check_link_powers(ch: ChannelParams, sc: ScenarioConfig) -> None:
                     f"{noise_mw!r} mW; keep powers and their ratios within a float's range")
 
 
+def _check_edge_weights(oc: OffloadConfig, pc: PlanConfig, sc: ScenarioConfig) -> None:
+    """Reject speeds and cost rates whose path costs leave a float's range.
+
+    A cost-field edge is at most √2 cells long, costs at most
+    1 + nlos_penalty + interference_weight per second, and is flown no
+    slower than local processing allows, min(v_max_mps, local_fps /
+    frames_per_meter). A path crosses each cell at most once, so that
+    largest weight times the cell count must be a finite float; otherwise
+    every edge weight overflows to inf and the planner finds no path over
+    free cells. With local_fps 0 a dead link has no speed at all, which the
+    planner reads as "no path" by design, so that case is not checked.
+    """
+    if oc.local_fps == 0:
+        return
+    local = oc.local_fps / oc.frames_per_meter
+    which = "offload.v_max_mps" if oc.v_max_mps <= local else (
+        "offload.local_fps / offload.frames_per_meter")
+    v_min = min(oc.v_max_mps, local)
+    rate = 1.0 + pc.nlos_penalty + pc.interference_weight
+    cells = sc.width_cells * sc.depth_cells
+    cost = math.inf if v_min == 0 else math.sqrt(2.0) * sc.cell_size_m * rate / v_min * cells
+    if not math.isfinite(cost):
+        raise ConfigError(
+            f"a path over the {cells} cells can cost {cost!r}, not a finite float: an "
+            "edge costs sqrt(2) * scenario.cell_size_m * (1 + planner.nlos_penalty + "
+            f"planner.interference_weight) / the slowest speed, {which} = {v_min!r} "
+            f"m/s; raise {which} or lower the planner's cost weights")
+
+
 @dataclass(frozen=True)
 class Config:
     scenario: ScenarioConfig = ScenarioConfig()
@@ -92,6 +121,7 @@ class Config:
 
     def __post_init__(self):
         _check_link_powers(self.channel, self.scenario)
+        _check_edge_weights(self.offload, self.planner, self.scenario)
 
 
 _SECTIONS = {

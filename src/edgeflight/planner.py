@@ -28,6 +28,7 @@ oscillation a horizon-truncated search can fall into near walls.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,6 +52,9 @@ from .scenario import inflate_obstacles
 from .worldmap import ExploredMap
 
 _SQRT2 = float(np.sqrt(2.0))
+_NEIGH = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2),
+          (0, -1, 1.0), (0, 1, 1.0),
+          (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2))
 
 
 class PlannerKind(Enum):
@@ -113,6 +117,34 @@ def capacity_grids(gain_db: np.ndarray, int_mw, ch: ChannelParams):
     return up, capacity_bps(sig_mw / (noise_mw + int_mw), ch.bandwidth_hz), sig_mw
 
 
+@functools.lru_cache(maxsize=1)
+def _lattice_edges(nx: int, ny: int, cell_size_m: float) -> tuple[np.ndarray, ...]:
+    """Flat (u, v, length_m) arrays of every 8-neighbour edge, sorted by u, then v.
+
+    That is the order of a canonical CSR matrix, so a cost-field rebuild
+    keeps the edges out of free cells, in this order, as the graph's CSR
+    arrays directly: with indptr the running count of kept edges per
+    source, they equal what coo.tocsr() makes of the same edges (no pair
+    occurs twice). Each weight is computed per edge, so its bits do not
+    depend on the order. Every planner of the last grid shares the arrays,
+    which are read-only.
+    """
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    us, vs, lengths = [], [], []
+    for ddx, ddy, dd in _NEIGH:
+        u = idx[max(0, -ddx):nx - max(0, ddx),
+                max(0, -ddy):ny - max(0, ddy)].ravel()
+        us.append(u)
+        vs.append(u + ddx * ny + ddy)
+        lengths.append(np.full(len(u), dd * cell_size_m))
+    u, v = np.concatenate(us), np.concatenate(vs)
+    order = np.lexsort((v, u))
+    edges = u[order], v[order], np.concatenate(lengths)[order]
+    for a in edges:
+        a.flags.writeable = False
+    return edges
+
+
 class Planner:
     """One policy arm bound to an episode's scenario and belief state."""
 
@@ -137,7 +169,7 @@ class Planner:
         if self._static is None:
             self._state_limits = self._explored_limits()
         self._fully_known = bool(explored.known.all())
-        self._edges = self._lattice_edges()
+        self._edges = _lattice_edges(self._nx, self._ny, self._s)
         # each cache holds the inputs it was built from
         self._forbidden_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._field_cache: tuple | None = None
@@ -205,23 +237,6 @@ class Planner:
 
     # ---- search ----
 
-    _NEIGH = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2),
-              (0, -1, 1.0), (0, 1, 1.0),
-              (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2))
-
-    def _lattice_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat (u, v, length_m) arrays of every 8-neighbour edge, by direction."""
-        nx, ny = self._nx, self._ny
-        idx = np.arange(nx * ny).reshape(nx, ny)
-        us, vs, lengths = [], [], []
-        for ddx, ddy, dd in self._NEIGH:
-            u = idx[max(0, -ddx):nx - max(0, ddx),
-                    max(0, -ddy):ny - max(0, ddy)].ravel()
-            us.append(u)
-            vs.append(u + ddx * ny + ddy)
-            lengths.append(np.full(len(u), dd * self._s))
-        return np.concatenate(us), np.concatenate(vs), np.concatenate(lengths)
-
     def _cost_field(self):
         """Cost-to-goal potential and next-hop table for the current map.
 
@@ -249,7 +264,9 @@ class Planner:
         # the sweep runs from the goal, so u is the cell a hop lands on
         m = ~forb.ravel()[u]
         n = self._nx * self._ny
-        graph = sparse.csr_matrix((weight[m], (u[m], v[m])), shape=(n, n))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(u[m], minlength=n), out=indptr[1:])
+        graph = sparse.csr_matrix((weight[m], v[m], indptr), shape=(n, n))
         gstar, pred = csgraph.dijkstra(graph, directed=True, indices=self._goal_flat,
                                        return_predecessors=True)
         field = (gstar, pred, limits)

@@ -11,11 +11,17 @@ NLoS and stay NLoS (sticky); rays touching unexplored cells are assumed LoS
 until the area is explored or measured. Rays are classified through the
 BS's precomputed RayTable.
 
-Refreshes are event-driven. Known heights never change, so a ray's verdict
-can change only when one of its crossed cells turns known. Each refresh
-first marks dirty the rays crossing the cells learned since the last one,
-then classifies only the stale cells that are missing or whose ray is
-dirty. On an unchanged map nothing is classified.
+Refreshes are event-driven and mark dirty only the rays whose verdict can
+have changed. Known heights are truth and knowledge only grows, so over time
+a ray's "blocked" can only switch on and its "crosses unknown" only switch
+off. An assumed-LoS verdict therefore changes only when a learned crossing
+blocks the ray or when the ray's last unknown crossing turns known. A map
+that can learn counts each ray's table entries over cells not yet known.
+Each refresh first takes the cells learned since the last one off those
+counts, and marks dirty the rays whose count reaches 0 and the rays crossing
+a learned cell tall enough to block any ray of the table. It then
+classifies only the stale cells that are missing or whose ray is dirty. On
+an unchanged map nothing is classified.
 """
 
 from __future__ import annotations
@@ -53,6 +59,13 @@ class RadioMap:
         self._dirty = np.zeros((nx, ny), dtype=bool)
         if self._known_seen is None:
             self._refresh(np.arange(nx * ny))
+            return
+        # per ray, its table entries over cells not yet known; a ray is
+        # listed once per entry, and subtract.at counts every listing
+        self._unknown = np.diff(table.offsets)
+        np.subtract.at(self._unknown, table.rays_crossing(np.flatnonzero(self._known_seen)), 1)
+        # a cell no taller than every entry's minz blocks no ray
+        self._low = float(table.minz.min(initial=np.inf))
 
     def _due(self, win) -> np.ndarray:
         """Mask of the cells in window `win` that a refresh must classify.
@@ -60,15 +73,26 @@ class RadioMap:
         Due are the missing cells, and the assumed-LoS and, unless sticky,
         NLoS cells whose ray is dirty. LoS came from rays over explored cells
         only, and explored knowledge is monotone, so re-classifying it would
-        confirm it. First marks dirty the rays crossing every cell learned
-        since the last call.
+        confirm it. First marks dirty the rays whose verdict the cells
+        learned since the last call can change: those left with no unknown
+        crossing, and those crossing a learned cell taller than the lowest
+        minz of the table, which alone can block. A ray that still crosses an
+        unknown cell and meets only low learned cells keeps its verdict, so
+        it is not marked; on a flat map that is every ray still crossing an
+        unknown cell.
         """
         if self._known_seen is not None:
             known = self.explored.known
             learned = np.flatnonzero(known != self._known_seen)
             if len(learned):
-                self._dirty.reshape(-1)[self.table.rays_crossing(learned)] = True
                 self._known_seen[:] = known
+                dirty = self._dirty.reshape(-1)
+                rays = self.table.rays_crossing(learned)
+                np.subtract.at(self._unknown, rays, 1)
+                dirty[rays[self._unknown[rays] == 0]] = True
+                tall = learned[self.explored.heights.ravel()[learned] > self._low]
+                if len(tall):
+                    dirty[self.table.rays_crossing(tall)] = True
         codes = self.state_grid[win]
         stale = codes == _ASSUMED
         if not self.sticky_enabled:
@@ -118,11 +142,11 @@ class RadioMap:
         """Bring every flight-layer cell up to date with the explored map.
 
         Missing cells get a first estimate; assumed-LoS cells whose rays
-        cross a cell learned since their last estimate are re-estimated,
-        since geometry discovered anywhere along a ray can disprove the
-        assumption long before the vehicle gets near. Without sticky NLoS a
-        measured NLoS cell also returns to its estimate from the explored
-        map. On an unchanged map nothing is classified.
+        were marked dirty since their last estimate are re-estimated, since
+        geometry discovered anywhere along a ray can disprove the assumption
+        long before the vehicle gets near. Without sticky NLoS a measured
+        NLoS cell also returns to its estimate from the explored map. On an
+        unchanged map nothing is classified.
         """
         self._refresh(np.flatnonzero(self._due(np.s_[:])))
 

@@ -181,7 +181,7 @@ class RayTable:
     rays_crossing answers the inverse question, which rays cross a cell,
     from a cell -> rays index in the same CSR layout: the table's transpose,
     built by scipy's counting sort into int32 arrays. The index is built on
-    its first call, so a table whose map never learns a cell never holds it.
+    its first call, so a table read only by fully known maps never holds it.
     """
 
     def __init__(self, origin, nx: int, ny: int, cell_size_m: float, target_z: float):

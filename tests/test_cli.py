@@ -252,6 +252,26 @@ def test_power_outside_a_float_is_config_error_naming_the_field(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("offload, field", [
+    ({"v_max_mps": 5e-324}, "offload.v_max_mps"),                # every speed underflows
+    ({"frames_per_meter": 1e308}, "offload.frames_per_meter"),   # local speed underflows
+])
+def test_speed_whose_path_costs_overflow_is_config_error_naming_the_field(
+        tmp_path, capsys, small_config_path, offload, field):
+    # before the check every arm printed [stuck] and the run exited 3, after
+    # an overflow in the cost field's edge weights
+    d = json.loads(small_config_path.read_text())
+    d["offload"].update(offload)
+    cfg = tmp_path / "speed.json"
+    cfg.write_text(json.dumps(d))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_power_check_accepts_the_presets_golden_and_dead_link_configs(small_config_path):
     from test_golden import golden_config
 

@@ -128,6 +128,51 @@ def test_plan_cost_matches_exhaustive_enumeration_on_tiny_grids():
     assert solved >= 6
 
 
+@pytest.mark.parametrize("shape", [(2, 9), (9, 2), (7, 5), (12, 12)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_cost_field_graph_equals_the_coo_graph_bit_for_bit(monkeypatch, shape):
+    # the planner hands its sorted lattice edges to csr_matrix as CSR arrays;
+    # they must be exactly what coo.tocsr() makes of the edges in any order
+    from scipy import sparse
+    from oracles import _NEIGH
+
+    graphs = []
+    dijkstra = planner_mod.csgraph.dijkstra
+
+    def keeping(graph, *args, **kwargs):
+        graphs.append(graph)
+        return dijkstra(graph, *args, **kwargs)
+
+    monkeypatch.setattr(planner_mod.csgraph, "dijkstra", keeping)
+    rng = np.random.default_rng(sum(shape))
+    nx, ny = shape
+    heights = np.where(rng.random(shape) < 0.2, 80.0, 0.0)
+    free = np.argwhere(heights == 0.0)
+    picks = free[rng.choice(len(free), size=3, replace=False)]
+    sc = make_world(heights, *map(tuple, picks))
+    for kind in (PlannerKind.GLOBAL, PlannerKind.BASELINE):
+        pl = make_planner(sc, kind, PlanConfig(horizon_s=1e9, safety_margin_cells=0))
+        pl._cost_field()
+        limits, pen = planner_pen(pl)
+        lim, pen, forb = limits.ravel(), pen.ravel(), pl.forbidden_mask().ravel()
+        u, v, length = [], [], []
+        for ddx, ddy, dd in _NEIGH:
+            for ix in range(nx):
+                for iy in range(ny):
+                    jx, jy = ix + ddx, iy + ddy
+                    if 0 <= jx < nx and 0 <= jy < ny and not forb[ix * ny + iy]:
+                        u.append(ix * ny + iy)
+                        v.append(jx * ny + jy)
+                        length.append(dd * 5.0)
+        u, v, length = np.array(u), np.array(v), np.array(length)
+        weight = length / np.minimum(lim[u], lim[v]) * 0.5 * (pen[u] + pen[v])
+        want = sparse.coo_matrix((weight, (u, v)), shape=(nx * ny, nx * ny)).tocsr()
+        got = graphs.pop()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_plan_is_deterministic():
     rng = np.random.default_rng(5)
     heights, bs_c, start_c, goal_c = random_world(rng, 14, 14)

@@ -215,7 +215,8 @@ def test_unchanged_map_classifies_nothing(monkeypatch):
     assert calls == []
 
 
-def test_refresh_classifies_missing_rays_and_rays_crossing_learned_cells(monkeypatch):
+def test_refresh_classifies_missing_rays_and_rays_whose_verdict_learned_cells_can_change(
+        monkeypatch):
     truth = city(8)
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     sensor = SensorModel(120.0, 50.0)
@@ -228,21 +229,38 @@ def test_refresh_classifies_missing_rays_and_rays_crossing_learned_cells(monkeyp
     learned = em.known & ~before_known
     assert learned.any()
 
+    # per ray, over its own table entries: does it cross a learned cell, a
+    # learned cell taller than the lowest minz of the table (the only cells
+    # that can block any ray), a learned cell above the entry's own minz
+    # (which blocks it), and is it left with no unknown crossing?
     table = rm.table
-    crosses_learned = np.array([
-        learned.ravel()[table.cells[table.offsets[r]:table.offsets[r + 1]]].any()
-        for r in range(len(before))
-    ])
+    low = table.minz.min()
+    known, heights = em.known.ravel(), em.heights.ravel()
+    crosses_learned, crosses_tall, blocks, emptied = (np.zeros(len(before), dtype=bool)
+                                                      for _ in range(4))
+    for r in range(len(before)):
+        entries = slice(table.offsets[r], table.offsets[r + 1])
+        c = table.cells[entries]
+        new = learned.ravel()[c]
+        crosses_learned[r] = new.any()
+        crosses_tall[r] = (new & (heights[c] > low)).any()
+        blocks[r] = (new & (heights[c] > table.minz[entries])).any()
+        emptied[r] = new.any() and known[c].all()
     assumed = before == _STATE_CODE[LinkState.ASSUMED_LOS]
     missing = before == MISSING
-    want = np.flatnonzero(missing | (assumed & crosses_learned))
-    assert missing.any() and (assumed & crosses_learned).any()
-    assert (assumed & ~crosses_learned).any()
+    # exactly the assumed-LoS rays whose verdict changes are classified
+    # again: on this city each one that crosses a learned cell tall enough
+    # to block some ray is blocked by it
+    assert np.array_equal(assumed & crosses_tall, assumed & blocks)
+    want = missing | (assumed & (blocks | emptied))
+    assert missing.any() and (assumed & blocks).any() and (assumed & emptied).any()
+    # rays over learned cells that can change no verdict are left alone
+    assert (assumed & crosses_learned & ~want).any()
 
     calls = counting_classify(monkeypatch)
     rm.ensure_layer_evaluated()
     assert len(calls) == 1
-    assert calls[0] == list(want)
+    assert calls[0] == np.flatnonzero(want).tolist()
 
 
 def test_measured_nlos_reverts_without_sticky():
@@ -381,3 +399,110 @@ def test_measured_nlos_on_a_fully_known_map_reverts_in_update_around_only_withou
     assert rm.state_at(pos) is want
     changed = np.argwhere(rm.state_grid != before)
     assert changed.tolist() == ([] if sticky else [[ix, iy]])
+
+
+@pytest.mark.parametrize("bs, repeats", [((2.5, 2.5, 25.0), 0), ((-7.5, 2.5, 25.0), 1)],
+                         ids=["cell-centre", "off-map"])
+def test_flat_map_classifies_an_assumed_ray_again_only_once_its_last_unknown_crossing_is_learned(
+        monkeypatch, bs, repeats):
+    em = ExploredMap(12, 12, 5.0)  # every height 0: no cell can block
+    rm = make_rm(em, np.array(bs))
+    rm.ensure_layer_evaluated()
+    table, known = rm.table, em.known.reshape(-1)
+    target = 11 * 12 + 7
+    entries = table.cells[table.offsets[target]:table.offsets[target + 1]]
+    # from off the map the ray's first piece is clamped onto a border cell,
+    # which its table then holds in two entries
+    crossed = list(dict.fromkeys(entries.tolist()))
+    assert len(crossed) >= 5 and len(entries) - len(crossed) == repeats
+    assert rm.state_grid.reshape(-1)[target] == _STATE_CODE[LinkState.ASSUMED_LOS]
+    calls = counting_classify(monkeypatch)
+    for k, cell in enumerate(crossed):  # learn its crossings one at a time
+        known[cell] = True
+        rm.ensure_layer_evaluated()
+        classified = [int(r) for call in calls for r in call]
+        calls.clear()
+        assert (target in classified) is (k == len(crossed) - 1)
+        # every ray classified again has just lost its last unknown crossing
+        for r in classified:
+            assert known[table.cells[table.offsets[r]:table.offsets[r + 1]]].all()
+            assert rm.state_grid.reshape(-1)[r] == _STATE_CODE[LinkState.LOS]
+
+
+@pytest.mark.parametrize("bs_z", [25.0, 80.0], ids=["bs-below", "bs-above"])
+def test_learned_building_between_the_ray_ends_turns_a_ray_still_crossing_unknown_cells_nlos(
+        bs_z):
+    em = ExploredMap(12, 12, 5.0)
+    rm = make_rm(em, np.array([2.5, 2.5, bs_z]))
+    rm.ensure_layer_evaluated()
+    table = rm.table
+    target = 11 * 12 + 7
+    entries = slice(table.offsets[target], table.offsets[target + 1])
+    crossed, minz = table.cells[entries], table.minz[entries]
+    # a building on the ray's lowest crossing, taller than the lower end of
+    # the ray and than the ray there, but lower than its upper end
+    k = int(np.argmin(minz))
+    height = 0.5 * (bs_z + ALT)
+    assert min(bs_z, ALT) <= minz[k] < height < max(bs_z, ALT)
+    em.known.reshape(-1)[crossed[k]] = True
+    em.heights.reshape(-1)[crossed[k]] = height
+    rm.ensure_layer_evaluated()
+    assert not em.known.reshape(-1)[crossed].all()
+    assert rm.state_grid.reshape(-1)[target] == _STATE_CODE[LinkState.NLOS]
+
+
+def assert_matches_full_refresh(truth, em, table, sticky, rng, steps=150):
+    """Fly random operations on RadioMap and FullRefreshRadioMap; their grids stay equal."""
+    maps = [RadioMap(table, em, sticky_nlos=sticky),
+            FullRefreshRadioMap(table, em, sticky_nlos=sticky)]
+    sensor = SensorModel(120.0, 50.0)
+    seen = set()
+    for _ in range(steps):
+        pos = (rng.uniform(0, 200), rng.uniform(0, 200), ALT)
+        op = rng.choice(["sense", "update_around", "csi_correct", "ensure_layer_evaluated"],
+                        p=[0.3, 0.3, 0.3, 0.1])
+        if op == "sense":
+            sense(truth, em, pos, rng.uniform(-180, 180), sensor)
+        elif op == "update_around":
+            radius = rng.uniform(0.0, 60.0)
+            for rm in maps:
+                rm.update_around(pos, radius)
+        elif op == "csi_correct":
+            measured = LinkState.NLOS if rng.random() < 0.5 else LinkState.LOS
+            for rm in maps:
+                rm.csi_correct(pos, measured)
+        else:
+            for rm in maps:
+                rm.ensure_layer_evaluated()
+        fast, full = maps
+        assert fast.state_grid.tobytes() == full.state_grid.tobytes(), op
+        seen.update(np.unique(fast.state_grid).tolist())
+    assert seen == {MISSING, *_CODE_STATE}
+
+
+@pytest.mark.parametrize("sticky", [True, False])
+def test_dirty_refresh_matches_full_refresh_on_a_map_partly_known_at_construction(sticky):
+    truth = city(13)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    rng = np.random.default_rng(13)
+    for _ in range(4):
+        sense(truth, em, (rng.uniform(0, 200), rng.uniform(0, 200), ALT),
+              rng.uniform(-180, 180), SensorModel(120.0, 50.0))
+    assert 0.05 < em.known.mean() < 0.5
+    table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
+    assert_matches_full_refresh(truth, em, table, sticky, rng)
+    assert em.known.mean() < 1.0
+
+
+@pytest.mark.parametrize("sticky", [True, False])
+@pytest.mark.parametrize("bs", [(102.5, 102.5, 80.0), (-30.0, 117.5, 80.0)],
+                         ids=["centre", "off-map"])
+def test_dirty_refresh_matches_full_refresh_with_the_bs_above_the_layer(bs, sticky):
+    # off the map, rays run along the clamped border cells, so a ray can
+    # hold one cell in several entries
+    truth = city(14)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    table = RayTable(np.array(bs), truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
+    assert table.origin[2] > table.target_z
+    assert_matches_full_refresh(truth, em, table, sticky, np.random.default_rng(14))
+    assert em.known.mean() < 1.0
