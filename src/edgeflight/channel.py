@@ -78,6 +78,11 @@ def free_space_path_loss_db(distance_m, carrier_hz):
 # round in another order (67,217 of 300,000 squared norms and 107,062 of
 # 300,000 cross products of random 3-vectors); and pre-adding carrier_loss +
 # _FOUR_PI_OVER_C_DB, which rounds once where the array version rounds twice.
+#
+# linkfield.TruthLink.budgets prices many positions with the array versions
+# and matches these helpers bit for bit. It does not replace them: one array
+# pass at a single position costs about twice the per-point calls, and most
+# ticks of an arm whose true limit binds are priced one at a time.
 
 def path_loss_db_scalar(distance_m: float, nlos: bool, carrier_loss: float,
                         p: ChannelParams) -> float:

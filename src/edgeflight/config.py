@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, dbm_to_mw, free_space_path_loss_db
+from .channel import ChannelParams, capacity_bps, dbm_to_mw, free_space_path_loss_db
 from .errors import ConfigError
-from .offload import OffloadConfig
+from .offload import OffloadConfig, remote_update_rate
 from .planner import PlanConfig
 from .scenario import ScenarioConfig
 from .worldmap import SensorModel
@@ -110,6 +110,58 @@ def _check_edge_weights(oc: OffloadConfig, pc: PlanConfig, sc: ScenarioConfig) -
             f"m/s; raise {which} or lower the planner's cost weights")
 
 
+def _check_plos_curve(ch: ChannelParams) -> None:
+    """Reject a LoS-probability curve that overflows at some elevation.
+
+    The baseline prices 1 / (1 + plos_a exp(-plos_b (theta - plos_a))) over
+    elevations theta in [0, 90] degrees. The exponent is linear in theta and
+    the rest is monotone in it, so the values at 0 and 90 degrees bound every
+    other: there the exponent and the denominator must be finite floats.
+    """
+    with np.errstate(over="ignore"):
+        for theta in (0.0, 90.0):
+            exponent = float(-ch.plos_b * (theta - ch.plos_a))
+            denominator = float(1.0 + ch.plos_a * np.exp(exponent))
+            if not (math.isfinite(exponent) and math.isfinite(denominator)):
+                raise ConfigError(
+                    f"at {theta:g} degrees elevation the LoS probability 1 / (1 + channel.plos_a "
+                    f"* exp(-channel.plos_b * (theta - channel.plos_a))) has exponent "
+                    f"{exponent!r} and denominator {denominator!r}, not finite floats; keep "
+                    f"channel.plos_a ({ch.plos_a!r}) and channel.plos_b ({ch.plos_b!r}) "
+                    "within a float's range")
+
+
+def _check_frame_rate(oc: OffloadConfig, ch: ChannelParams, sc: ScenarioConfig) -> None:
+    """Reject a frames_per_meter whose speed limits overflow.
+
+    The fastest frame rate any arm can reach is the larger of local_fps and
+    the remote rate over the best links: no interference, in LoS, at the
+    nearest BS-to-vehicle distance the map allows. That rate, and the rate
+    divided by frames_per_meter, must be finite floats, or the per-tick rate
+    divides by zero and the speed-limit grids overflow.
+    """
+    dz = abs(sc.uav_altitude_m - sc.bs_height_m)
+    with np.errstate(over="ignore", divide="ignore"):
+        noise_mw = dbm_to_mw(ch.noise_dbm)
+        gain = -free_space_path_loss_db(dz, ch.carrier_hz)
+        up, dn = (capacity_bps(dbm_to_mw(tx + gain) / noise_mw, ch.bandwidth_hz)
+                  for tx in (ch.uav_tx_power_dbm, ch.bs_tx_power_dbm))
+        fps = max(oc.local_fps, float(remote_update_rate(up, dn, oc)))
+        speed = fps / oc.frames_per_meter
+    if not math.isfinite(fps):
+        raise ConfigError(
+            f"a remote frame takes no time over the fastest links ({float(up)!r} bps up, "
+            f"{float(dn)!r} bps down): offload.frame_bits ({oc.frame_bits!r}), "
+            f"offload.remote_processing_s ({oc.remote_processing_s!r}) and "
+            f"offload.feedback_bits ({oc.feedback_bits!r}) give {fps!r} frames/s; "
+            "raise one of them")
+    if not math.isfinite(speed):
+        raise ConfigError(
+            f"the fastest frame rate, {fps!r} frames/s, over offload.frames_per_meter "
+            f"({oc.frames_per_meter!r}) is a speed of {speed!r} m/s, not a finite float; "
+            "raise offload.frames_per_meter")
+
+
 @dataclass(frozen=True)
 class Config:
     scenario: ScenarioConfig = ScenarioConfig()
@@ -121,6 +173,8 @@ class Config:
 
     def __post_init__(self):
         _check_link_powers(self.channel, self.scenario)
+        _check_plos_curve(self.channel)
+        _check_frame_rate(self.offload, self.channel, self.scenario)
         _check_edge_weights(self.offload, self.planner, self.scenario)
 
 

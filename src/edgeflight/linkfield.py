@@ -3,7 +3,8 @@
 `layer_offsets` and `layer_gain_db` are the one flight-layer cell geometry and
 per-BS gain that every arm prices from: the explored arm's LoS/NLoS limit
 grids, the baseline's expected loss and the global arm's truth grids. `TruthLink` gives
-the simulator its per-tick true budgets, always computed from truth, and the
+the simulator its per-tick true budgets, always computed from truth, one
+position at a time or many in one array pass with the same bits, and the
 global arm its per-cell truth grids. Link states are evaluated at flight-layer
 cell resolution; powers use exact 3D distances. The UAV antenna boresight
 tracks the serving BS, so interference arrives through the antenna pattern
@@ -21,6 +22,7 @@ from .channel import (
     LinkState,
     antenna_gain_db,
     antenna_gain_db_scalar,
+    capacity_bps,
     capacity_bps_scalar,
     carrier_loss_db,
     dbm_to_mw,
@@ -141,6 +143,42 @@ class TruthLink:
             i_mw += dbm_to_mw_scalar(p.bs_tx_power_dbm + g - pl_i)
         sinr = s_mw / (self._noise_mw + i_mw)
         return capacity_bps_scalar(sinr, p.bandwidth_hz), sinr, i_mw / (i_mw + s_mw)
+
+    def budgets(self, points):
+        """(uplink_bps, downlink_bps, downlink_sinr, serving_nlos) at each row of an (n, 3) array.
+
+        Row i equals `uplink_capacity`, the first two of `downlink` and
+        `serving_state` at points[i], bit for bit: every step is the array
+        form of the per-point one, in the same order. The cell lookup is `//`
+        on float64, clipped as in `grid_cell`; the norms and cross products
+        are stacked `matmul`s, which reach the same BLAS dot per pair as
+        `.dot`; the ufuncs run on contiguous arrays; and the interference
+        sums from 0.0 in BS order.
+        """
+        p = self.p
+        pts = np.array(points, dtype=float)
+        ix = np.clip(pts[:, 0] // self._s, 0, self._nx - 1).astype(np.intp)
+        iy = np.clip(pts[:, 1] // self._s, 0, self._ny - 1).astype(np.intp)
+        cell = ix * self._ny + iy
+        serving = self.sc.serving_bs
+        vec = np.stack(self._bs)[:, None, :] - pts  # (n_bs, n, 3), BS minus position
+        row, col = vec[..., None, :], vec[..., :, None]
+        dist = np.sqrt((row @ col)[..., 0, 0])
+        nlos = np.stack([b[cell] for b in self.blocked])
+        gain = layer_gain_db(dist, nlos, p)
+        noise = self._noise_mw
+        up = capacity_bps(dbm_to_mw(p.uav_tx_power_dbm + gain[serving]) / noise, p.bandwidth_hz)
+        s_mw = dbm_to_mw(p.bs_tx_power_dbm + gain[serving])
+        cross = (row[serving] @ col)[..., 0, 0]
+        i_mw = np.zeros(len(pts))
+        for i in range(len(self._bs)):
+            if i == serving:
+                continue
+            cosang = cross[i] / np.maximum(dist[serving] * dist[i], 1e-12)
+            ang = np.degrees(np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0)))
+            i_mw += dbm_to_mw(p.bs_tx_power_dbm + antenna_gain_db(ang, p) + gain[i])
+        sinr = s_mw / (noise + i_mw)
+        return up, capacity_bps(sinr, p.bandwidth_hz), sinr, nlos[serving]
 
     # ---- per-cell grids for the global planner arm ----
 

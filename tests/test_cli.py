@@ -272,6 +272,34 @@ def test_speed_whose_path_costs_overflow_is_config_error_naming_the_field(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("section, values, field", [
+    ("channel", {"plos_a": 1e308}, "channel.plos_a"),            # exp overflows
+    ("channel", {"plos_b": 1e308}, "channel.plos_b"),            # exponent overflows
+    ("channel", {"plos_b": -1e308}, "channel.plos_b"),           # exponent overflows
+    ("offload", {"frames_per_meter": 5e-324}, "offload.frames_per_meter"),  # speeds overflow
+    # a remote frame that costs no time: the per-tick rate divided by zero
+    ("offload", {"frame_bits": 5e-324, "feedback_bits": 0.0, "remote_processing_s": 0.0},
+     "offload.frame_bits"),
+])
+def test_overflowing_link_curve_or_frame_rate_is_config_error_naming_the_field(
+        tmp_path, capsys, section, values, field):
+    # before the checks each ran on a 100 m default map and printed a numpy
+    # overflow warning, then exited 0; the zero-time frame raised
+    # ZeroDivisionError instead
+    d = config_to_dict(default_config(seed=4))
+    d["scenario"]["map_size_m"] = [100.0, 100.0]
+    d["scenario"]["endpoint_distance_m"] = [40.0, 80.0]
+    d[section].update(values)
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(d))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_power_check_accepts_the_presets_golden_and_dead_link_configs(small_config_path):
     from test_golden import golden_config
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 
+from edgeflight.channel import LinkState
 from edgeflight.config import default_config
 from edgeflight.linkfield import TruthLink, ray_table_for
 from edgeflight.planner import Planner, PlannerKind, capacity_grids, rate_to_limit_grid
@@ -102,3 +103,52 @@ def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
         up, dn, _ = capacity_grids(gain, 0.0, ch)
         assert np.array_equal(limits, rate_to_limit_grid(up, dn, cfg.offload))
         assert np.array_equal(nlos.ravel(), tl.blocked[serving])
+
+
+def test_budgets_equal_the_per_point_methods_bit_for_bit():
+    """One array pass prices every position with the per-point methods' bits.
+
+    Three default cities, and one with five BSs, whose three interferers make
+    the order of the interference sum show. The positions are random ones,
+    cell corners and cell edges, points off the map and points straight
+    above each BS. They are priced all at once, in batches of 7, one at a
+    time, and from arrays whose rows are not contiguous.
+    """
+    cfg = default_config()
+    rng = np.random.default_rng(18)
+    cities = [dataclasses.replace(cfg.scenario, rng_seed=seed) for seed in (4, 9, 11)]
+    cities.append(dataclasses.replace(cfg.scenario, rng_seed=4, n_bs=5))
+    for scfg in cities:
+        sc = build_scenario(scfg)
+        alt = sc.cfg.uav_altitude_m
+        truth = sc.truth
+        s = truth.cell_size_m
+        nx, ny = truth.width_cells, truth.depth_cells
+        size = np.array([nx * s, ny * s])
+        corners = rng.integers(0, [nx + 1, ny + 1], size=(40, 2)) * s
+        xy = np.vstack([
+            rng.uniform(0.0, 1.0, size=(300, 2)) * size,
+            corners,
+            np.column_stack([corners[:, 0], rng.uniform(0.0, size[1], 40)]),
+            np.column_stack([rng.uniform(0.0, size[0], 40), corners[:, 1]]),
+            rng.uniform(-0.5, 1.5, size=(40, 2)) * size,
+            [bs[:2] for bs in sc.bs_positions],
+        ])
+        pts = np.column_stack([xy, np.full(len(xy), alt)])
+        tl = TruthLink(sc, cfg.channel, alt)
+        want = [(tl.uplink_capacity(q), *tl.downlink(q)[:2], tl.serving_state(q) is LinkState.NLOS)
+                for q in pts]
+        assert {w[3] for w in want} == {False, True}
+
+        def priced(points):
+            return list(zip(*(a.tolist() for a in tl.budgets(points))))
+
+        wide = np.zeros((len(pts), 6))
+        wide[:, ::2] = pts
+        assert not wide[:, ::2].flags.c_contiguous
+        assert priced(pts) == want
+        assert priced(list(pts)) == want
+        assert priced(wide[:, ::2]) == want
+        assert priced(np.asfortranarray(pts)) == want
+        assert sum((priced(pts[i:i + 7]) for i in range(0, len(pts), 7)), []) == want
+        assert [priced(pts[i:i + 1])[0] for i in range(len(pts))] == want

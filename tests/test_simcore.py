@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from edgeflight import simcore
 from edgeflight.config import default_config, flat_city_config, with_seed
-from edgeflight.planner import PlannerKind
+from edgeflight.linkfield import TruthLink
+from edgeflight.planner import Planner, PlannerKind
 from edgeflight.scenario import build_scenario
 from edgeflight.simcore import (
     BatchResult,
@@ -202,3 +204,65 @@ def test_global_arm_estimates_the_truth_state_from_the_first_tick():
     assert metrics.reached
     true_col, est_col = (TrajectoryLog.COLUMNS.index(c) for c in ("true_state", "est_state"))
     assert [r[est_col] for r in log.rows] == [r[true_col] for r in log.rows]
+
+
+def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
+    """Windows priced ahead change no output bit on any arm.
+
+    Every arm flies one default city twice: as is, and with
+    `TruthLink.budgets` pricing nothing, so that every tick prices its own
+    budgets and runs its own advance. Metrics reprs and log rows must be
+    equal. Spies on the tick's calls show the paths the first flight took:
+    ticks that adopted a queued advance, windows abandoned when the true
+    limit bound a later tick, and ticks priced point by point.
+    """
+    cfg = default_config()
+    seed = batch_seeds(0, 1)[0]
+    sc = build_scenario(dataclasses.replace(cfg.scenario, rng_seed=seed),
+                        cfg.planner.safety_margin_cells)
+    events = []
+
+    def spy(owner, name, tag):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(tag)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def fly(kind):
+        events.clear()
+        metrics, log = run_episode(sc, kind, cfg)
+        ticks, tick = [], []
+        for e in events:  # a tick's calls end with its log row
+            if e == "log":
+                ticks.append(tick)
+                tick = []
+            else:
+                tick.append(e)
+        assert len(ticks) == len(log.rows)
+        return repr(dataclasses.astuple(metrics)), log.rows, ticks
+
+    spy(TruthLink, "uplink_capacity", "point")
+    spy(TruthLink, "budgets", "window")
+    spy(Planner, "plan", "plan")
+    spy(simcore, "_advance", "advance")
+    spy(TrajectoryLog, "append", "log")
+    ahead = {kind: fly(kind) for kind in PlannerKind}
+    monkeypatch.setattr(TruthLink, "budgets",
+                        lambda self, points: tuple(np.empty(0) for _ in range(4)))
+    per_point = {kind: fly(kind) for kind in PlannerKind}
+
+    counts = {"adopted": 0, "abandoned": 0, "per_point": 0}
+    for kind in PlannerKind:
+        metrics, rows, ticks = ahead[kind]
+        assert (metrics, rows) == per_point[kind][:2], kind
+        assert all("point" in t for t in per_point[kind][2])
+        assert "point" in ticks[0]  # every arm prices its first tick point by point
+        for t in ticks:
+            own = "advance" in t and "window" not in t
+            counts["adopted"] += "plan" not in t and "advance" not in t
+            counts["abandoned"] += "point" not in t and "plan" not in t and own
+            counts["per_point"] += "point" in t
+    assert all(counts.values()), counts
