@@ -172,7 +172,9 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     reached = False
     max_ticks = int(math.ceil(cfg.sim.timeout_s / dt))
     ahead = deque()  # the window flown ahead after the last plan (_fly_ahead)
-    window = math.ceil(cfg.planner.replan_period_s / dt)
+    # no episode flies past its timeout, so neither does a window; this also
+    # keeps a huge replan period's tick count finite
+    window = math.ceil(min(cfg.planner.replan_period_s, cfg.sim.timeout_s) / dt)
 
     for _ in range(max_ticks):
         # 1-2: true budgets -> mode, rate, speed cap. A tick that reaches the

@@ -35,24 +35,17 @@ def _ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.arange(counts.sum()) + np.repeat(lo - start, counts), start
 
 
-def _crossings(p0: float, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, count, d) of the rays from coordinate p0 to each p1 along one axis.
-
-    Row i of t holds the ray parameters of the count[i] grid lines the ray
-    p0 -> p1[i] crosses, padded with 2.0; d = p1 - p0.
-    """
+def _crossings(p0: float, p1: np.ndarray) -> np.ndarray:
+    """Row i: where the ray p0 -> p1[i] crosses one axis's grid lines, in t, padded with 2.0."""
     lo = np.minimum(p0, p1)
     hi = np.maximum(p0, p1)
     k_lo = np.floor(lo).astype(int) + 1
-    k_hi = np.ceil(hi).astype(int) - 1
-    count = np.maximum(k_hi - k_lo + 1, 0)
+    count = np.maximum(np.ceil(hi).astype(int) - k_lo, 0)
     m = int(count.max())
     k = k_lo[:, None] + np.arange(m)[None, :]
     valid = np.arange(m)[None, :] < count[:, None]
-    d = p1 - p0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(valid, (k - p0) / d[:, None], 2.0)
-    return t, count, d
+        return np.where(valid, (k - p0) / (p1 - p0)[:, None], 2.0)
 
 
 class ExploredMap:
@@ -145,17 +138,10 @@ class RayTable:
     and `minz`. `cells` holds int32 flat indices; ScenarioConfig's table
     budget keeps every scenario grid far below 2**31 cells.
 
-    The build and classify_subset both work on blocks of _BLOCK_RAYS rays, so
-    their temporaries grow with nx + ny, not with the cell count. A ray's
-    crossings of the x grid lines depend only on its target column and those
-    of the y lines only on its target row, so the build computes them once
-    per table, one padded row per column and per row. A block copies its
-    rays' rows side by side, padded only to its own longest ray, and sorts
-    each; the ray's pieces are the leading ncx + ncy + 1 gaps of its sorted
-    row, cut out into flat arrays before any per-piece work. Rows are
-    independent and the padding sorts last, so the table does not depend on
-    the block size. Blocks write into arrays sized for every piece of every
-    ray, which shrink to the kept entries at the end.
+    Tracing (_build) is one plain loop over blocks of _BLOCK_RAYS rays, each
+    padded to its own longest ray, so its temporaries grow with nx + ny, not
+    with the cell count; it runs once per process for the half table below
+    and for any origin off a cell centre.
 
     An origin at the exact centre of a grid cell, as every scenario base
     station is, is not traced but cut (_cut). From a cell centre the ray to
@@ -200,68 +186,37 @@ class RayTable:
     def _build(self, targets: np.ndarray):
         """Fill the table by tracing the rays to the flat cells `targets`, in increasing order.
 
-        Every other ray gets no entry.
+        Each ray's row of piece ends, 0, its grid-line crossings and 1, is
+        sorted; its pieces are the gaps wider than a corner touch that end by
+        t = 1, so the 2.0 padding drops out. Every other ray gets no entry.
         """
-        s = self.cell_size_m
-        nx, ny = self.nx, self.ny
-        ox, oy = self.origin[0] / s, self.origin[1] / s
-        cols, rows = _crossings(ox, np.arange(nx) + 0.5), _crossings(oy, np.arange(ny) + 0.5)
-        # room for every ray's ncx + ncy + 1 pieces; a few per ray are dropped
-        size = int((cols[1][targets // ny] + rows[1][targets % ny]).sum()) + len(targets)
-        self.cells = np.empty(size, dtype=np.int32)
-        self.minz = np.empty(size)
-        self.offsets = np.zeros(nx * ny + 1, dtype=np.int64)
-        end = 0
-        for lo in range(0, len(targets), _BLOCK_RAYS):
-            end = self._build_block(targets[lo:lo + _BLOCK_RAYS], cols, rows, end)
-        np.cumsum(self.offsets, out=self.offsets)
-        # shrink in place to the kept entries
-        self.cells.resize(end, refcheck=False)
-        self.minz.resize(end, refcheck=False)
-
-    def _build_block(self, target: np.ndarray, cols, rows, end: int) -> int:
-        """Write the rays to flat cells `target` from table entry `end`; returns the new end.
-
-        `cols` and `rows` are the per-column and per-row crossing tables of
-        _crossings. Each ray's row of piece ends, 0, its crossings and 1, is
-        sorted; every crossing lies strictly inside (0, 1), so the ray's
-        pieces are the first ncx + ncy + 1 gaps of its row and the padding
-        sorts past them. offsets[k + 1] gets ray k's entry count.
-        """
-        nx, ny = self.nx, self.ny
-        ox, oy = self.origin[0] / self.cell_size_m, self.origin[1] / self.cell_size_m
-        oz, tz = self.origin[2], self.target_z
-        ix, iy = target // ny, target % ny
-        (xt, ncx, dx), (yt, ncy, dy) = cols, rows
-        mx, my = int(ncx[ix].max()), int(ncy[iy].max())
-        t = np.empty((len(target), mx + my + 2))
-        t[:, 0] = 0.0
-        t[:, 1:mx + 1] = xt[:, :mx][ix]
-        t[:, mx + 1:-1] = yt[:, :my][iy]
-        t[:, -1] = 1.0
-        t.sort(axis=1)
-        # each ray's pieces (t0, t1) as one flat run
-        pieces = ncx[ix] + ncy[iy] + 1
-        at, start = _ranges(np.arange(len(target)) * t.shape[1], pieces)
-        t = t.ravel()
-        t0, t1 = t[at], t[at + 1]
-        tm = 0.5 * (t0 + t1)
-        cx = (ox + tm * np.repeat(dx[ix], pieces)).astype(np.int32)
-        cy = (oy + tm * np.repeat(dy[iy], pieces)).astype(np.int32)
-        cell = np.clip(cx, 0, nx - 1, out=cx)
-        cell *= ny
-        cell += np.clip(cy, 0, ny - 1, out=cy)
+        s, nx, ny = self.cell_size_m, self.nx, self.ny
+        ox, oy, oz = self.origin[0] / s, self.origin[1] / s, self.origin[2]
+        tz = self.target_z
         origin_cell = min(max(int(ox), 0), nx - 1) * ny + min(max(int(oy), 0), ny - 1)
-        good = (t1 - t0 > _CORNER_EPS) & (cell != origin_cell)
-        good &= cell != np.repeat(target.astype(np.int32), pieces)
-        counts = np.add.reduceat(good, start, dtype=np.int64)
-        self.offsets[target + 1] = counts
-        keep = slice(end, end + int(counts.sum()))
-        self.cells[keep] = cell[good]
-        # z is monotone in t, so a piece's lowest point is one of its ends
-        minz = np.multiply((t0 if tz >= oz else t1)[good], tz - oz, out=self.minz[keep])
-        minz += oz
-        return keep.stop
+        self.offsets = np.zeros(nx * ny + 1, dtype=np.int64)
+        cells, minz = [], []
+        for lo in range(0, len(targets), _BLOCK_RAYS):
+            target = targets[lo:lo + _BLOCK_RAYS]
+            tx, ty = target // ny + 0.5, target % ny + 0.5
+            ends = np.zeros((len(target), 1))
+            t = np.concatenate([ends, _crossings(ox, tx), _crossings(oy, ty), ends + 1.0], axis=1)
+            t.sort(axis=1)
+            t0, t1 = t[:, :-1], t[:, 1:]
+            tm = 0.5 * (t0 + t1)
+            cx = (ox + tm * (tx - ox)[:, None]).astype(np.int32)
+            cy = (oy + tm * (ty - oy)[:, None]).astype(np.int32)
+            cell = np.clip(cx, 0, nx - 1) * ny + np.clip(cy, 0, ny - 1)
+            good = (t1 - t0 > _CORNER_EPS) & (t1 <= 1.0) & (cell != origin_cell)
+            good &= cell != target[:, None]
+            self.offsets[target + 1] = good.sum(axis=1)
+            cells.append(cell[good])
+            # z is monotone in t, so a piece's lowest point is one of its ends
+            minz.append((t0 if tz >= oz else t1)[good] * (tz - oz) + oz)
+        np.cumsum(self.offsets, out=self.offsets)
+        self.cells = np.concatenate(cells)
+        del cells  # before minz is joined, so the peak holds one block list
+        self.minz = np.concatenate(minz)
 
     def _cut(self, i0: int, j0: int):
         """Fill the table from the corner half table, for an origin at cell (i0, j0)'s centre.

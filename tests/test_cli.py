@@ -300,6 +300,25 @@ def test_overflowing_link_curve_or_frame_rate_is_config_error_naming_the_field(
     assert not (tmp_path / "x").exists()
 
 
+def test_huge_replan_period_flies_like_a_merely_large_one(tmp_path):
+    # 1e308 / tick_s overflows to inf; the run once died counting the ticks of
+    # its fly-ahead window with OverflowError
+    bodies = []
+    for period in (1e308, 1e300):
+        d = config_to_dict(default_config(seed=4))
+        d["scenario"]["map_size_m"] = [100.0, 100.0]
+        d["scenario"]["endpoint_distance_m"] = [40.0, 80.0]
+        d["planner"]["replan_period_s"] = period
+        cfg = tmp_path / f"replan_{period}.json"
+        cfg.write_text(json.dumps(d))
+        out = tmp_path / f"out_{period}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        text = (out / "metrics.csv").read_text()
+        bodies.append([l for l in text.splitlines() if not l.startswith("#")])
+    assert bodies[0] == bodies[1]
+    assert len(bodies[0]) == 4  # header and three arms
+
+
 def test_power_check_accepts_the_presets_golden_and_dead_link_configs(small_config_path):
     from test_golden import golden_config
 

@@ -190,9 +190,17 @@ def _neighbourhood_rays(table: RayTable, ix: int, iy: int) -> np.ndarray:
                      for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
 
 
-def test_ray_table_matches_ray_blocked_on_truth():
+@pytest.mark.parametrize("oz", [25.0, 80.0])  # below and above the 50 m layer
+@pytest.mark.parametrize("x, y", [
+    (102.5, 97.5),                                         # cut; the rest are traced
+    (100.0, 97.5),
+    (100.0, 95.0),
+    tuple(np.random.default_rng(3).uniform(0.0, 200.0, 2)),
+    (200.0, 63.0),
+], ids=["centre", "edge", "corner", "interior", "border"])
+def test_ray_table_matches_ray_blocked_on_truth(x, y, oz):
     field = random_city(5)
-    origin = np.array([102.5, 97.5, 25.0])
+    origin = np.array([x, y, oz])
     table = RayTable(origin, field.width_cells, field.depth_cells,
                      field.cell_size_m, target_z=50.0)
     known = np.ones_like(field.heights, dtype=bool)
