@@ -28,8 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, capacity_bps, dbm_to_mw, free_space_path_loss_db
+from .channel import ChannelParams, dbm_to_mw, free_space_path_loss_db
 from .errors import ConfigError
+from .linkfield import capacities
 from .offload import OffloadConfig, remote_update_rate
 from .planner import PlanConfig
 from .scenario import ScenarioConfig
@@ -142,10 +143,8 @@ def _check_frame_rate(oc: OffloadConfig, ch: ChannelParams, sc: ScenarioConfig) 
     """
     dz = abs(sc.uav_altitude_m - sc.bs_height_m)
     with np.errstate(over="ignore", divide="ignore"):
-        noise_mw = dbm_to_mw(ch.noise_dbm)
-        gain = -free_space_path_loss_db(dz, ch.carrier_hz)
-        up, dn = (capacity_bps(dbm_to_mw(tx + gain) / noise_mw, ch.bandwidth_hz)
-                  for tx in (ch.uav_tx_power_dbm, ch.bs_tx_power_dbm))
+        up, dn, *_ = capacities(-free_space_path_loss_db(dz, ch.carrier_hz), 0.0, ch,
+                                dbm_to_mw(ch.noise_dbm))
         fps = max(oc.local_fps, float(remote_update_rate(up, dn, oc)))
         speed = fps / oc.frames_per_meter
     if not math.isfinite(fps):

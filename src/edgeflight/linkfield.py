@@ -1,14 +1,15 @@
-"""Flight-layer link pricing: cell geometry, gains and ground-truth budgets.
+"""Flight-layer link pricing: cell geometry, gains, capacities and ground-truth budgets.
 
-`layer_offsets` and `layer_gain_db` are the one flight-layer cell geometry and
-per-BS gain that every arm prices from: the explored arm's LoS/NLoS limit
-grids, the baseline's expected loss and the global arm's truth grids. `TruthLink` gives
-the simulator its per-tick true budgets, always computed from truth, one
-position at a time or many in one array pass with the same bits, and the
-global arm its per-cell truth grids. Link states are evaluated at flight-layer
-cell resolution; powers use exact 3D distances. The UAV antenna boresight
-tracks the serving BS, so interference arrives through the antenna pattern
-while serving links see unit gain.
+`layer_offsets` and `layer_gain_db` are the flight-layer cell geometry and
+per-BS gain that the explored arm's LoS/NLoS limit grids and the baseline's
+expected loss price from, and `capacities` is the one array chain from a
+serving gain to link capacities. `TruthLink` gives the simulator its true
+budgets, always computed from truth, one position at a time or many in one
+array pass with the same bits; that pass over every cell centre is also the
+global arm's planning grid. Link states are evaluated at flight-layer cell
+resolution; powers use exact 3D distances. The UAV antenna boresight tracks
+the serving BS, so interference arrives through the antenna pattern while
+serving links see unit gain.
 """
 
 from __future__ import annotations
@@ -50,6 +51,19 @@ def layer_gain_db(dist, nlos, p: ChannelParams):
     return -(free_space_path_loss_db(dist, p.carrier_hz) + np.where(nlos, p.nlos_excess_db, 0.0))
 
 
+def capacities(gain_db, int_mw, p: ChannelParams, noise_mw: float):
+    """(uplink_bps, downlink_bps, downlink_sinr, interference_fraction) from the serving gain.
+
+    `int_mw` is the downlink interference power; the uplink has none. The
+    interference fraction is I / (I + S). `noise_mw` is
+    dbm_to_mw(p.noise_dbm), which callers hoist.
+    """
+    up = capacity_bps(dbm_to_mw(p.uav_tx_power_dbm + gain_db) / noise_mw, p.bandwidth_hz)
+    s_mw = dbm_to_mw(p.bs_tx_power_dbm + gain_db)
+    sinr = s_mw / (noise_mw + int_mw)
+    return up, capacity_bps(sinr, p.bandwidth_hz), sinr, int_mw / (int_mw + s_mw)
+
+
 def ray_table_for(scenario: Scenario, bs_index: int, layer_z: float) -> RayTable:
     """Per-(BS, layer) ray cache, built once per scenario."""
     key = (bs_index, float(layer_z))
@@ -83,14 +97,16 @@ class TruthLink:
     def __init__(self, scenario: Scenario, params: ChannelParams, layer_z: float):
         self.sc = scenario
         self.p = params
-        self.layer_z = float(layer_z)
         truth = scenario.truth
         self._nx, self._ny = truth.width_cells, truth.depth_cells
         self._s = truth.cell_size_m
         self.blocked = [_truth_blocked(scenario, i, layer_z)
                         for i in range(len(scenario.bs_positions))]
-        # Per-call invariants of the scalar budgets
+        # Per-call invariants: the scalar budgets index a list of BS vectors,
+        # the array pass their stack and the stacked masks
         self._bs = [np.asarray(b, dtype=float) for b in scenario.bs_positions]
+        self._bs_stack = np.stack(self._bs)
+        self._blocked_stack = np.stack(self.blocked)
         self._carrier_loss = float(carrier_loss_db(params.carrier_hz))
         self._noise_mw = dbm_to_mw_scalar(params.noise_dbm)
 
@@ -145,30 +161,27 @@ class TruthLink:
         return capacity_bps_scalar(sinr, p.bandwidth_hz), sinr, i_mw / (i_mw + s_mw)
 
     def budgets(self, points):
-        """(uplink_bps, downlink_bps, downlink_sinr, serving_nlos) at each row of an (n, 3) array.
+        """(uplink_bps, downlink_bps, downlink_sinr, interference_fraction, serving_nlos) per row.
 
-        Row i equals `uplink_capacity`, the first two of `downlink` and
-        `serving_state` at points[i], bit for bit: every step is the array
-        form of the per-point one, in the same order. The cell lookup is `//`
-        on float64, clipped as in `grid_cell`; the norms and cross products
-        are stacked `matmul`s, which reach the same BLAS dot per pair as
-        `.dot`; the ufuncs run on contiguous arrays; and the interference
-        sums from 0.0 in BS order.
+        Row i of the (n, 3) array `points` equals `uplink_capacity`,
+        `downlink` and `serving_state` at points[i], bit for bit: every step
+        is the array form of the per-point one, in the same order. The cell
+        lookup is `//` on float64, clipped as in `grid_cell`; the norms and
+        cross products are stacked `matmul`s, which reach the same BLAS dot
+        per pair as `.dot`; the ufuncs run on contiguous arrays; and the
+        interference sums from 0.0 in BS order. The simulator prices a
+        replan window with it, and the global planner every cell centre.
         """
         p = self.p
         pts = np.array(points, dtype=float)
         ix = np.clip(pts[:, 0] // self._s, 0, self._nx - 1).astype(np.intp)
         iy = np.clip(pts[:, 1] // self._s, 0, self._ny - 1).astype(np.intp)
-        cell = ix * self._ny + iy
         serving = self.sc.serving_bs
-        vec = np.stack(self._bs)[:, None, :] - pts  # (n_bs, n, 3), BS minus position
+        vec = self._bs_stack[:, None, :] - pts  # (n_bs, n, 3), BS minus position
         row, col = vec[..., None, :], vec[..., :, None]
         dist = np.sqrt((row @ col)[..., 0, 0])
-        nlos = np.stack([b[cell] for b in self.blocked])
+        nlos = self._blocked_stack[:, ix * self._ny + iy]
         gain = layer_gain_db(dist, nlos, p)
-        noise = self._noise_mw
-        up = capacity_bps(dbm_to_mw(p.uav_tx_power_dbm + gain[serving]) / noise, p.bandwidth_hz)
-        s_mw = dbm_to_mw(p.bs_tx_power_dbm + gain[serving])
         cross = (row[serving] @ col)[..., 0, 0]
         i_mw = np.zeros(len(pts))
         for i in range(len(self._bs)):
@@ -177,24 +190,4 @@ class TruthLink:
             cosang = cross[i] / np.maximum(dist[serving] * dist[i], 1e-12)
             ang = np.degrees(np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0)))
             i_mw += dbm_to_mw(p.bs_tx_power_dbm + antenna_gain_db(ang, p) + gain[i])
-        sinr = s_mw / (noise + i_mw)
-        return up, capacity_bps(sinr, p.bandwidth_hz), sinr, nlos[serving]
-
-    # ---- per-cell grids for the global planner arm ----
-
-    def layer_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """(serving gain dB, downlink interference mW) at every flight-layer cell centre."""
-        p = self.p
-        nx, ny = self._nx, self._ny
-        serving = self.sc.serving_bs
-        geo = [layer_offsets(bs, nx, ny, self._s, self.layer_z) for bs in self._bs]
-        gains = [layer_gain_db(g[3], b.reshape(nx, ny), p) for g, b in zip(geo, self.blocked)]
-        sx, sy, sz, dist_s = geo[serving]
-        int_mw = np.zeros((nx, ny))
-        for i, (dx, dy, dz, dist_i) in enumerate(geo):
-            if i == serving:
-                continue
-            cosang = (sx * dx + sy * dy + sz * dz) / np.maximum(dist_s * dist_i, 1e-12)
-            ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-            int_mw += dbm_to_mw(p.bs_tx_power_dbm + antenna_gain_db(ang, p) + gains[i])
-        return gains[serving], int_mw
+        return (*capacities(gain[serving], i_mw, p, self._noise_mw), nlos[serving])

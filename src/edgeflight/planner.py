@@ -9,7 +9,9 @@ in the per-cell speed-limit, NLoS, and interference grids fed to it:
                 link states: each state is priced from two limit grids, LoS
                 and NLoS, built once (assumed-LoS cells priced as LoS,
                 interference unknown, so its grid is zero).
-    global    - truth link states everywhere plus downlink interference.
+    global    - truth link states everywhere plus downlink interference, the
+                true budgets (`TruthLink.budgets`) at every cell centre, so it
+                plans on the bits it flies on.
 
 Cost model: an edge u->v of length d is traversed at min(limit(u), limit(v)),
 taking time T = d / speed, half inside each cell. Edge cost is
@@ -37,15 +39,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .channel import (
-    ChannelParams,
-    LinkState,
-    capacity_bps,
-    dbm_to_mw,
-    expected_path_loss_db,
-)
+from .channel import ChannelParams, LinkState, dbm_to_mw, expected_path_loss_db
 from .errors import ConfigError, StuckError
-from .linkfield import TruthLink, layer_gain_db, layer_offsets
+from .linkfield import TruthLink, capacities, layer_gain_db, layer_offsets
 from .offload import OffloadConfig
 from .radiomap import _STATE_CODE, RadioMap
 from .scenario import inflate_obstacles
@@ -104,17 +100,6 @@ def rate_to_limit_grid(up_bps: np.ndarray, dn_bps: np.ndarray, oc: OffloadConfig
         remote = np.where((up > 0) & (dn > 0), 1.0 / cycle, 0.0)
     fps = np.maximum(remote, oc.local_fps)
     return np.minimum(fps / oc.frames_per_meter, oc.v_max_mps)
-
-
-def capacity_grids(gain_db: np.ndarray, int_mw, ch: ChannelParams):
-    """(uplink, downlink, downlink signal mW) grids from the serving gain.
-
-    `int_mw` is the downlink interference power; the uplink has none.
-    """
-    noise_mw = dbm_to_mw(ch.noise_dbm)
-    up = capacity_bps(dbm_to_mw(ch.uav_tx_power_dbm + gain_db) / noise_mw, ch.bandwidth_hz)
-    sig_mw = dbm_to_mw(ch.bs_tx_power_dbm + gain_db)
-    return up, capacity_bps(sig_mw / (noise_mw + int_mw), ch.bandwidth_hz), sig_mw
 
 
 @functools.lru_cache(maxsize=1)
@@ -188,14 +173,17 @@ class Planner:
             horiz = np.hypot(dx, dy)
             dist = np.sqrt(horiz**2 + dz**2)
             elev = np.degrees(np.arctan2(dz, horiz))
-            up, dn, _ = capacity_grids(-expected_path_loss_db(dist, elev, self.ch), 0.0, self.ch)
+            up, dn, *_ = capacities(-expected_path_loss_db(dist, elev, self.ch), 0.0, self.ch,
+                                    dbm_to_mw(self.ch.noise_dbm))
             zeros = np.zeros((self._nx, self._ny))
             return rate_to_limit_grid(up, dn, self.oc), zeros.astype(bool), zeros
         if self.kind is PlannerKind.GLOBAL:
-            gain, int_mw = self.tl.layer_grids()
-            up, dn, sig_mw = capacity_grids(gain, int_mw, self.ch)
-            nlos = self.tl.blocked[self.sc.serving_bs].reshape(self._nx, self._ny)
-            return rate_to_limit_grid(up, dn, self.oc), nlos, int_mw / (int_mw + sig_mw)
+            ix, iy = np.indices((self._nx, self._ny)).reshape(2, -1)
+            centres = np.column_stack([(ix + 0.5) * self._s, (iy + 0.5) * self._s,
+                                       np.full(ix.size, self._alt)])
+            up, dn, _, intf, nlos = self.tl.budgets(centres)
+            return tuple(g.reshape(self._nx, self._ny)
+                         for g in (rate_to_limit_grid(up, dn, self.oc), nlos, intf))
         return None
 
     def _explored_limits(self) -> np.ndarray:
@@ -207,7 +195,7 @@ class Planner:
         *_, dist = layer_offsets(self.sc.bs_positions[self.sc.serving_bs],
                                  self._nx, self._ny, self._s, self._alt)
         gain = layer_gain_db(dist, np.array([False, True])[:, None, None], self.ch)
-        up, dn, _ = capacity_grids(gain, 0.0, self.ch)
+        up, dn, *_ = capacities(gain, 0.0, self.ch, dbm_to_mw(self.ch.noise_dbm))
         return rate_to_limit_grid(up, dn, self.oc)
 
     def _grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -115,7 +115,8 @@ def _fly_ahead(tl: TruthLink, pos, waypoints, legs, seg_leg, v, dt, ticks: int):
     The later ticks fly at the planned leg speeds, up to the segment's end,
     where the tick replans. Their positions are priced in one
     `TruthLink.budgets` call. Returns (first advance, queue of (position,
-    advance, uplink, downlink, downlink SINR, serving NLoS) per later tick).
+    advance, uplink, downlink, downlink SINR, interference fraction, serving
+    NLoS) per later tick).
     """
     first = _advance(pos, waypoints, legs, seg_leg, v, dt)
     points, advances = [], []
@@ -184,7 +185,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         # episode, which the benchmark's traced run checks layer by layer.
         entry = ahead.popleft() if ahead else None
         if entry is not None and entry[0] is pos:
-            _, _, up_true, dn_true, dn_sinr, nlos = entry
+            _, _, up_true, dn_true, dn_sinr, _, nlos = entry
             true_state = LinkState.NLOS if nlos else LinkState.LOS
         else:
             entry = None

@@ -2,10 +2,11 @@ import dataclasses
 
 import numpy as np
 
-from edgeflight.channel import LinkState
+from edgeflight.channel import ChannelParams, LinkState
 from edgeflight.config import default_config
-from edgeflight.linkfield import TruthLink, ray_table_for
-from edgeflight.planner import Planner, PlannerKind, capacity_grids, rate_to_limit_grid
+from edgeflight.linkfield import TruthLink, capacities, ray_table_for
+from edgeflight.offload import remote_update_rate, select_mode, speed_limit
+from edgeflight.planner import Planner, PlannerKind
 from edgeflight.radiomap import RadioMap
 from edgeflight.scenario import build_scenario
 from edgeflight.worldmap import ExploredMap
@@ -64,45 +65,78 @@ def test_truth_links_on_one_scenario_share_their_masks():
     assert all(a is not b for a, b in zip(first.blocked, other.blocked))
 
 
+def test_capacities_match_channel_math():
+    ch = ChannelParams(uav_tx_power_dbm=20.0, bs_tx_power_dbm=30.0)
+    gain = np.array([-90.0, -120.0])
+    int_mw = np.array([0.0, 1e-9])
+    noise_mw = 10 ** (ch.noise_dbm / 10.0)
+    up, dn, sinr, frac = capacities(gain, int_mw, ch, noise_mw)
+    sig = 10 ** ((30.0 + gain) / 10.0)  # 1e-6 and 1e-9 mW
+    assert np.allclose(sinr, sig / (noise_mw + int_mw))
+    assert np.allclose(frac, [0.0, 0.5])
+    assert np.allclose(up, ch.bandwidth_hz * np.log2(1.0 + 10 ** ((20.0 + gain) / 10.0) / noise_mw))
+    assert np.allclose(dn, ch.bandwidth_hz * np.log2(1.0 + sig / (noise_mw + int_mw)))
+
+
 def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
     """The global arm plans on the same bits the simulator flies on.
 
-    At every cell centre of three default cities, the uplink, downlink and
-    interference-fraction grids equal the per-tick budgets exactly, and the
-    explored arm over the fully known city prices the truth serving gain.
+    At every cell centre, the global planner's speed-limit, NLoS and
+    interference-fraction grids equal what a tick at that centre gets from
+    `uplink_capacity`, `downlink`, `remote_update_rate`, `select_mode`,
+    `speed_limit` and `serving_state`. Three default cities, whose 5 m cell
+    centres are exact in binary, and one of 0.7 m cells, whose centres are
+    not. On the default cities the explored arm over the fully known city
+    prices the truth serving gain: with equal transmit powers its
+    interference-free downlink is the uplink. Its `layer_offsets` distances
+    round otherwise on the 0.7 m cells, where that check is skipped.
     """
     cfg = default_config()
-    ch = cfg.channel
-    for seed in (4, 9, 11):
-        sc = build_scenario(dataclasses.replace(cfg.scenario, rng_seed=seed))
+    ch, oc = cfg.channel, cfg.offload
+    assert ch.uav_tx_power_dbm == ch.bs_tx_power_dbm
+    cities = [dataclasses.replace(cfg.scenario, rng_seed=seed) for seed in (4, 9, 11)]
+    s = 0.7
+    cities.append(dataclasses.replace(
+        cfg.scenario, map_size_m=(100 * s, 100 * s), cell_size_m=s,
+        building_footprint_m=21 * s, street_width_m=43 * s,
+        endpoint_distance_m=(25 * s, 50 * s), rng_seed=2))
+
+    def tick_limit(up, dn):
+        return speed_limit(select_mode(remote_update_rate(up, dn, oc), oc.local_fps)[1], oc)
+
+    for scfg in cities:
+        sc = build_scenario(scfg)
         alt = sc.cfg.uav_altitude_m
         truth = sc.truth
         nx, ny = truth.width_cells, truth.depth_cells
         tl = TruthLink(sc, ch, alt)
-        serving = sc.serving_bs
-        gain, int_mw = tl.layer_grids()
-        up, dn, sig_mw = capacity_grids(gain, int_mw, ch)
-        frac = int_mw / (int_mw + sig_mw)
+        explored = ExploredMap.fully_known(truth)
+        rm = RadioMap(ray_table_for(sc, sc.serving_bs, alt), explored)
 
-        tick_up = np.empty((nx, ny))
-        tick_dn = np.empty((nx, ny))
-        tick_frac = np.empty((nx, ny))
+        def grids(kind):
+            return Planner(kind, sc, explored, rm, tl, ch, oc, cfg.planner)._grids()
+
+        limits, nlos, intf = grids(PlannerKind.GLOBAL)
+        tick_lim, tick_free, tick_intf = (np.empty((nx, ny)) for _ in range(3))
+        tick_nlos = np.empty((nx, ny), dtype=bool)
         for ix in range(nx):
             for iy in range(ny):
                 pos = np.array([*truth.cell_center(ix, iy), alt])
-                tick_up[ix, iy] = tl.uplink_capacity(pos)
-                tick_dn[ix, iy], _, tick_frac[ix, iy] = tl.downlink(pos)
-        assert np.array_equal(up, tick_up), int((up != tick_up).sum())
-        assert np.array_equal(dn, tick_dn), int((dn != tick_dn).sum())
-        assert np.array_equal(frac, tick_frac), int((frac != tick_frac).sum())
+                up = tl.uplink_capacity(pos)
+                dn, _, tick_intf[ix, iy] = tl.downlink(pos)
+                tick_lim[ix, iy] = tick_limit(up, dn)
+                tick_free[ix, iy] = tick_limit(up, up)
+                tick_nlos[ix, iy] = tl.serving_state(pos) is LinkState.NLOS
+        assert np.array_equal(limits, tick_lim), int((limits != tick_lim).sum())
+        assert np.array_equal(intf, tick_intf), int((intf != tick_intf).sum())
+        assert np.array_equal(nlos, tick_nlos)
 
-        explored = ExploredMap.fully_known(truth)
-        rm = RadioMap(ray_table_for(sc, serving, alt), explored)
-        pl = Planner(PlannerKind.EXPLORED, sc, explored, rm, tl, ch, cfg.offload, cfg.planner)
-        limits, nlos, _ = pl._grids()
-        up, dn, _ = capacity_grids(gain, 0.0, ch)
-        assert np.array_equal(limits, rate_to_limit_grid(up, dn, cfg.offload))
-        assert np.array_equal(nlos.ravel(), tl.blocked[serving])
+        if scfg.cell_size_m == s:
+            continue
+        assert tick_nlos.any() and not tick_nlos.all()
+        limits, nlos, _ = grids(PlannerKind.EXPLORED)
+        assert np.array_equal(limits, tick_free), int((limits != tick_free).sum())
+        assert np.array_equal(nlos, tick_nlos)
 
 
 def test_budgets_equal_the_per_point_methods_bit_for_bit():
@@ -136,9 +170,9 @@ def test_budgets_equal_the_per_point_methods_bit_for_bit():
         ])
         pts = np.column_stack([xy, np.full(len(xy), alt)])
         tl = TruthLink(sc, cfg.channel, alt)
-        want = [(tl.uplink_capacity(q), *tl.downlink(q)[:2], tl.serving_state(q) is LinkState.NLOS)
+        want = [(tl.uplink_capacity(q), *tl.downlink(q), tl.serving_state(q) is LinkState.NLOS)
                 for q in pts]
-        assert {w[3] for w in want} == {False, True}
+        assert {w[4] for w in want} == {False, True}
 
         def priced(points):
             return list(zip(*(a.tolist() for a in tl.budgets(points))))

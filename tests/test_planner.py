@@ -15,7 +15,6 @@ from edgeflight.planner import (
     PlannerKind,
     rate_to_limit_grid,
     replan_due,
-    capacity_grids,
     segment_invalidated,
 )
 from edgeflight.radiomap import _STATE_CODE, RadioMap
@@ -393,18 +392,6 @@ def test_explored_limits_equal_the_per_tick_pipeline_in_every_state(ch, oc):
             d = float(np.sqrt(dx * dx + dy * dy + dz * dz))
             want = serving_link_speed_limit(d, state is LinkState.NLOS, ch, oc)
             assert limits[ix, iy] == want, (state, ix, iy)
-
-
-def test_capacity_grids_match_channel_math():
-    ch = ChannelParams(uav_tx_power_dbm=20.0, bs_tx_power_dbm=30.0)
-    gain = np.array([-90.0, -120.0])
-    int_mw = np.array([0.0, 1e-9])
-    up, dn, sig_mw = capacity_grids(gain, int_mw, ch)
-    noise_mw = 10 ** (ch.noise_dbm / 10.0)
-    sig = 10 ** ((30.0 + gain) / 10.0)
-    assert np.allclose(sig_mw, sig)
-    assert np.allclose(up, ch.bandwidth_hz * np.log2(1.0 + 10 ** ((20.0 + gain) / 10.0) / noise_mw))
-    assert np.allclose(dn, ch.bandwidth_hz * np.log2(1.0 + sig / (noise_mw + int_mw)))
 
 
 def test_replan_cadence_and_invalidation():

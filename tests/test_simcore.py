@@ -1,4 +1,5 @@
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
@@ -209,9 +210,9 @@ def test_global_arm_estimates_the_truth_state_from_the_first_tick():
 def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
     """Windows priced ahead change no output bit on any arm.
 
-    Every arm flies one default city twice: as is, and with
-    `TruthLink.budgets` pricing nothing, so that every tick prices its own
-    budgets and runs its own advance. Metrics reprs and log rows must be
+    Every arm flies one default city twice: as is, and with no window flown
+    ahead, so that every tick prices its own budgets and runs its own
+    advance. Metrics reprs and log rows must be
     equal. Spies on the tick's calls show the paths the first flight took:
     ticks that adopted a queued advance, windows abandoned when the true
     limit bound a later tick, and ticks priced point by point.
@@ -250,8 +251,12 @@ def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
     spy(simcore, "_advance", "advance")
     spy(TrajectoryLog, "append", "log")
     ahead = {kind: fly(kind) for kind in PlannerKind}
-    monkeypatch.setattr(TruthLink, "budgets",
-                        lambda self, points: tuple(np.empty(0) for _ in range(4)))
+
+    def first_advance_only(tl, pos, waypoints, legs, seg_leg, v, dt, ticks):
+        # budgets still prices the global planner's grids
+        return simcore._advance(pos, waypoints, legs, seg_leg, v, dt), deque()
+
+    monkeypatch.setattr(simcore, "_fly_ahead", first_advance_only)
     per_point = {kind: fly(kind) for kind in PlannerKind}
 
     counts = {"adopted": 0, "abandoned": 0, "per_point": 0}
