@@ -132,14 +132,16 @@ def _check_plos_curve(ch: ChannelParams) -> None:
                     "within a float's range")
 
 
-def _check_frame_rate(oc: OffloadConfig, ch: ChannelParams, sc: ScenarioConfig) -> None:
-    """Reject a frames_per_meter whose speed limits overflow.
+def _check_frame_rate(oc: OffloadConfig, ch: ChannelParams, sc: ScenarioConfig,
+                      sim: SimParams) -> None:
+    """Reject a frames_per_meter whose speed limits overflow, or a tick whose frames do.
 
     The fastest frame rate any arm can reach is the larger of local_fps and
     the remote rate over the best links: no interference, in LoS, at the
-    nearest BS-to-vehicle distance the map allows. That rate, and the rate
-    divided by frames_per_meter, must be finite floats, or the per-tick rate
-    divides by zero and the speed-limit grids overflow.
+    nearest BS-to-vehicle distance the map allows. That rate, the rate
+    divided by frames_per_meter and the rate times tick_s must be finite
+    floats, or the per-tick rate divides by zero, the speed-limit grids
+    overflow or a tick's frame count cannot be counted.
     """
     dz = abs(sc.uav_altitude_m - sc.bs_height_m)
     with np.errstate(over="ignore", divide="ignore"):
@@ -147,6 +149,7 @@ def _check_frame_rate(oc: OffloadConfig, ch: ChannelParams, sc: ScenarioConfig) 
                                 dbm_to_mw(ch.noise_dbm))
         fps = max(oc.local_fps, float(remote_update_rate(up, dn, oc)))
         speed = fps / oc.frames_per_meter
+        frames = fps * sim.tick_s
     if not math.isfinite(fps):
         raise ConfigError(
             f"a remote frame takes no time over the fastest links ({float(up)!r} bps up, "
@@ -159,6 +162,10 @@ def _check_frame_rate(oc: OffloadConfig, ch: ChannelParams, sc: ScenarioConfig) 
             f"the fastest frame rate, {fps!r} frames/s, over offload.frames_per_meter "
             f"({oc.frames_per_meter!r}) is a speed of {speed!r} m/s, not a finite float; "
             "raise offload.frames_per_meter")
+    if not math.isfinite(frames):
+        raise ConfigError(
+            f"the fastest frame rate, {fps!r} frames/s, times sim.tick_s ({sim.tick_s!r} s) "
+            f"is {frames!r} frames a tick, not a finite float; lower sim.tick_s")
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,7 @@ class Config:
     def __post_init__(self):
         _check_link_powers(self.channel, self.scenario)
         _check_plos_curve(self.channel)
-        _check_frame_rate(self.offload, self.channel, self.scenario)
+        _check_frame_rate(self.offload, self.channel, self.scenario, self.sim)
         _check_edge_weights(self.offload, self.planner, self.scenario)
 
 

@@ -20,8 +20,11 @@ that can learn counts each ray's table entries over cells not yet known.
 Each refresh first takes the cells learned since the last one off those
 counts, and marks dirty the rays whose count reaches 0 and the rays crossing
 a learned cell tall enough to block any ray of the table. It then
-classifies only the stale cells that are missing or whose ray is dirty. On
-an unchanged map nothing is classified.
+refreshes only the stale cells that are missing or whose ray is dirty. A ray
+that crosses no known cell, its count equal to its entry count, can be
+neither blocked nor cleared, so it is settled without being classified:
+assumed LoS, or LoS if it crosses no cell. On an unchanged map nothing is
+classified.
 """
 
 from __future__ import annotations
@@ -64,8 +67,6 @@ class RadioMap:
         # listed once per entry, and subtract.at counts every listing
         self._unknown = np.diff(table.offsets)
         np.subtract.at(self._unknown, table.rays_crossing(np.flatnonzero(self._known_seen)), 1)
-        # a cell no taller than every entry's minz blocks no ray
-        self._low = float(table.minz.min(initial=np.inf))
 
     def _due(self, win) -> np.ndarray:
         """Mask of the cells in window `win` that a refresh must classify.
@@ -90,7 +91,7 @@ class RadioMap:
                 rays = self.table.rays_crossing(learned)
                 np.subtract.at(self._unknown, rays, 1)
                 dirty[rays[self._unknown[rays] == 0]] = True
-                tall = learned[self.explored.heights.ravel()[learned] > self._low]
+                tall = learned[self.explored.heights.ravel()[learned] > self.table.low]
                 if len(tall):
                     dirty[self.table.rays_crossing(tall)] = True
         codes = self.state_grid[win]
@@ -100,15 +101,27 @@ class RadioMap:
         return (codes == MISSING) | (stale & self._dirty[win])
 
     def _refresh(self, idx: np.ndarray) -> None:
-        """Re-classify the rays to the given flat cells against the explored map."""
+        """Re-estimate the given flat cells from their rays over the explored map.
+
+        On a map that can learn, called right after `_due`, whose unknown
+        counts are then exact: a ray with no known crossing is settled from
+        its count, and only the others are classified.
+        """
         if len(idx) == 0:
             return
+        grid = self.state_grid.reshape(-1)
+        self._dirty.reshape(-1)[idx] = False
+        if self._known_seen is not None:
+            entries = self.table.offsets[idx + 1] - self.table.offsets[idx]
+            unseen = self._unknown[idx] == entries
+            grid[idx[unseen]] = np.where(entries[unseen] > 0, _ASSUMED, _LOS)
+            idx = idx[~unseen]
+            if len(idx) == 0:
+                return
         blocked, crosses = self.table.classify_subset(
             idx, self.explored.known, self.explored.heights
         )
-        self.state_grid.reshape(-1)[idx] = np.where(blocked, _NLOS,
-                                                     np.where(crosses, _ASSUMED, _LOS))
-        self._dirty.reshape(-1)[idx] = False
+        grid[idx] = np.where(blocked, _NLOS, np.where(crosses, _ASSUMED, _LOS))
 
     def update_around(self, around, radius_m: float) -> None:
         """Re-estimate every missing or dirty stale cell within radius of `around`.

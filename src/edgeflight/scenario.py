@@ -22,6 +22,23 @@ Point3 = np.ndarray  # shape (3,), meters
 # crossings at worst, 12 bytes each (int32 cell, float64 altitude).
 _MAX_RAY_TABLE_ENTRIES = 2**27
 
+# Rayleigh draws are scale * sqrt(-2 log1p(-u)) with u < 1; this is the
+# factor at the largest u a PCG64 uniform takes, 1 - 2**-53.
+_RAYLEIGH_TOP = math.sqrt(-2.0 * math.log1p(-(1.0 - 2.0**-53)))
+
+
+def _check_whole_cells(name: str, extent: float, s: float) -> None:
+    """Reject a scenario length that is not a whole, positive number of cells."""
+    n = extent / s
+    if not math.isfinite(n):
+        raise ConfigError(
+            f"scenario.{name} / scenario.cell_size_m ({extent!r} / {s!r}) is not a finite "
+            "number of cells; raise scenario.cell_size_m")
+    if round(n) < 1 or abs(n - round(n)) > 1e-9:
+        raise ConfigError(
+            f"scenario.{name} ({extent!r} m) must be a whole, positive number of cells of "
+            f"scenario.cell_size_m ({s!r} m)")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -48,8 +65,7 @@ class ScenarioConfig:
         if s <= 0 or w <= 0 or d <= 0:
             raise ConfigError("map size and cell size must be positive")
         for extent in (w, d):
-            if abs(extent / s - round(extent / s)) > 1e-9:
-                raise ConfigError("map size must be divisible by cell size")
+            _check_whole_cells("map_size_m", extent, s)
         nx, ny = self.width_cells, self.depth_cells
         entries = self.n_bs * nx * ny * (nx + ny)
         if entries > _MAX_RAY_TABLE_ENTRIES:
@@ -59,17 +75,21 @@ class ScenarioConfig:
                 "scenario.map_size_m or raise scenario.cell_size_m")
         if self.rayleigh_scale_m < 0:
             raise ConfigError("rayleigh scale must be >= 0")
+        # the tallest draw comes from the largest uniform, 1 - 2**-53: about
+        # 8.57 scales; the margin covers the last bits of numpy's log1p
+        tallest = self.rayleigh_scale_m * _RAYLEIGH_TOP * (1.0 + 1e-12)
+        if not math.isfinite(tallest):
+            raise ConfigError(
+                f"scenario.rayleigh_scale_m = {self.rayleigh_scale_m!r} m draws buildings up "
+                f"to {tallest!r} m tall, not a finite float; lower scenario.rayleigh_scale_m")
         period = self.building_footprint_m + self.street_width_m
         if period > min(w, d):
             raise ConfigError("building footprint + street width exceeds map size")
-        for extent, name in (
-            (self.building_footprint_m, "building footprint"),
-            (self.street_width_m, "street width"),
-        ):
+        for name, extent in (("building_footprint_m", self.building_footprint_m),
+                             ("street_width_m", self.street_width_m)):
             if extent <= 0:
-                raise ConfigError(f"{name} must be positive")
-            if abs(extent / s - round(extent / s)) > 1e-9:
-                raise ConfigError(f"{name} must be divisible by cell size")
+                raise ConfigError(f"scenario.{name} must be positive")
+            _check_whole_cells(name, extent, s)
         if self.n_bs < 1:
             raise ConfigError("need at least one base station")
         if self.bs_height_m <= 0 or self.uav_altitude_m <= 0:

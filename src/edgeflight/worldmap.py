@@ -11,6 +11,7 @@ scalar cell-by-cell walk in tests/oracles.py is its reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -160,9 +161,13 @@ class RayTable:
     classify_subset, one gather and one logical-or per ray, is the only
     classifier, for truth and partial maps alike. A block of consecutive rays
     owns one contiguous run of entries, which it reads as a slice; any other
-    block gathers its rays' ranges. Its verdicts follow the contract in the
-    module docstring and are checked against the scalar cell-by-cell walk in
-    tests/oracles.py.
+    block gathers its rays' ranges. It reads only what can still change a
+    verdict: on a fully known grid no knowledge (no ray crosses an unknown
+    cell), and where no height exceeds `low`, the lowest entry altitude
+    (minz) of the table, no heights (no entry is blocked); a fully known grid
+    with no such height is answered without a scan. Its verdicts follow the
+    contract in the module docstring and are checked against the scalar
+    cell-by-cell walk in tests/oracles.py.
 
     rays_crossing answers the inverse question, which rays cross a cell,
     from a cell -> rays index in the same CSR layout: the table's transpose,
@@ -252,18 +257,30 @@ class RayTable:
             cell += np.repeat(q[rays], counts[rays]) * v[at]
             np.take(minz, at, out=self.minz[keep])
 
+    @cached_property
+    def low(self) -> float:
+        """The lowest entry altitude (minz) of the table, inf if it has no entry.
+
+        A cell no taller than this blocks no ray. Computed on first use.
+        """
+        return float(self.minz.min(initial=np.inf))
+
     def classify_subset(self, rays: np.ndarray, known: np.ndarray,
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(blocked, crosses_unknown) per given flat ray index, on a partially known grid.
 
         With every cell known the blocked mask is the truth verdict. Rays are
         classified _BLOCK_RAYS at a time, so the per-crossing temporaries stay
-        small however many rays one call asks for.
+        small however many rays one call asks for. A fully known grid reads
+        no knowledge, and heights no greater than `low` are not read.
         """
         rays = np.asarray(rays, dtype=np.int64)
         blocked = np.zeros(len(rays), dtype=bool)
         crosses = np.zeros(len(rays), dtype=bool)
-        known, heights = known.ravel(), heights.ravel()
+        known = None if known.all() else known.ravel()
+        heights = heights.ravel() if np.max(heights, initial=-np.inf) > self.low else None
+        if known is None and heights is None:
+            return blocked, crosses
         for lo in range(0, len(rays), _BLOCK_RAYS):
             part = slice(lo, lo + _BLOCK_RAYS)
             self._classify_block(rays[part], known, heights, blocked[part], crosses[part])
@@ -274,7 +291,8 @@ class RayTable:
 
         Each ray is reduced over its own gathered crossings. Rays with no
         crossing keep (False, False) and are left out, because reduceat reads
-        an empty segment as the element at its start.
+        an empty segment as the element at its start. `known` None stands
+        for a fully known grid, `heights` None for one where nothing blocks.
         """
         lo = self.offsets[rays]
         counts = self.offsets[rays + 1] - lo
@@ -287,11 +305,14 @@ class RayTable:
         else:  # table entries, each ray's first gathered one
             at, start = _ranges(lo, counts)
         c = self.cells[at].astype(np.intp)  # numpy gathers slower by an int32 index
-        k = known[c]
-        hit = k & (heights[c] > self.minz[at])
-        b = np.logical_or.reduceat(hit, start)
-        blocked[some] = b
-        crosses[some] = ~b & ~np.logical_and.reduceat(k, start)
+        k = None if known is None else known[c]
+        if heights is not None:
+            hit = heights[c] > self.minz[at]
+            if k is not None:
+                hit &= k
+            blocked[some] = np.logical_or.reduceat(hit, start)
+        if k is not None:
+            crosses[some] = ~blocked[some] & ~np.logical_and.reduceat(k, start)
 
     def rays_crossing(self, cells: np.ndarray) -> np.ndarray:
         """Flat indices of the rays that cross any of the given flat cells.

@@ -14,9 +14,9 @@ link alone, the reference for the explored planner's limit grids.
 `parse_grid` reads back the grid files `edgeflight generate` writes. The ray
 table reference is the original single-block build, every ray padded to the
 longest one, which the block build must reproduce value for value. FullRefreshRadioMap is the one exception to the rule above: it keeps
-RadioMap's classification and replaces only its choice of cells to refresh,
-re-classifying every stale cell as RadioMap did before it tracked which rays
-new geometry can change.
+RadioMap's classifier and replaces its choice of cells to refresh and how
+they are refreshed, sending every stale cell to classify_subset as RadioMap
+did before it tracked which rays new geometry can change.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from edgeflight.channel import (
     path_loss_db_scalar,
 )
 from edgeflight.offload import remote_update_rate, select_mode, speed_limit
-from edgeflight.radiomap import _ASSUMED, _NLOS, MISSING, RadioMap
+from edgeflight.radiomap import _ASSUMED, _LOS, _NLOS, MISSING, RadioMap
 
 # Ties in the traversal parameter below this width are exact corner touches;
 # the segment has zero extent inside the off-diagonal cells, so they are not
@@ -396,7 +396,9 @@ class FullRefreshRadioMap(RadioMap):
     """RadioMap whose every refresh re-classifies each stale cell in range.
 
     Stale: missing, assumed LoS and, without sticky NLoS, NLoS. Whether a
-    crossed cell turned known since the last estimate is not consulted.
+    crossed cell turned known since the last estimate is not consulted, so
+    RadioMap's per-ray unknown counts are never brought up to date and every
+    due cell's ray is classified.
     """
 
     def _due(self, win):
@@ -405,6 +407,14 @@ class FullRefreshRadioMap(RadioMap):
         if not self.sticky_enabled:
             due |= codes == _NLOS
         return due
+
+    def _refresh(self, idx):
+        if len(idx) == 0:
+            return
+        blocked, crosses = self.table.classify_subset(idx, self.explored.known,
+                                                      self.explored.heights)
+        self.state_grid.reshape(-1)[idx] = np.where(blocked, _NLOS,
+                                                     np.where(crosses, _ASSUMED, _LOS))
 
 
 def parse_grid(text: str) -> tuple[np.ndarray, float]:

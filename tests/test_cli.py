@@ -286,6 +286,24 @@ def test_overflowing_link_curve_or_frame_rate_is_config_error_naming_the_field(
     # before the checks each ran on a 100 m default map and printed a numpy
     # overflow warning, then exited 0; the zero-time frame raised
     # ZeroDivisionError instead
+    assert_100m_run_is_config_error_naming(tmp_path, capsys, section, values, field)
+
+
+@pytest.mark.parametrize("section, values, field", [
+    ("scenario", {"cell_size_m": 5e-324}, "scenario.cell_size_m"),  # infinitely many cells
+    ("scenario", {"cell_size_m": 1e12}, "scenario.cell_size_m"),    # not one cell
+    ("scenario", {"rayleigh_scale_m": 1e308}, "scenario.rayleigh_scale_m"),  # heights overflow
+    ("sim", {"tick_s": 1e308}, "sim.tick_s"),                       # a tick's frames overflow
+])
+def test_grid_height_or_tick_outside_a_float_is_config_error_naming_the_field(
+        tmp_path, capsys, section, values, field):
+    # before the checks the cell sizes raised OverflowError and
+    # ZeroDivisionError, the height scale a numpy overflow warning and the
+    # tick OverflowError while counting its frames
+    assert_100m_run_is_config_error_naming(tmp_path, capsys, section, values, field)
+
+
+def assert_100m_run_is_config_error_naming(tmp_path, capsys, section, values, field):
     d = config_to_dict(default_config(seed=4))
     d["scenario"]["map_size_m"] = [100.0, 100.0]
     d["scenario"]["endpoint_distance_m"] = [40.0, 80.0]

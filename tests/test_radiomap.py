@@ -257,10 +257,19 @@ def test_refresh_classifies_missing_rays_and_rays_whose_verdict_learned_cells_ca
     # rays over learned cells that can change no verdict are left alone
     assert (assumed & crosses_learned & ~want).any()
 
+    # of those, a ray that crosses no known cell is settled without being
+    # classified: assumed LoS, or LoS if it crosses no cell
+    unseen = np.array([not known[table.cells[table.offsets[r]:table.offsets[r + 1]]].any()
+                       for r in range(len(before))])
+    assert (want & unseen).any() and (want & ~unseen).any()
+
     calls = counting_classify(monkeypatch)
     rm.ensure_layer_evaluated()
     assert len(calls) == 1
-    assert calls[0] == np.flatnonzero(want).tolist()
+    assert calls[0] == np.flatnonzero(want & ~unseen).tolist()
+    crossing = np.diff(table.offsets)[want & unseen] > 0
+    settled = np.where(crossing, _STATE_CODE[LinkState.ASSUMED_LOS], _STATE_CODE[LinkState.LOS])
+    assert np.array_equal(rm.state_grid.ravel()[want & unseen], settled)
 
 
 def test_measured_nlos_reverts_without_sticky():

@@ -415,6 +415,94 @@ def test_classify_subset_of_unsorted_duplicated_and_empty_rays():
     assert (blocked[-2], crosses[-2]) == (blocked[8], crosses[8])
 
 
+def spy_blocks(monkeypatch) -> list:
+    """Patch RayTable._classify_block to record, per block, (knowledge read, heights read)."""
+    reads = []
+    block = RayTable._classify_block
+
+    def spying(table, rays, known, heights, blocked, crosses):
+        reads.append((known is not None, heights is not None))
+        return block(table, rays, known, heights, blocked, crosses)
+
+    monkeypatch.setattr(RayTable, "_classify_block", spying)
+    return reads
+
+
+def test_fully_known_grid_reads_no_knowledge_and_matches_the_oracle(monkeypatch):
+    truth = random_city(5)
+    origin = np.array([57.5, 142.5, 25.0])
+    table = RayTable(origin, truth.width_cells, truth.depth_cells,
+                     truth.cell_size_m, target_z=50.0)
+    ny = truth.depth_cells
+    long_rays = np.random.default_rng(14).permutation(truth.width_cells * ny)[:300]
+    # unsorted, one ray twice, zero-crossing rays first and last: gathered ranges
+    rays = np.concatenate([[11 * ny + 28], long_rays, long_rays[[7]], [12 * ny + 29]])
+    reads = spy_blocks(monkeypatch)
+    ranges_calls = []
+    ranges = worldmap._ranges
+    monkeypatch.setattr(worldmap, "_ranges", lambda *a: ranges_calls.append(1) or ranges(*a))
+    blocked, crosses = table.classify_subset(rays, np.ones_like(truth.heights, dtype=bool),
+                                             truth.heights)
+    assert reads == [(False, True)] * 2 and len(ranges_calls) == 2
+    assert not crosses.any()
+    s = truth.cell_size_m
+    verdicts = [ray_blocked(truth, origin, np.array([(r // ny + 0.5) * s, (r % ny + 0.5) * s,
+                                                     50.0])) for r in rays]
+    assert blocked.tolist() == [v is RayResult.BLOCKED for v in verdicts]
+    assert set(verdicts) == {RayResult.BLOCKED, RayResult.CLEAR}
+    assert blocked[-2] == blocked[8]
+
+
+@pytest.mark.parametrize("origin", [(57.5, 142.5, 25.0), (57.5, 142.5, 80.0), (100.0, 63.0, 25.0)],
+                         ids=["cut-rising", "cut-falling", "traced"])
+def test_heights_at_or_below_the_lowest_entry_are_not_read(monkeypatch, origin):
+    truth = random_city(6)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    sense(truth, em, (60.0, 140.0, 50.0), 30.0, SensorModel(200.0, 80.0))
+    origin = np.array(origin)
+    table = RayTable(origin, truth.width_cells, truth.depth_cells,
+                     truth.cell_size_m, target_z=50.0)
+    low = table.low
+    assert low == table.minz.min()
+    # every known cell at or below the lowest entry, half of them exactly on it
+    rng = np.random.default_rng(15)
+    em.heights[:] = np.where(rng.random(em.heights.shape) < 0.5, low,
+                             low * rng.random(em.heights.shape))
+    rays = np.arange(em.known.size)
+    reads = spy_blocks(monkeypatch)
+    blocked, crosses = table.classify_subset(rays, em.known, em.heights)
+    assert set(reads) == {(True, False)}
+    want_blocked, want_crosses = _oracle_verdicts(table, em, rays)
+    assert blocked.tolist() == want_blocked and crosses.tolist() == want_crosses
+    assert not blocked.any() and crosses.any() and not crosses.all()
+    # on a fully known grid the same heights are answered without a scan
+    reads.clear()
+    known = np.ones_like(em.known)
+    blocked, crosses = table.classify_subset(rays, known, em.heights)
+    assert reads == [] and not blocked.any() and not crosses.any()
+
+    # one known cell just above the lowest entry, the entry's own cell, blocks
+    cell = int(table.cells[np.argmin(table.minz)])
+    em.known.reshape(-1)[cell] = True
+    em.heights.reshape(-1)[cell] = low + 1e-6
+    reads.clear()
+    blocked, crosses = table.classify_subset(rays, em.known, em.heights)
+    assert set(reads) == {(True, True)}
+    want_blocked, want_crosses = _oracle_verdicts(table, em, rays)
+    assert blocked.tolist() == want_blocked and crosses.tolist() == want_crosses
+    assert blocked.any()
+
+
+def test_lowest_entry_is_computed_on_first_use():
+    for origin in ((57.5, 142.5, 25.0), (100.0, 63.0, 80.0)):  # cut, traced
+        table = RayTable(np.array(origin), 40, 40, 5.0, target_z=50.0)
+        assert "low" not in vars(table)
+        assert table.low == table.minz.min()
+        assert "low" in vars(table)
+    empty = RayTable(np.array([2.5, 2.5, 25.0]), 1, 1, 5.0, target_z=50.0)
+    assert len(empty.minz) == 0 and empty.low == np.inf
+
+
 def _oracle_verdicts(table: RayTable, em: ExploredMap, rays) -> tuple[list, list]:
     s, ny = em.cell_size_m, em.depth_cells
     verdicts = [ray_blocked(em, table.origin, np.array([(r // ny + 0.5) * s,
