@@ -31,7 +31,7 @@ import numpy as np
 from .channel import ChannelParams, dbm_to_mw, free_space_path_loss_db
 from .errors import ConfigError
 from .linkfield import capacities
-from .offload import OffloadConfig, remote_update_rate
+from .offload import STEP_FLOOR_M, OffloadConfig, remote_update_rate
 from .planner import PlanConfig
 from .scenario import ScenarioConfig
 from .worldmap import SensorModel
@@ -168,6 +168,21 @@ def _check_frame_rate(oc: OffloadConfig, ch: ChannelParams, sc: ScenarioConfig,
             f"is {frames!r} frames a tick, not a finite float; lower sim.tick_s")
 
 
+def _check_tick_moves(oc: OffloadConfig, sim: SimParams) -> None:
+    """Reject a tick too short to move the vehicle.
+
+    No arm flies faster than v_max_mps, and a tick whose flight budget is
+    no longer than STEP_FLOOR_M moves nothing, so every mission would time
+    out where it started.
+    """
+    flight = oc.v_max_mps * sim.tick_s
+    if flight <= STEP_FLOOR_M:
+        raise ConfigError(
+            f"offload.v_max_mps ({oc.v_max_mps!r} m/s) times sim.tick_s ({sim.tick_s!r} s) "
+            f"is a flight of {flight!r} m a tick, no longer than the {STEP_FLOOR_M!r} m a "
+            "tick must fly to move the vehicle; raise sim.tick_s")
+
+
 @dataclass(frozen=True)
 class Config:
     scenario: ScenarioConfig = ScenarioConfig()
@@ -181,6 +196,7 @@ class Config:
         _check_link_powers(self.channel, self.scenario)
         _check_plos_curve(self.channel)
         _check_frame_rate(self.offload, self.channel, self.scenario, self.sim)
+        _check_tick_moves(self.offload, self.sim)
         _check_edge_weights(self.offload, self.planner, self.scenario)
 
 

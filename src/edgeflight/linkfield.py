@@ -1,15 +1,15 @@
 """Flight-layer link pricing: cell geometry, gains, capacities and ground-truth budgets.
 
-`layer_offsets` and `layer_gain_db` are the flight-layer cell geometry and
-per-BS gain that the explored arm's LoS/NLoS limit grids and the baseline's
-expected loss price from, and `capacities` is the one array chain from a
-serving gain to link capacities. `TruthLink` gives the simulator its true
-budgets, always computed from truth, one position at a time or many in one
-array pass with the same bits; that pass over every cell centre is also the
-global arm's planning grid. Link states are evaluated at flight-layer cell
-resolution; powers use exact 3D distances. The UAV antenna boresight tracks
-the serving BS, so interference arrives through the antenna pattern while
-serving links see unit gain.
+`layer_offsets` (`scenario.centre_offsets` with height) and `layer_gain_db`
+are the cell distances and per-BS gain that the explored arm's LoS/NLoS limit
+grids and the baseline's expected loss price from, and `capacities` is the
+one array chain from a serving gain to link capacities. `TruthLink` gives the
+simulator its true budgets, always computed from truth, one position at a
+time or many in one array pass with the same bits; that pass over every cell
+centre is also the global arm's planning grid. Link states are evaluated at
+flight-layer cell resolution; powers use exact 3D distances. The UAV antenna
+boresight tracks the serving BS, so interference arrives through the antenna
+pattern while serving links see unit gain.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .channel import (
     free_space_path_loss_db,
     path_loss_db_scalar,
 )
-from .scenario import Scenario, grid_cell
+from .scenario import Scenario, centre_offsets, grid_cell
 from .worldmap import RayTable
 
 
@@ -40,8 +40,7 @@ def layer_offsets(origin, nx: int, ny: int, cell_size_m: float, z: float):
 
     Returns (dx (nx, 1), dy (1, ny), dz, dist (nx, ny)).
     """
-    dx = (np.arange(nx) + 0.5)[:, None] * cell_size_m - origin[0]
-    dy = (np.arange(ny) + 0.5)[None, :] * cell_size_m - origin[1]
+    dx, dy = centre_offsets(origin, cell_size_m, (slice(0, nx), slice(0, ny)))
     dz = z - origin[2]
     return dx, dy, dz, np.sqrt(dx * dx + dy * dy + dz * dz)
 

@@ -13,6 +13,11 @@ from enum import Enum
 
 from .errors import ConfigError
 
+# A tick's flight budget at or below this many metres moves the vehicle no
+# further; a tick whose fastest flight, v_max_mps * tick_s, is no longer
+# cannot move it at all.
+STEP_FLOOR_M = 1e-12
+
 
 class ProcessingMode(Enum):
     REMOTE = "remote"

@@ -3,7 +3,8 @@
 All three policy arms share one search and one cost model; they differ only
 in the per-cell speed-limit, NLoS, and interference grids fed to it:
 
-    baseline  - elevation-angle LoS probability prices every cell; LoS-blind,
+    baseline  - elevation-angle LoS probability prices every cell, at the
+                `layer_offsets` distances the explored arm prices; LoS-blind,
                 it believes no cell NLoS; explored map for obstacles only.
     explored  - speed limits and NLoS cells from the self-built radio map's
                 link states: each state is priced from two limit grids, LoS
@@ -30,7 +31,6 @@ oscillation a horizon-truncated search can fall into near walls.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -44,13 +44,8 @@ from .errors import ConfigError, StuckError
 from .linkfield import TruthLink, capacities, layer_gain_db, layer_offsets
 from .offload import OffloadConfig
 from .radiomap import _STATE_CODE, RadioMap
-from .scenario import inflate_obstacles
+from .scenario import _SQRT2, inflate_obstacles, lattice_edges
 from .worldmap import ExploredMap
-
-_SQRT2 = float(np.sqrt(2.0))
-_NEIGH = ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2),
-          (0, -1, 1.0), (0, 1, 1.0),
-          (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2))
 
 
 class PlannerKind(Enum):
@@ -102,34 +97,6 @@ def rate_to_limit_grid(up_bps: np.ndarray, dn_bps: np.ndarray, oc: OffloadConfig
     return np.minimum(fps / oc.frames_per_meter, oc.v_max_mps)
 
 
-@functools.lru_cache(maxsize=1)
-def _lattice_edges(nx: int, ny: int, cell_size_m: float) -> tuple[np.ndarray, ...]:
-    """Flat (u, v, length_m) arrays of every 8-neighbour edge, sorted by u, then v.
-
-    That is the order of a canonical CSR matrix, so a cost-field rebuild
-    keeps the edges out of free cells, in this order, as the graph's CSR
-    arrays directly: with indptr the running count of kept edges per
-    source, they equal what coo.tocsr() makes of the same edges (no pair
-    occurs twice). Each weight is computed per edge, so its bits do not
-    depend on the order. Every planner of the last grid shares the arrays,
-    which are read-only.
-    """
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    us, vs, lengths = [], [], []
-    for ddx, ddy, dd in _NEIGH:
-        u = idx[max(0, -ddx):nx - max(0, ddx),
-                max(0, -ddy):ny - max(0, ddy)].ravel()
-        us.append(u)
-        vs.append(u + ddx * ny + ddy)
-        lengths.append(np.full(len(u), dd * cell_size_m))
-    u, v = np.concatenate(us), np.concatenate(vs)
-    order = np.lexsort((v, u))
-    edges = u[order], v[order], np.concatenate(lengths)[order]
-    for a in edges:
-        a.flags.writeable = False
-    return edges
-
-
 class Planner:
     """One policy arm bound to an episode's scenario and belief state."""
 
@@ -154,7 +121,8 @@ class Planner:
         if self._static is None:
             self._state_limits = self._explored_limits()
         self._fully_known = bool(explored.known.all())
-        self._edges = _lattice_edges(self._nx, self._ny, self._s)
+        u, v, step = lattice_edges(self._nx, self._ny)
+        self._edges = u, v, step * self._s
         # each cache holds the inputs it was built from
         self._forbidden_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._field_cache: tuple | None = None
@@ -166,13 +134,9 @@ class Planner:
 
     def _static_grids(self):
         if self.kind is PlannerKind.BASELINE:
-            dx, dy, dz, _ = layer_offsets(self.sc.bs_positions[self.sc.serving_bs],
-                                          self._nx, self._ny, self._s, self._alt)
-            # the 3-D distance is rebuilt from the horizontal one the
-            # elevation needs; layer_offsets' dist rounds differently
-            horiz = np.hypot(dx, dy)
-            dist = np.sqrt(horiz**2 + dz**2)
-            elev = np.degrees(np.arctan2(dz, horiz))
+            dx, dy, dz, dist = layer_offsets(self.sc.bs_positions[self.sc.serving_bs],
+                                             self._nx, self._ny, self._s, self._alt)
+            elev = np.degrees(np.arctan2(dz, np.hypot(dx, dy)))
             up, dn, *_ = capacities(-expected_path_loss_db(dist, elev, self.ch), 0.0, self.ch,
                                     dbm_to_mw(self.ch.noise_dbm))
             zeros = np.zeros((self._nx, self._ny))

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import LinkState
+from .scenario import centre_offsets, disk_window
 from .worldmap import ExploredMap, RayTable
 
 _STATE_CODE = {LinkState.LOS: 0, LinkState.NLOS: 1, LinkState.ASSUMED_LOS: 2}
@@ -135,21 +136,15 @@ class RadioMap:
             return
         s = self.explored.cell_size_m
         nx, ny = self.state_grid.shape
-        px, py = float(around[0]), float(around[1])
-        ix0 = max(int((px - radius_m) // s), 0)
-        ix1 = min(int((px + radius_m) // s) + 1, nx)
-        iy0 = max(int((py - radius_m) // s), 0)
-        iy1 = min(int((py + radius_m) // s) + 1, ny)
-        if ix0 >= ix1 or iy0 >= iy1:
+        win = disk_window(around, radius_m, s, nx, ny)
+        if win is None:
             return
-        due = self._due(np.s_[ix0:ix1, iy0:iy1])
+        due = self._due(win)
         if not due.any():
             return
-        cx = (np.arange(ix0, ix1) + 0.5) * s - px
-        cy = (np.arange(iy0, iy1) + 0.5) * s - py
-        inside = np.hypot(cx[:, None], cy[None, :]) <= radius_m
-        i, j = np.nonzero(inside & due)
-        self._refresh((i + ix0) * ny + (j + iy0))
+        dx, dy = centre_offsets(around, s, win)
+        i, j = np.nonzero((np.hypot(dx, dy) <= radius_m) & due)
+        self._refresh((i + win[0].start) * ny + (j + win[1].start))
 
     def ensure_layer_evaluated(self) -> None:
         """Bring every flight-layer cell up to date with the explored map.

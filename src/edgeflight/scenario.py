@@ -1,12 +1,16 @@
-"""Procedural city scenarios: height field, base stations, mission endpoints.
+"""Procedural city scenarios and the grid geometry every layer shares.
 
 The world is a 2.5D height field on a regular square grid. Buildings sit on a
 Manhattan-style block pattern: square blocks of constant height separated by
 streets, one i.i.d. Rayleigh-distributed height per block, streets at height 0.
+
+Every layer's grid geometry is defined here once: the cell lookup, the
+clipped disk window, the offsets to cell centres and the planner's moves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -131,6 +135,57 @@ def grid_cell(point, cell_size_m: float, nx: int, ny: int) -> tuple[int, int]:
             0 if iy < 0 else ny - 1 if iy >= ny else iy)
 
 
+def disk_window(point, radius_m: float, cell_size_m: float, nx: int, ny: int):
+    """Grid-clipped (x, y) slices holding each cell centred within radius_m of a point, or None."""
+    px, py = float(point[0]), float(point[1])
+    ix0 = max(int((px - radius_m) // cell_size_m), 0)
+    ix1 = min(int((px + radius_m) // cell_size_m) + 1, nx)
+    iy0 = max(int((py - radius_m) // cell_size_m), 0)
+    iy1 = min(int((py + radius_m) // cell_size_m) + 1, ny)
+    if ix0 >= ix1 or iy0 >= iy1:
+        return None
+    return slice(ix0, ix1), slice(iy0, iy1)
+
+
+def centre_offsets(point, cell_size_m: float, win) -> tuple[np.ndarray, np.ndarray]:
+    """(dx (n, 1), dy (1, m)): offsets from a point to the cell centres of a `disk_window`."""
+    dx = (np.arange(win[0].start, win[0].stop) + 0.5)[:, None] * cell_size_m - float(point[0])
+    dy = (np.arange(win[1].start, win[1].stop) + 0.5)[None, :] * cell_size_m - float(point[1])
+    return dx, dy
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=1)
+def lattice_edges(nx: int, ny: int) -> tuple[np.ndarray, ...]:
+    """Flat (u, v, step) arrays of the planner's moves, sorted by u, then v.
+
+    `step` is a move's length in cells, 1 or sqrt(2). In this canonical CSR
+    order a cost-field rebuild keeps the edges out of free cells as the
+    graph's CSR arrays directly: with indptr the running count of kept
+    edges per source, they equal coo.tocsr() of the same edges (no pair
+    occurs twice), and a weight computed per edge has the same bits in any
+    order. The last grid's arrays are shared and read-only.
+    """
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    us, vs, steps = [], [], []
+    for ddx, ddy, dd in ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2),
+                         (0, -1, 1.0), (0, 1, 1.0),
+                         (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2)):
+        u = idx[max(0, -ddx):nx - max(0, ddx),
+                max(0, -ddy):ny - max(0, ddy)].ravel()
+        us.append(u)
+        vs.append(u + ddx * ny + ddy)
+        steps.append(np.full(len(u), dd))
+    u, v = np.concatenate(us), np.concatenate(vs)
+    order = np.lexsort((v, u))
+    edges = u[order], v[order], np.concatenate(steps)[order]
+    for a in edges:
+        a.flags.writeable = False
+    return edges
+
+
 class HeightField:
     """Immutable per-cell building heights, indexed heights[ix, iy]."""
 
@@ -252,21 +307,16 @@ def inflate_obstacles(blocked: np.ndarray, margin_cells: int) -> np.ndarray:
 def free_components(free: np.ndarray) -> np.ndarray:
     """Per-cell label of the 8-connected component of `free` holding it.
 
-    The planner moves between 8-neighbours, so two free cells share a label
-    exactly when a path of free cells joins them. Blocked cells get labels
-    of their own.
+    The components are taken over the planner's moves, `lattice_edges`, so
+    two free cells share a label exactly when a path of free cells joins
+    them. Blocked cells get labels of their own.
     """
     nx, ny = free.shape
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    us, vs = [], []
-    for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        a = np.s_[:nx - dx, max(0, -dy):ny - max(0, dy)]
-        b = np.s_[dx:, max(0, dy):ny - max(0, -dy)]
-        both = free[a] & free[b]
-        us.append(idx[a][both])
-        vs.append(idx[b][both])
-    u, v = np.concatenate(us), np.concatenate(vs)
-    graph = sparse.coo_array((np.ones(len(u), dtype=bool), (u, v)), shape=(nx * ny,) * 2)
+    u, v, _ = lattice_edges(nx, ny)
+    flat = free.ravel()
+    both = flat[u] & flat[v]
+    graph = sparse.coo_array((np.ones(both.sum(), dtype=bool), (u[both], v[both])),
+                             shape=(nx * ny,) * 2)
     return csgraph.connected_components(graph, directed=False)[1].reshape(nx, ny)
 
 

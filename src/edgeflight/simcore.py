@@ -27,7 +27,7 @@ from .channel import LinkState
 from .config import Config
 from .errors import StuckError
 from .linkfield import TruthLink, ray_table_for
-from .offload import remote_update_rate, select_mode, speed_limit
+from .offload import STEP_FLOOR_M, remote_update_rate, select_mode, speed_limit
 from .planner import Planner, PlannerKind, replan_due, segment_invalidated
 from .radiomap import RadioMap
 from .scenario import Scenario, build_scenario
@@ -93,7 +93,7 @@ def _advance(pos, waypoints, legs, seg_leg, v, dt):
     if v > 0.0:
         budget = v * dt
         n_legs = len(legs)
-        while budget > 1e-12 and seg_leg < n_legs:
+        while budget > STEP_FLOOR_M and seg_leg < n_legs:
             tgt = waypoints[seg_leg + 1]
             step = tgt - p
             d = math.sqrt(step.dot(step))  # np.linalg.norm, without its dispatch
@@ -239,7 +239,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             p, seg_leg, moved = _advance(pos, waypoints, legs, seg_leg, v, dt)
             ahead.clear()
         if v > 0.0:
-            if moved > 1e-12:
+            if moved > STEP_FLOOR_M:
                 delta = p - pos
                 heading = math.degrees(float(np.arctan2(delta[1], delta[0])))
         elif seg.heading_hint is not None:

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .scenario import HeightField, grid_cell
+from .scenario import HeightField, centre_offsets, disk_window, grid_cell
 
 # Ties in the traversal parameter below this width are exact corner touches;
 # the segment has zero extent inside the off-diagonal cells, so they are not
@@ -106,26 +106,17 @@ def sense(truth: HeightField, explored: ExploredMap, position, heading_deg: floa
     not built.
     """
     s = truth.cell_size_m
-    nx, ny = truth.width_cells, truth.depth_cells
-    px, py = float(position[0]), float(position[1])
-    r = sensor.range_m
-    ix0 = max(int((px - r) // s), 0)
-    ix1 = min(int((px + r) // s) + 1, nx)
-    iy0 = max(int((py - r) // s), 0)
-    iy1 = min(int((py + r) // s) + 1, ny)
-    if ix0 >= ix1 or iy0 >= iy1 or explored.known[ix0:ix1, iy0:iy1].all():
+    win = disk_window(position, sensor.range_m, s, truth.width_cells, truth.depth_cells)
+    if win is None or explored.known[win].all():
         return explored
-    cx = (np.arange(ix0, ix1) + 0.5) * s - px
-    cy = (np.arange(iy0, iy1) + 0.5) * s - py
-    dx, dy = cx[:, None], cy[None, :]
+    dx, dy = centre_offsets(position, s, win)
     dist = np.hypot(dx, dy)
-    vis = dist <= r
+    vis = dist <= sensor.range_m
     if sensor.fov_deg < 360.0:
         ang = np.degrees(np.arctan2(dy, dx))
         diff = (ang - heading_deg + 180.0) % 360.0 - 180.0
         vis &= np.abs(diff) <= sensor.fov_deg / 2.0
         vis |= dist < 1e-9  # own cell: bearing undefined
-    win = (slice(ix0, ix1), slice(iy0, iy1))
     explored.known[win] |= vis
     explored.heights[win] = np.where(vis, truth.heights[win], explored.heights[win])
     return explored

@@ -10,7 +10,9 @@ sampling. The truth link budgets are composed from channel.py's per-link
 functions and the SINR sum below, the reference for TruthLink's inlined
 arithmetic; `path_loss_db` is the array path loss per link state they use.
 `serving_link_speed_limit` is the per-tick speed governor over the serving
-link alone, the reference for the explored planner's limit grids.
+link alone, the reference for the explored planner's limit grids, and
+`baseline_speed_limit` the same governor over the expected LoS-probability
+loss, the reference for the baseline's.
 `parse_grid` reads back the grid files `edgeflight generate` writes. The ray
 table reference is the original single-block build, every ray padded to the
 longest one, which the block build must reproduce value for value. FullRefreshRadioMap is the one exception to the rule above: it keeps
@@ -33,6 +35,7 @@ from edgeflight.channel import (
     capacity_bps_scalar,
     carrier_loss_db,
     dbm_to_mw,
+    expected_path_loss_db,
     free_space_path_loss_db,
     path_loss_db_scalar,
 )
@@ -286,6 +289,24 @@ def serving_link_speed_limit(distance_m: float, nlos: bool, ch, oc) -> float:
     (remote_update_rate, select_mode, speed_limit), one link at a time.
     """
     pl = path_loss_db_scalar(distance_m, nlos, carrier_loss_db(ch.carrier_hz), ch)
+    return governed_speed_limit(pl, ch, oc)
+
+
+def baseline_speed_limit(bs, centre, alt: float, ch, oc) -> float:
+    """The baseline's speed limit at one cell centre, priced from the expected loss.
+
+    The distance sums dx*dx + dy*dy + dz*dz, in layer_offsets' order, and the
+    elevation is arctan2(dz, hypot(dx, dy)); expected_path_loss_db mixes the
+    LoS and NLoS losses, and the serving link alone sets the capacities.
+    """
+    dx, dy, dz = centre[0] - bs[0], centre[1] - bs[1], alt - bs[2]
+    d = np.sqrt(dx * dx + dy * dy + dz * dz)
+    elev = np.degrees(np.arctan2(dz, np.hypot(dx, dy)))
+    return governed_speed_limit(float(expected_path_loss_db(d, elev, ch)), ch, oc)
+
+
+def governed_speed_limit(pl: float, ch, oc) -> float:
+    """Per-tick speed limit of a serving link with path loss `pl` dB and no interference."""
     noise_mw = dbm_to_mw(ch.noise_dbm)
     up = capacity_bps_scalar(dbm_to_mw(ch.uav_tx_power_dbm - pl) / noise_mw, ch.bandwidth_hz)
     dn = capacity_bps_scalar(dbm_to_mw(ch.bs_tx_power_dbm - pl) / noise_mw, ch.bandwidth_hz)

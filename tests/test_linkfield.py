@@ -78,6 +78,15 @@ def test_capacities_match_channel_math():
     assert np.allclose(dn, ch.bandwidth_hz * np.log2(1.0 + sig / (noise_mw + int_mw)))
 
 
+def inexact_grid_city(scfg):
+    """A 70 m city of 0.7 m cells, whose centres are not exact in binary."""
+    s = 0.7
+    return dataclasses.replace(
+        scfg, map_size_m=(100 * s, 100 * s), cell_size_m=s,
+        building_footprint_m=21 * s, street_width_m=43 * s,
+        endpoint_distance_m=(25 * s, 50 * s), rng_seed=2)
+
+
 def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
     """The global arm plans on the same bits the simulator flies on.
 
@@ -95,11 +104,8 @@ def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
     ch, oc = cfg.channel, cfg.offload
     assert ch.uav_tx_power_dbm == ch.bs_tx_power_dbm
     cities = [dataclasses.replace(cfg.scenario, rng_seed=seed) for seed in (4, 9, 11)]
-    s = 0.7
-    cities.append(dataclasses.replace(
-        cfg.scenario, map_size_m=(100 * s, 100 * s), cell_size_m=s,
-        building_footprint_m=21 * s, street_width_m=43 * s,
-        endpoint_distance_m=(25 * s, 50 * s), rng_seed=2))
+    cities.append(inexact_grid_city(cfg.scenario))
+    s = cities[-1].cell_size_m
 
     def tick_limit(up, dn):
         return speed_limit(select_mode(remote_update_rate(up, dn, oc), oc.local_fps)[1], oc)

@@ -7,7 +7,7 @@ import edgeflight.planner as planner_mod
 from edgeflight.channel import ChannelParams, LinkState
 from edgeflight.config import default_config
 from edgeflight.errors import StuckError
-from edgeflight.linkfield import TruthLink
+from edgeflight.linkfield import TruthLink, ray_table_for
 from edgeflight.offload import OffloadConfig, remote_update_rate, speed_limit
 from edgeflight.planner import (
     PlanConfig,
@@ -22,6 +22,7 @@ from edgeflight.scenario import HeightField, Scenario, ScenarioConfig, build_sce
 from edgeflight.simcore import run_episode
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
 from oracles import (
+    baseline_speed_limit,
     edge_cost,
     enumerate_best_path_cost,
     relaxed_cost_to_go,
@@ -392,6 +393,37 @@ def test_explored_limits_equal_the_per_tick_pipeline_in_every_state(ch, oc):
             d = float(np.sqrt(dx * dx + dy * dy + dz * dz))
             want = serving_link_speed_limit(d, state is LinkState.NLOS, ch, oc)
             assert limits[ix, iy] == want, (state, ix, iy)
+
+
+def test_baseline_grids_equal_the_per_cell_pipeline():
+    """The baseline's limit at every cell centre is the scalar expected-loss pipeline.
+
+    Each limit equals oracles.baseline_speed_limit at the cell centre, and
+    the LoS-blind baseline believes no cell NLoS and knows no interference.
+    Two default cities, and the 0.7 m city whose cell centres are not exact
+    in binary.
+    """
+    from test_linkfield import inexact_grid_city
+
+    cfg = default_config()
+    ch, oc = cfg.channel, cfg.offload
+    cities = [dataclasses.replace(cfg.scenario, rng_seed=seed) for seed in (4, 9)]
+    for scfg in cities + [inexact_grid_city(cfg.scenario)]:
+        sc = build_scenario(scfg)
+        alt = sc.cfg.uav_altitude_m
+        truth = sc.truth
+        explored = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+        rm = RadioMap(ray_table_for(sc, sc.serving_bs, alt), explored)
+        pl = Planner(PlannerKind.BASELINE, sc, explored, rm, TruthLink(sc, ch, alt), ch, oc,
+                     cfg.planner)
+        limits, nlos, intf = pl._grids()
+        bs = sc.bs_positions[sc.serving_bs]
+        want = np.array([[baseline_speed_limit(bs, truth.cell_center(ix, iy), alt, ch, oc)
+                          for iy in range(truth.depth_cells)]
+                         for ix in range(truth.width_cells)])
+        assert len(np.unique(want)) > 100  # no limit saturates at v_max
+        assert np.array_equal(limits, want), int((limits != want).sum())
+        assert not nlos.any() and not intf.any()
 
 
 def test_replan_cadence_and_invalidation():

@@ -11,7 +11,7 @@ from edgeflight.radiomap import _CODE_STATE, _STATE_CODE, MISSING, RadioMap
 from edgeflight.scenario import HeightField, ScenarioConfig, build_scenario, generate_city
 from edgeflight.simcore import run_episode
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
-from oracles import FullRefreshRadioMap, RayResult, ray_blocked, ray_blocked_grid
+from oracles import FullRefreshRadioMap, RayResult, ray_blocked, ray_blocked_grid, wedge_cells
 
 ALT = 50.0
 
@@ -199,6 +199,54 @@ def counting_classify(monkeypatch) -> list:
 
     monkeypatch.setattr(RayTable, "classify_subset", counting)
     return calls
+
+
+def test_windows_at_the_map_border_reach_only_the_cells_in_range(monkeypatch):
+    """`sense` and `update_around` from beside and across the map's border.
+
+    A window that misses the grid changes nothing and classifies no ray. A
+    window the border clips reveals exactly the sensor wedge's cells
+    (oracles.wedge_cells) and refreshes exactly the cells whose centres lie
+    within the radius, as a whole-layer refresh estimates them.
+    """
+    truth = city(5)
+    nx, ny, s = truth.width_cells, truth.depth_cells, truth.cell_size_m
+    sensor, radius = SensorModel(fov_deg=120.0, range_m=30.0), 30.0
+    em = ExploredMap(nx, ny, s)
+    rm = make_rm(em, BS)
+    centre = (100.0, 100.0, ALT)
+    sense(truth, em, centre, 0.0, sensor)
+    rm.update_around(centre, radius)
+    known, heights, states = em.known.copy(), em.heights.copy(), rm.state_grid.copy()
+    calls = counting_classify(monkeypatch)
+    for x, y, heading in ((-31.0, 100.0, 0.0), (100.0, 231.0, -90.0),
+                          (260.0, -40.0, 135.0), (-40.0, 260.0, -45.0)):
+        sense(truth, em, (x, y, ALT), heading, sensor)
+        rm.update_around((x, y, ALT), radius)
+    assert calls == []
+    assert np.array_equal(em.known, known) and np.array_equal(em.heights, heights)
+    assert np.array_equal(rm.state_grid, states)
+
+    revealed = 0
+    for x, y, heading in ((-10.0, 60.0, 0.0), (197.0, 3.0, 135.0), (100.0, 215.0, -90.0),
+                          (-25.0, -25.0, 45.0), (-30.0, 100.0, 0.0)):
+        pos = (x, y, ALT)
+        em = ExploredMap(nx, ny, s)
+        rm = make_rm(em, BS)
+        sense(truth, em, pos, heading, sensor)
+        want = wedge_cells(nx, ny, s, pos, heading, sensor.fov_deg, sensor.range_m)
+        assert set(map(tuple, np.argwhere(em.known))) == want, pos
+        assert np.array_equal(em.heights[em.known], truth.heights[em.known])
+        revealed += len(want)
+        rm.update_around(pos, radius)
+        in_range = {(ix, iy) for ix in range(nx) for iy in range(ny)
+                    if np.hypot((ix + 0.5) * s - x, (iy + 0.5) * s - y) <= radius}
+        refreshed = rm.state_grid != MISSING
+        assert set(map(tuple, np.argwhere(refreshed))) == in_range, pos
+        whole = make_rm(em, BS)
+        whole.ensure_layer_evaluated()
+        assert np.array_equal(rm.state_grid[refreshed], whole.state_grid[refreshed])
+    assert revealed > 50
 
 
 def test_unchanged_map_classifies_nothing(monkeypatch):
