@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import require
 
 SPEED_OF_LIGHT = 299792458.0
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -38,12 +38,9 @@ class ChannelParams:
     antenna_backlobe_db: float = -10.0
 
     def __post_init__(self):
-        if self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
-            raise ConfigError("carrier and bandwidth must be positive")
-        if self.nlos_excess_db < 0:
-            raise ConfigError("NLoS excess must be >= 0")
-        if not (0 < self.antenna_halfwidth_deg <= 180):
-            raise ConfigError("antenna halfwidth must be in (0, 180]")
+        require("channel", self, lambda v: v > 0, "positive", "carrier_hz", "bandwidth_hz")
+        require("channel", self, lambda v: v >= 0, ">= 0", "nlos_excess_db")
+        require("channel", self, lambda v: 0 < v <= 180, "in (0, 180]", "antenna_halfwidth_deg")
 
     @property
     def noise_dbm(self) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, dbm_to_mw, free_space_path_loss_db
-from .errors import ConfigError
+from .errors import ConfigError, require
 from .linkfield import capacities
 from .offload import STEP_FLOOR_M, OffloadConfig, remote_update_rate
 from .planner import PlanConfig
@@ -44,8 +44,7 @@ class SimParams:
     sticky_nlos: bool = True
 
     def __post_init__(self):
-        if self.tick_s <= 0 or self.timeout_s <= 0:
-            raise ConfigError("tick and timeout must be positive")
+        require("sim", self, lambda v: v > 0, "positive", "tick_s", "timeout_s")
         if not math.isfinite(self.timeout_s / self.tick_s):
             raise ConfigError(
                 f"sim.timeout_s / sim.tick_s ({self.timeout_s!r} / {self.tick_s!r}) "
@@ -243,13 +242,7 @@ def _build_section(cls, data: dict, name: str):
     unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
-    kwargs = {k: _checked(defaults[k], v, f"{name}.{k}") for k, v in data.items()}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(f"bad [{name}] section: {e}") from None
+    return cls(**{k: _checked(defaults[k], v, f"{name}.{k}") for k, v in data.items()})
 
 
 def config_from_dict(d: dict) -> Config:

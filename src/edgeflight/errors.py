@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one field check that
+raises a ConfigError naming its `section.field`."""
 
 
 class ConfigError(ValueError):
@@ -11,3 +12,11 @@ class ScenarioError(RuntimeError):
 
 class StuckError(RuntimeError):
     """The planner found no feasible cell to move to."""
+
+
+def require(section: str, params, ok, requirement: str, *names: str) -> None:
+    """Raise ConfigError naming the first field in `names` whose value fails `ok`."""
+    for name in names:
+        value = getattr(params, name)
+        if not ok(value):
+            raise ConfigError(f"{section}.{name} must be {requirement}, got {value!r}")

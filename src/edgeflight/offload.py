@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError
+from .errors import require
 
 # A tick's flight budget at or below this many metres moves the vehicle no
 # further; a tick whose fastest flight, v_max_mps * tick_s, is no longer
@@ -34,12 +34,10 @@ class OffloadConfig:
     v_max_mps: float = 15.0
 
     def __post_init__(self):
-        if self.frame_bits <= 0 or self.frames_per_meter <= 0:
-            raise ConfigError("frame size and frames per meter must be positive")
-        if self.feedback_bits < 0 or self.remote_processing_s < 0:
-            raise ConfigError("feedback bits and processing delay must be >= 0")
-        if self.local_fps < 0 or self.v_max_mps <= 0:
-            raise ConfigError("local fps must be >= 0 and v_max positive")
+        require("offload", self, lambda v: v > 0, "positive",
+                "frame_bits", "frames_per_meter", "v_max_mps")
+        require("offload", self, lambda v: v >= 0, ">= 0",
+                "feedback_bits", "remote_processing_s", "local_fps")
 
 
 def remote_update_rate(uplink_bps: float, downlink_bps: float, oc: OffloadConfig) -> float:

@@ -23,10 +23,11 @@ cells it was built from change. Forbidden cells are dead ends of the sweep:
 they get a cost-to-go through their cheapest free neighbour, and no path
 runs through them, so a vehicle whose cell a fresh margin swallowed hops out
 along the same next-hop chain. A plan walks that chain from the current cell
-and commits only the prefix inside the time horizon (and, optionally, inside
-sensed ground). Replanning therefore always descends the same cost-to-go
-field until new information actually changes it, which rules out the
-oscillation a horizon-truncated search can fall into near walls.
+and commits only the prefix inside the time horizon up to the first cell not
+yet sensed, so every committed cell has been seen. Replanning therefore
+always descends the same cost-to-go field until new information actually
+changes it, which rules out the oscillation a horizon-truncated search can
+fall into near walls.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from .channel import ChannelParams, LinkState, dbm_to_mw, expected_path_loss_db
-from .errors import ConfigError, StuckError
+from .errors import StuckError, require
 from .linkfield import TruthLink, capacities, layer_gain_db, layer_offsets
 from .offload import OffloadConfig
 from .radiomap import _STATE_CODE, RadioMap
@@ -61,16 +62,15 @@ class PlanConfig:
     nlos_penalty: float = 2.0
     interference_weight: float = 0.5
     safety_margin_cells: int = 1
-    commit_within_sensed: bool = True
 
     def __post_init__(self):
-        if self.horizon_s <= 0 or self.replan_period_s <= 0:
-            raise ConfigError("planner horizon_s and replan_period_s must be positive")
-        if self.nlos_penalty < 0 or self.interference_weight < 0:
-            # negative edge weights break the shortest-path sweep
-            raise ConfigError("planner nlos_penalty and interference_weight must be >= 0")
-        if self.safety_margin_cells < 0:
-            raise ConfigError("planner safety_margin_cells must be >= 0")
+        require("planner", self, lambda v: v > 0, "positive", "horizon_s", "replan_period_s")
+        # negative edge weights break the shortest-path sweep
+        require("planner", self, lambda v: v >= 0, ">= 0",
+                "nlos_penalty", "interference_weight")
+        # with no margin, a diagonal hop from an off-centre position can cut
+        # through the corner of a building cell beside it
+        require("planner", self, lambda v: v >= 1, "at least 1", "safety_margin_cells")
 
 
 @dataclass
@@ -264,11 +264,9 @@ class Planner:
 
         cells = [divmod(f, ny) for f in cells_flat]
 
-        commit = len(cells)
-        if self.pc.commit_within_sensed:
-            commit = 1
-            while commit < len(cells) and self.explored.known[cells[commit]]:
-                commit += 1
+        commit = 1
+        while commit < len(cells) and self.explored.known[cells[commit]]:
+            commit += 1
         committed = cells[:commit]
 
         committed_cost = plan_cost - float(gstar[cells_flat[commit - 1]])

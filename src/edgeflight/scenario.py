@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from .errors import ConfigError, ScenarioError
+from .errors import ConfigError, ScenarioError, require
 
 Point3 = np.ndarray  # shape (3,), meters
 
@@ -66,8 +66,8 @@ class ScenarioConfig:
     def __post_init__(self):
         w, d = self.map_size_m
         s = self.cell_size_m
-        if s <= 0 or w <= 0 or d <= 0:
-            raise ConfigError("map size and cell size must be positive")
+        require("scenario", self, lambda v: v > 0, "positive", "cell_size_m")
+        require("scenario", self, lambda v: min(v) > 0, "positive", "map_size_m")
         for extent in (w, d):
             _check_whole_cells("map_size_m", extent, s)
         nx, ny = self.width_cells, self.depth_cells
@@ -76,9 +76,8 @@ class ScenarioConfig:
             raise ConfigError(
                 f"{self.n_bs} ray tables over {nx} x {ny} cells need up to {entries} "
                 f"entries, more than the budget of {_MAX_RAY_TABLE_ENTRIES}; reduce "
-                "scenario.map_size_m or raise scenario.cell_size_m")
-        if self.rayleigh_scale_m < 0:
-            raise ConfigError("rayleigh scale must be >= 0")
+                "scenario.n_bs or scenario.map_size_m or raise scenario.cell_size_m")
+        require("scenario", self, lambda v: v >= 0, ">= 0", "rayleigh_scale_m")
         # the tallest draw comes from the largest uniform, 1 - 2**-53: about
         # 8.57 scales; the margin covers the last bits of numpy's log1p
         tallest = self.rayleigh_scale_m * _RAYLEIGH_TOP * (1.0 + 1e-12)
@@ -86,18 +85,17 @@ class ScenarioConfig:
             raise ConfigError(
                 f"scenario.rayleigh_scale_m = {self.rayleigh_scale_m!r} m draws buildings up "
                 f"to {tallest!r} m tall, not a finite float; lower scenario.rayleigh_scale_m")
+        require("scenario", self, lambda v: v > 0, "positive",
+                "building_footprint_m", "street_width_m")
         period = self.building_footprint_m + self.street_width_m
         if period > min(w, d):
-            raise ConfigError("building footprint + street width exceeds map size")
-        for name, extent in (("building_footprint_m", self.building_footprint_m),
-                             ("street_width_m", self.street_width_m)):
-            if extent <= 0:
-                raise ConfigError(f"scenario.{name} must be positive")
-            _check_whole_cells(name, extent, s)
-        if self.n_bs < 1:
-            raise ConfigError("need at least one base station")
-        if self.bs_height_m <= 0 or self.uav_altitude_m <= 0:
-            raise ConfigError("heights must be positive")
+            raise ConfigError(
+                f"scenario.building_footprint_m + scenario.street_width_m ({period!r} m) "
+                f"exceeds scenario.map_size_m ({self.map_size_m!r})")
+        for name in ("building_footprint_m", "street_width_m"):
+            _check_whole_cells(name, getattr(self, name), s)
+        require("scenario", self, lambda v: v >= 1, "at least 1", "n_bs")
+        require("scenario", self, lambda v: v > 0, "positive", "bs_height_m", "uav_altitude_m")
         # every squared BS-to-vehicle distance is at most three times the
         # square of the largest of these lengths, so it stays finite
         for name, length in (("map_size_m", max(w, d)), ("bs_height_m", self.bs_height_m),
@@ -106,11 +104,9 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"scenario.{name} = {length!r} m is too large: squared distances "
                     "overflow a float")
-        lo, hi = self.endpoint_distance_m
-        if not (0 < lo <= hi):
-            raise ConfigError("endpoint distance range must satisfy 0 < lo <= hi")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        require("scenario", self, lambda v: 0 < v[0] <= v[1], "a range lo, hi with 0 < lo <= hi",
+                "endpoint_distance_m")
+        require("scenario", self, lambda v: v >= 0, ">= 0", "rng_seed")
 
     @property
     def width_cells(self) -> int:

@@ -31,7 +31,7 @@ from .offload import STEP_FLOOR_M, remote_update_rate, select_mode, speed_limit
 from .planner import Planner, PlannerKind, replan_due, segment_invalidated
 from .radiomap import RadioMap
 from .scenario import Scenario, build_scenario
-from .worldmap import ExploredMap, SensorModel, sense
+from .worldmap import ExploredMap, sense
 
 
 @dataclass
@@ -138,7 +138,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     truth = scenario.truth
     alt = scenario.cfg.uav_altitude_m
     dt = cfg.sim.tick_s
-    sensor = SensorModel(cfg.sensor.fov_deg, cfg.sensor.range_m)
+    sensor = cfg.sensor
     update_radius = sensor.range_m + 2.0 * truth.cell_size_m
 
     if kind is PlannerKind.GLOBAL:

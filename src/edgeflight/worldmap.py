@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
+from .errors import require
 from .scenario import HeightField, centre_offsets, disk_window, grid_cell
 
 # Ties in the traversal parameter below this width are exact corner touches;
@@ -90,8 +91,8 @@ class SensorModel:
     range_m: float = 50.0
 
     def __post_init__(self):
-        if not (0 < self.fov_deg <= 360) or self.range_m <= 0:
-            raise ValueError("sensor needs 0 < fov <= 360 and positive range")
+        require("sensor", self, lambda v: 0 < v <= 360, "in (0, 360]", "fov_deg")
+        require("sensor", self, lambda v: v > 0, "positive", "range_m")
 
 
 def sense(truth: HeightField, explored: ExploredMap, position, heading_deg: float,

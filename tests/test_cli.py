@@ -178,6 +178,26 @@ def test_batch_rejects_non_positive_episodes(tmp_path, capsys):
     ('{}', ["--seed", "-1"], "rng_seed"),
     ('{"planner": {"horizon_s": NaN}}', [], "horizon_s"),
     ('{"sim": {"tick_s": "x"}}', [], "tick_s"),
+    ('{"sim": {"tick_s": 0}}', [], "sim.tick_s"),
+    ('{"sim": {"timeout_s": 0}}', [], "sim.timeout_s"),
+    ('{"scenario": {"cell_size_m": 0}}', [], "scenario.cell_size_m"),
+    ('{"scenario": {"map_size_m": [200, 0]}}', [], "scenario.map_size_m"),
+    ('{"scenario": {"bs_height_m": 0}}', [], "scenario.bs_height_m"),
+    ('{"scenario": {"uav_altitude_m": 0}}', [], "scenario.uav_altitude_m"),
+    ('{"scenario": {"n_bs": 0}}', [], "scenario.n_bs"),
+    ('{"channel": {"carrier_hz": 0}}', [], "channel.carrier_hz"),
+    ('{"offload": {"frame_bits": 0}}', [], "offload.frame_bits"),
+    ('{"sensor": {"fov_deg": 0}}', [], "sensor.fov_deg"),
+    ('{"sensor": {"range_m": 0}}', [], "sensor.range_m"),
+    ('{"planner": {"safety_margin_cells": 0}}', [], "planner.safety_margin_cells"),
+    ('{"planner": {"commit_within_sensed": true}}', [], "unknown keys in [planner]"),
+    ('{"sim": 3}', [], "[sim]"),
+    ('[1]', [], "config root"),
+    # integers too large for a float: a float field and an integer field
+    pytest.param('{"sim": {"timeout_s": 1%s}}' % ("0" * 400), [], "sim.timeout_s",
+                 id="timeout_s-1e400-int"),
+    pytest.param('{"scenario": {"n_bs": 1%s}}' % ("0" * 400), [], "scenario.n_bs",
+                 id="n_bs-1e400-int"),
 ])
 def test_malformed_value_is_config_error_naming_the_field(tmp_path, capsys, text, extra, field):
     cfg = tmp_path / "bad.json"
@@ -186,6 +206,18 @@ def test_malformed_value_is_config_error_naming_the_field(tmp_path, capsys, text
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
+
+
+def test_placement_failure_is_scenario_error(tmp_path, capsys):
+    # 40 base stations a quarter diagonal apart do not fit on a 100 m map
+    cfg = tmp_path / "crowded.json"
+    cfg.write_text(json.dumps({"scenario": {"map_size_m": [100.0, 100.0],
+                                            "endpoint_distance_m": [40.0, 80.0],
+                                            "n_bs": 40}}))
+    rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("scenario error:")
+    assert not (tmp_path / "x" / "city.grid").exists()
 
 
 def test_map_too_large_for_memory_is_config_error(tmp_path, capsys):

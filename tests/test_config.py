@@ -66,6 +66,7 @@ def test_invalid_value_surfaces_as_config_error():
     ("nlos_penalty", -2.0),
     ("interference_weight", -0.5),
     ("safety_margin_cells", -1),
+    ("safety_margin_cells", 0),
 ])
 def test_planner_section_rejects_bad_value(field, value):
     with pytest.raises(ConfigError, match=field):

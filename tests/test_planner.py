@@ -146,15 +146,17 @@ def test_cost_field_graph_equals_the_coo_graph_bit_for_bit(monkeypatch, shape):
     monkeypatch.setattr(planner_mod.csgraph, "dijkstra", keeping)
     rng = np.random.default_rng(sum(shape))
     nx, ny = shape
-    heights = np.where(rng.random(shape) < 0.2, 80.0, 0.0)
+    # sparse enough that the margin of one cell leaves free cells on every shape
+    heights = np.where(rng.random(shape) < 0.1, 80.0, 0.0)
     free = np.argwhere(heights == 0.0)
     picks = free[rng.choice(len(free), size=3, replace=False)]
     sc = make_world(heights, *map(tuple, picks))
     for kind in (PlannerKind.GLOBAL, PlannerKind.BASELINE):
-        pl = make_planner(sc, kind, PlanConfig(horizon_s=1e9, safety_margin_cells=0))
+        pl = make_planner(sc, kind, PlanConfig(horizon_s=1e9, safety_margin_cells=1))
         pl._cost_field()
         limits, pen = planner_pen(pl)
         lim, pen, forb = limits.ravel(), pen.ravel(), pl.forbidden_mask().ravel()
+        assert 0 < forb.sum() < forb.size
         u, v, length = [], [], []
         for ddx, ddy, dd in _NEIGH:
             for ix in range(nx):
@@ -278,8 +280,7 @@ def test_hop_out_of_a_swallowed_start_counts_toward_the_horizon():
     explored = ExploredMap.fully_known(sc.truth)
     explored.heights[1, 9] = 80.0  # adjacent to the start cell
     pl = make_planner(sc, PlannerKind.GLOBAL,
-                      PlanConfig(horizon_s=2.0, commit_within_sensed=False),
-                      explored=explored)
+                      PlanConfig(horizon_s=2.0), explored=explored)
     forb = pl.forbidden_mask()
     seg = pl.plan(sc.start)
     assert forb[seg.cells[0]] and not forb[seg.cells[1]]
@@ -303,8 +304,7 @@ def test_hop_out_of_a_swallowed_start_counts_toward_the_horizon():
 def test_horizon_truncates_commitment_not_reachability():
     heights = np.zeros((16, 16))
     sc = make_world(heights, (0, 0), (0, 8), (15, 8))
-    short = make_planner(sc, PlannerKind.GLOBAL,
-                         PlanConfig(horizon_s=2.0, commit_within_sensed=False))
+    short = make_planner(sc, PlannerKind.GLOBAL, PlanConfig(horizon_s=2.0))
     seg = short.plan(sc.start)
     assert not seg.reaches_goal
     assert len(seg.cells) >= 2
@@ -325,8 +325,7 @@ def test_commit_within_sensed_stops_at_frontier():
     explored = ExploredMap(12, 12, 5.0)
     explored.known[:4, :] = True  # knowledge ends at column 3
     pl = make_planner(sc, PlannerKind.EXPLORED,
-                      PlanConfig(horizon_s=1e9, commit_within_sensed=True),
-                      explored=explored)
+                      PlanConfig(horizon_s=1e9), explored=explored)
     seg = pl.plan(sc.start)
     assert all(explored.known[c] for c in seg.cells[1:])
     assert not seg.reaches_goal

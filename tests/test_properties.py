@@ -1,4 +1,5 @@
-"""Property test: every small config is rejected cleanly or flown to an outcome."""
+"""Property test: every small config is rejected cleanly or flown to an outcome
+without a tick inside a building."""
 
 import math
 
@@ -48,9 +49,14 @@ def test_small_configs_are_rejected_or_flown_to_an_outcome(doc):
         sc = build_scenario(cfg.scenario, cfg.planner.safety_margin_cells)
     except (ConfigError, ScenarioError):
         return
+    alt = cfg.scenario.uav_altitude_m
     for kind in PlannerKind:
-        m, _ = run_episode(sc, kind, cfg, collect_log=False)
+        m, log = run_episode(sc, kind, cfg)
         assert m.reached != m.stuck, kind
         assert all(math.isfinite(v) for v in (
             m.flight_distance_m, m.flight_duration_s,
             m.avg_uplink_capacity_bps, m.nlos_distance_ratio)), (kind, m)
+        # acceptance gate 09's check: no logged tick lies in a truth cell as
+        # tall as the flight altitude
+        inside = [r[:3] for r in log.rows if sc.truth.heights[sc.truth.cell_of(r[1:3])] >= alt]
+        assert not inside, (kind, inside[:3])

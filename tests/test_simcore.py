@@ -113,6 +113,39 @@ def test_no_tick_inside_a_too_tall_cell(episode_result):
             assert sc.truth.heights[cell] < alt, (kind, r[0])
 
 
+def test_walled_off_goal_ends_the_episode_stuck():
+    """A plan that finds the goal unreachable ends the episode at once.
+
+    A wall spans the map between start and goal. The global arm knows it
+    before its first plan. The learning arms first fly toward it, out of
+    sensor range of it at the start, and stop once sensing has shown them
+    the whole wall. Each episode logs one last row at speed 0 and gives the
+    same metrics unlogged.
+    """
+    from test_planner import make_world
+
+    heights = np.zeros((30, 16))
+    heights[20, :] = 80.0
+    sc = make_world(heights, (0, 0), (2, 8), (27, 8))
+    cfg = default_config()
+    dt = cfg.sim.tick_s
+    assert 20 * 5.0 - sc.start[0] > cfg.sensor.range_m
+    for kind in PlannerKind:
+        m, log = run_episode(sc, kind, cfg)
+        unlogged, _ = run_episode(sc, kind, cfg, collect_log=False)
+        assert repr(dataclasses.astuple(m)) == repr(dataclasses.astuple(unlogged)), kind
+        assert not m.reached and m.stuck, kind
+        assert log.rows[-1][4] == 0.0, kind
+        # every tick flown, then the row of the plan that found no path
+        assert len(log.rows) == round(m.flight_duration_s / dt) + 1, kind
+        assert all(sc.truth.cell_of(r[1:3])[0] != 20 for r in log.rows), kind
+        if kind is PlannerKind.GLOBAL:
+            assert len(log.rows) == 1 and m.flight_distance_m == 0.0
+        else:
+            assert m.flight_distance_m > 0.0
+            assert m.flight_duration_s < cfg.sim.timeout_s / 10, kind
+
+
 def test_speed_never_exceeds_vmax(episode_result):
     cfg, sc, out = episode_result
     for kind, (m, log) in out.items():

@@ -7,6 +7,7 @@ import pytest
 
 from edgeflight import worldmap
 from edgeflight.config import default_config
+from edgeflight.errors import ConfigError
 from edgeflight.linkfield import ray_table_for
 from edgeflight.planner import PlannerKind
 from edgeflight.scenario import HeightField, ScenarioConfig, build_scenario, generate_city
@@ -178,9 +179,9 @@ def test_sense_reveals_the_one_unknown_cell_of_a_known_window():
 
 
 def test_sensor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="sensor.fov_deg"):
         SensorModel(fov_deg=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="sensor.range_m"):
         SensorModel(range_m=-5.0)
 
 
