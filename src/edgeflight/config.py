@@ -9,13 +9,13 @@ onto one parameter dataclass:
       "channel":  {... ChannelParams fields ...},
       "offload":  {... OffloadConfig fields ...},
       "planner":  {... PlanConfig fields ...},
-      "sim":      {"tick_s": ..., "timeout_s": ..., "sticky_nlos": ...}
+      "sim":      {"tick_s": ..., "timeout_s": ...}
     }
 
 Missing sections and missing fields take their defaults; unknown sections or
 fields raise ConfigError, and so does a value whose type does not match the
-field's default (bool, int, finite float, or a two-element list of finite
-floats for the tuple-valued scenario fields).
+field's default (int, finite float, or a two-element list of finite floats
+for the tuple-valued scenario fields).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .worldmap import SensorModel
 class SimParams:
     tick_s: float = 0.1
     timeout_s: float = 600.0
-    sticky_nlos: bool = True
 
     def __post_init__(self):
         require("sim", self, lambda v: v > 0, "positive", "tick_s", "timeout_s")
@@ -217,16 +216,13 @@ def _finite_real(v) -> bool:
 
 
 def _checked(default, v, where: str):
-    """A field value type-checked against the field's default: bools take
-    bools, ints take non-bool ints, floats take finite reals and pairs take
-    two finite reals."""
+    """A field value type-checked against the field's default: ints take
+    non-bool ints, floats take finite reals and pairs take two finite reals."""
     if isinstance(default, tuple):
         if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_real, v))):
             raise ConfigError(f"{where} must be a list of two finite numbers, got {v!r}")
         return (float(v[0]), float(v[1]))
-    if isinstance(default, bool):
-        ok, kind = isinstance(v, bool), "true or false"
-    elif isinstance(default, int):
+    if isinstance(default, int):
         ok, kind = isinstance(v, int) and not isinstance(v, bool), "an integer"
     else:
         ok, kind = _finite_real(v), "a finite number"

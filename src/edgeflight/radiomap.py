@@ -7,9 +7,11 @@ states only; the explored planner arm prices them. A map bound to a fully
 known explored map has nothing to learn, so it estimates every cell once
 at construction and holds no missing cell. Cells whose ray to the BS
 crosses only explored free cells are LoS; rays crossing a known obstacle are
-NLoS and stay NLoS (sticky); rays touching unexplored cells are assumed LoS
-until the area is explored or measured. Rays are classified through the
-BS's precomputed RayTable.
+NLoS; rays touching unexplored cells are assumed LoS until the area is
+explored or measured. Rays are classified through the BS's precomputed
+RayTable. Known heights and measured states are truth, so a LoS or NLoS
+state, once written, is final: only missing and assumed-LoS cells are ever
+estimated again, and a measurement never overwrites NLoS.
 
 Refreshes are event-driven and mark dirty only the rays whose verdict can
 have changed. Known heights are truth and knowledge only grows, so over time
@@ -50,15 +52,14 @@ class RadioMap:
     target altitude.
     """
 
-    def __init__(self, table: RayTable, explored: ExploredMap, sticky_nlos: bool = True):
+    def __init__(self, table: RayTable, explored: ExploredMap):
         self.table = table
         self.explored = explored
-        self.sticky_enabled = bool(sticky_nlos)
         nx, ny = explored.width_cells, explored.depth_cells
         self.state_grid = np.full((nx, ny), MISSING, dtype=np.int8)
-        # The explored cells as of the last refresh, and per estimated cell
-        # whether its state may differ from its ray's verdict on the current
-        # map. Knowledge is monotone, so a fully known map learns nothing.
+        # The explored cells as of the last refresh, and per cell whether its
+        # ray's verdict may have changed since the cell's last estimate.
+        # Knowledge is monotone, so a fully known map learns nothing.
         self._known_seen = None if explored.known.all() else explored.known.copy()
         self._dirty = np.zeros((nx, ny), dtype=bool)
         if self._known_seen is None:
@@ -72,16 +73,15 @@ class RadioMap:
     def _due(self, win) -> np.ndarray:
         """Mask of the cells in window `win` that a refresh must classify.
 
-        Due are the missing cells, and the assumed-LoS and, unless sticky,
-        NLoS cells whose ray is dirty. LoS came from rays over explored cells
-        only, and explored knowledge is monotone, so re-classifying it would
-        confirm it. First marks dirty the rays whose verdict the cells
-        learned since the last call can change: those left with no unknown
-        crossing, and those crossing a learned cell taller than the lowest
-        minz of the table, which alone can block. A ray that still crosses an
-        unknown cell and meets only low learned cells keeps its verdict, so
-        it is not marked; on a flat map that is every ray still crossing an
-        unknown cell.
+        Due are the missing cells, and the assumed-LoS cells whose ray is
+        dirty. LoS and NLoS are final: a verdict over known heights and a
+        measurement are both truth. First marks dirty the rays whose verdict
+        the cells learned since the last call can change: those left with no
+        unknown crossing, and those crossing a learned cell taller than the
+        lowest minz of the table, which alone can block. A ray that still
+        crosses an unknown cell and meets only low learned cells keeps its
+        verdict, so it is not marked; on a flat map that is every ray still
+        crossing an unknown cell.
         """
         if self._known_seen is not None:
             known = self.explored.known
@@ -96,10 +96,7 @@ class RadioMap:
                 if len(tall):
                     dirty[self.table.rays_crossing(tall)] = True
         codes = self.state_grid[win]
-        stale = codes == _ASSUMED
-        if not self.sticky_enabled:
-            stale |= codes == _NLOS
-        return (codes == MISSING) | (stale & self._dirty[win])
+        return (codes == MISSING) | ((codes == _ASSUMED) & self._dirty[win])
 
     def _refresh(self, idx: np.ndarray) -> None:
         """Re-estimate the given flat cells from their rays over the explored map.
@@ -128,11 +125,10 @@ class RadioMap:
         """Re-estimate every missing or dirty stale cell within radius of `around`.
 
         A map fully known at construction has no missing cell and, since
-        nothing is unknown, no assumed-LoS one; with sticky NLoS those are
-        the only stale states, so no cell can ever be due and the call
-        returns at once.
+        nothing is unknown, no assumed-LoS one; those are the only stale
+        states, so no cell can ever be due and the call returns at once.
         """
-        if self._known_seen is None and self.sticky_enabled:
+        if self._known_seen is None:
             return
         s = self.explored.cell_size_m
         nx, ny = self.state_grid.shape
@@ -152,27 +148,25 @@ class RadioMap:
         Missing cells get a first estimate; assumed-LoS cells whose rays
         were marked dirty since their last estimate are re-estimated, since
         geometry discovered anywhere along a ray can disprove the assumption
-        long before the vehicle gets near. Without sticky NLoS a measured
-        NLoS cell also returns to its estimate from the explored map. On an
-        unchanged map nothing is classified.
+        long before the vehicle gets near. On an unchanged map nothing is
+        classified.
         """
         self._refresh(np.flatnonzero(self._due(np.s_[:])))
 
     def csi_correct(self, position, measured: LinkState) -> None:
         """Overwrite the current cell with a measured LoS/NLoS state.
 
+        An NLoS cell is never overwritten. A measured cell is never stale
+        again, so its ray's dirty flag is left as it is.
+
         Raises:
             ValueError: measured state is not a physical measurement.
         """
         if measured not in (LinkState.LOS, LinkState.NLOS):
             raise ValueError("CSI measurement must be LoS or NLoS")
-        ix, iy = self.explored.cell_of(position)
-        code = _STATE_CODE[measured]
-        prev = self.state_grid[ix, iy]
-        if prev == code or (prev == _NLOS and self.sticky_enabled):
-            return
-        self.state_grid[ix, iy] = code
-        self._dirty[ix, iy] = True  # a measurement, not the ray's verdict
+        cell = self.explored.cell_of(position)
+        if self.state_grid[cell] != _NLOS:
+            self.state_grid[cell] = _STATE_CODE[measured]
 
     def state_at(self, point) -> LinkState | None:
         """Estimated state of the cell holding `point`; None if never estimated."""

@@ -30,6 +30,9 @@ _MAX_RAY_TABLE_ENTRIES = 2**27
 # factor at the largest u a PCG64 uniform takes, 1 - 2**-53.
 _RAYLEIGH_TOP = math.sqrt(-2.0 * math.log1p(-(1.0 - 2.0**-53)))
 
+# Draws of the base-station sites, and then of the endpoints, before placement fails.
+_PLACEMENT_TRIES = 200
+
 
 def _check_whole_cells(name: str, extent: float, s: float) -> None:
     """Reject a scenario length that is not a whole, positive number of cells."""
@@ -318,7 +321,7 @@ def free_components(free: np.ndarray) -> np.ndarray:
 
 def place_bs_and_endpoints(
     cfg: ScenarioConfig, field_: HeightField, rng: np.random.Generator,
-    margin_cells: int, max_tries: int = 200,
+    margin_cells: int,
 ) -> tuple[list[Point3], int, Point3, Point3]:
     """Sample BS sites and mission endpoints under the placement constraints.
 
@@ -327,9 +330,10 @@ def place_bs_and_endpoints(
     outside the planner's obstacle shell of `margin_cells` cells, with
     straight-line separation inside the configured range, and joined by a
     path of free cells. The serving BS is the one nearest the start.
+    `margin_cells` is `planner.safety_margin_cells`.
 
     Raises:
-        ScenarioError: constraints not satisfiable within max_tries draws.
+        ScenarioError: constraints not satisfiable within _PLACEMENT_TRIES draws.
     """
     s = cfg.cell_size_m
     diag = float(np.hypot(*cfg.map_size_m))
@@ -337,10 +341,11 @@ def place_bs_and_endpoints(
 
     streets = np.argwhere(street_mask(field_))
     if len(streets) < cfg.n_bs:
-        raise ScenarioError("not enough street cells for base stations")
+        raise ScenarioError(
+            f"not enough street cells ({len(streets)}) for scenario.n_bs = {cfg.n_bs}")
 
     bs_xy = None
-    for _ in range(max_tries):
+    for _ in range(_PLACEMENT_TRIES):
         picks = streets[rng.choice(len(streets), size=cfg.n_bs, replace=False)]
         xy = (picks + 0.5) * s
         d = np.linalg.norm(xy[:, None, :] - xy[None, :, :], axis=-1)
@@ -348,19 +353,22 @@ def place_bs_and_endpoints(
             bs_xy = xy
             break
     if bs_xy is None:
-        raise ScenarioError("could not separate base stations by a quarter diagonal")
+        raise ScenarioError(f"could not separate scenario.n_bs = {cfg.n_bs} base stations by "
+                            f"a quarter diagonal ({min_sep:.6g} m)")
     bs_positions = [np.array([x, y, cfg.bs_height_m]) for x, y in bs_xy]
 
     free = ~inflate_obstacles(field_.heights >= cfg.uav_altitude_m, margin_cells)
     free_cells = np.argwhere(free)
     if len(free_cells) < 2:
-        raise ScenarioError("no collision-free cells at flight altitude")
+        raise ScenarioError(
+            "no collision-free cells at flight altitude, scenario.uav_altitude_m = "
+            f"{cfg.uav_altitude_m}, outside planner.safety_margin_cells = {margin_cells}")
     lo, hi = cfg.endpoint_distance_m
     centers = (free_cells + 0.5) * s
     label = free_components(free)[free]
 
     start = goal = None
-    for _ in range(max_tries):
+    for _ in range(_PLACEMENT_TRIES):
         i = int(rng.integers(len(free_cells)))
         d = np.linalg.norm(centers - centers[i], axis=1)
         ring = np.nonzero((d >= lo - 1e-9) & (d <= hi + 1e-9))[0]
@@ -373,8 +381,9 @@ def place_bs_and_endpoints(
         goal = np.array([*centers[j], cfg.uav_altitude_m])
         break
     if start is None:
-        raise ScenarioError("could not place endpoints joined by free cells in the requested "
-                            "distance range")
+        raise ScenarioError("could not place endpoints joined by free cells, outside "
+                            f"planner.safety_margin_cells = {margin_cells}, and "
+                            f"scenario.endpoint_distance_m = {[lo, hi]} m apart")
 
     serving = int(np.argmin([np.linalg.norm(p[:2] - start[:2]) for p in bs_positions]))
     return bs_positions, serving, start, goal

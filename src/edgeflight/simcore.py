@@ -147,7 +147,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         explored = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     serving = scenario.serving_bs
     table = ray_table_for(scenario, serving, alt)
-    rm = RadioMap(table, explored, sticky_nlos=cfg.sim.sticky_nlos)
+    rm = RadioMap(table, explored)
     tl = TruthLink(scenario, cfg.channel, alt)
     planner = Planner(kind, scenario, explored, rm, tl, cfg.channel, cfg.offload, cfg.planner)
 

@@ -416,18 +416,14 @@ def padded_ray_table(origin, nx: int, ny: int, cell_size_m: float, target_z: flo
 class FullRefreshRadioMap(RadioMap):
     """RadioMap whose every refresh re-classifies each stale cell in range.
 
-    Stale: missing, assumed LoS and, without sticky NLoS, NLoS. Whether a
-    crossed cell turned known since the last estimate is not consulted, so
-    RadioMap's per-ray unknown counts are never brought up to date and every
-    due cell's ray is classified.
+    Stale: missing and assumed LoS. Whether a crossed cell turned known since
+    the last estimate is not consulted, so RadioMap's per-ray unknown counts
+    are never brought up to date and every due cell's ray is classified.
     """
 
     def _due(self, win):
         codes = self.state_grid[win]
-        due = (codes == MISSING) | (codes == _ASSUMED)
-        if not self.sticky_enabled:
-            due |= codes == _NLOS
-        return due
+        return (codes == MISSING) | (codes == _ASSUMED)
 
     def _refresh(self, idx):
         if len(idx) == 0:

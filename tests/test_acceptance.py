@@ -206,7 +206,7 @@ def test_06_full_knowledge_map_equals_truth_ray_casting():
     full = ExploredMap.fully_known(truth)
     bs = sc.bs_positions[sc.serving_bs]
     table = RayTable(bs, truth.width_cells, truth.depth_cells, truth.cell_size_m, alt)
-    rm = RadioMap(table, full, sticky_nlos=False)
+    rm = RadioMap(table, full)
     rm.ensure_layer_evaluated()
 
     want_blocked = ray_blocked_grid(truth, bs, alt)

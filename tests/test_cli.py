@@ -191,6 +191,7 @@ def test_batch_rejects_non_positive_episodes(tmp_path, capsys):
     ('{"sensor": {"range_m": 0}}', [], "sensor.range_m"),
     ('{"planner": {"safety_margin_cells": 0}}', [], "planner.safety_margin_cells"),
     ('{"planner": {"commit_within_sensed": true}}', [], "unknown keys in [planner]"),
+    ('{"sim": {"sticky_nlos": false}}', [], "unknown keys in [sim]"),
     ('{"sim": 3}', [], "[sim]"),
     ('[1]', [], "config root"),
     # integers too large for a float: a float field and an integer field
@@ -208,15 +209,20 @@ def test_malformed_value_is_config_error_naming_the_field(tmp_path, capsys, text
     assert err.startswith("config error:") and field in err
 
 
-def test_placement_failure_is_scenario_error(tmp_path, capsys):
+@pytest.mark.parametrize("text, field", [
     # 40 base stations a quarter diagonal apart do not fit on a 100 m map
+    ('{"scenario": {"map_size_m": [100, 100], "endpoint_distance_m": [40, 80], "n_bs": 40}}',
+     "scenario.n_bs"),
+    # a shell wider than the default map leaves no free cell
+    ('{"planner": {"safety_margin_cells": 1%s}}' % ("0" * 400), "planner.safety_margin_cells"),
+], ids=["n_bs-40", "margin-1e400-int"])
+def test_placement_failure_is_scenario_error_naming_the_field(tmp_path, capsys, text, field):
     cfg = tmp_path / "crowded.json"
-    cfg.write_text(json.dumps({"scenario": {"map_size_m": [100.0, 100.0],
-                                            "endpoint_distance_m": [40.0, 80.0],
-                                            "n_bs": 40}}))
+    cfg.write_text(text)
     rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")])
     assert rc == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("scenario error:")
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and field in err
     assert not (tmp_path / "x" / "city.grid").exists()
 
 
@@ -376,7 +382,7 @@ def test_power_check_accepts_the_presets_golden_and_dead_link_configs(small_conf
     from test_golden import golden_config
 
     configs = [preset_config(name) for name in PRESETS]
-    configs += [golden_config(), golden_config(sticky_nlos=False)]
+    configs.append(golden_config())
     for cfg in configs:
         assert config_from_dict(config_to_dict(cfg)) == cfg
     # a dead link: no local processing and an uplink that cannot carry a frame

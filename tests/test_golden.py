@@ -9,18 +9,13 @@ preset at master seed 4 on a 200 m x 200 m map with 80-160 m missions,
 trajectory CSVs are pinned by their sha256 digests in
 `tests/golden/trajectories.sha256`. The trajectories' `est_state` column
 records `RadioMap.state_at` on every tick, `none` included. Every numeric
-trajectory field must parse as a plain number. The same batch with
-`sim.sticky_nlos` off, the setting under which a measured NLoS cell returns
-to its estimate, is pinned by the sha256 digests of all eleven files in
-`tests/golden/sticky_off.sha256`.
+trajectory field must parse as a plain number.
 
 A change that alters outputs on purpose regenerates the files with
 `edgeflight batch --config <cfg> --episodes 3 --export-trajectories --out <dir>`
 on the config built by `golden_config()`, copies the two tables, runs
 `sha256sum trajectory_*.csv > trajectories.sha256` in `<dir>`, and says
-which output changed and why. For `sticky_off.sha256` the config is
-`golden_config(sticky_nlos=False)` and the digests cover `episodes.csv`,
-`aggregate.csv` and `trajectory_*.csv`.
+which output changed and why.
 """
 
 import dataclasses
@@ -34,43 +29,31 @@ from edgeflight.config import config_to_dict, default_config
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def golden_config(sticky_nlos: bool = True):
+def golden_config():
     cfg = default_config(seed=4)
     return dataclasses.replace(
         cfg,
         scenario=dataclasses.replace(
             cfg.scenario, map_size_m=(200.0, 200.0), endpoint_distance_m=(80.0, 160.0)
         ),
-        sim=dataclasses.replace(cfg.sim, sticky_nlos=sticky_nlos),
     )
 
 
-def run_golden_batch(tmp_path, cfg) -> Path:
-    """Run the 3-episode batch with trajectories on `cfg`; returns the output directory."""
+def test_batch_outputs_match_golden_files(tmp_path):
     cfg_path = tmp_path / "golden.json"
-    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    cfg_path.write_text(json.dumps(config_to_dict(golden_config())))
     out = tmp_path / "out"
     rc = main(["batch", "--config", str(cfg_path), "--out", str(out),
                "--episodes", "3", "--export-trajectories"])
     assert rc == EXIT_OK
-    return out
-
-
-def read_digests(name: str) -> dict[str, str]:
-    want = {}
-    for line in (GOLDEN / name).read_text().splitlines():
-        digest, fname = line.split()
-        want[fname] = digest
-    return want
-
-
-def test_batch_outputs_match_golden_files(tmp_path):
-    out = run_golden_batch(tmp_path, golden_config())
 
     for name in ("episodes.csv", "aggregate.csv"):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
-    want = read_digests("trajectories.sha256")
+    want = {}
+    for line in (GOLDEN / "trajectories.sha256").read_text().splitlines():
+        digest, fname = line.split()
+        want[fname] = digest
     assert len(want) == 9
     got_names = sorted(p.name for p in out.glob("trajectory_*.csv"))
     assert got_names == sorted(want)
@@ -83,13 +66,3 @@ def test_batch_outputs_match_golden_files(tmp_path):
             for col, value in zip(cols, row, strict=True):
                 if col not in ("mode", "true_state", "est_state"):
                     float(value)  # a plain number, not a numpy repr
-
-
-def test_sticky_off_batch_matches_golden_digests(tmp_path):
-    out = run_golden_batch(tmp_path, golden_config(sticky_nlos=False))
-    want = read_digests("sticky_off.sha256")
-    assert len(want) == 11
-    got_names = sorted(p.name for p in out.glob("*.csv"))
-    assert got_names == sorted(want)
-    for name in got_names:
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want[name], name

@@ -34,10 +34,9 @@ def small_configs(draw):
         },
         "sensor": {"fov_deg": draw(st.floats(30.0, 360.0)),
                    "range_m": draw(st.floats(5.0, 80.0))},
-        "planner": {"safety_margin_cells": draw(st.integers(0, 2))},
+        "planner": {"safety_margin_cells": draw(st.integers(1, 2))},
         "sim": {"tick_s": draw(st.sampled_from([0.1, 0.25, 0.5])),
-                "timeout_s": draw(st.floats(1.0, 60.0)),
-                "sticky_nlos": draw(st.booleans())},
+                "timeout_s": draw(st.floats(1.0, 60.0))},
     }
 
 

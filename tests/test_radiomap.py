@@ -58,7 +58,7 @@ def test_full_knowledge_matches_truth_rays():
     truth = city(2)
     em = ExploredMap.fully_known(truth)
     table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
-    rm = RadioMap(table, em, sticky_nlos=False)
+    rm = RadioMap(table, em)
     rm.ensure_layer_evaluated()
     want_blocked = ray_blocked_grid(truth, BS, ALT)
     got_nlos = rm.state_grid == _STATE_CODE[LinkState.NLOS]
@@ -93,22 +93,36 @@ def test_optimism_invariant():
     assert los >= 800 and assumed >= 500 and nlos_est >= 50, (los, assumed, nlos_est)
 
 
-def test_sticky_nlos_survives_updates():
+def test_measured_states_are_final():
     truth = city(4)
+    bs = np.array([102.5, 102.5, 45.0])  # sees about two thirds of the layer
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
-    rm = make_rm(em, BS)
-    pos = np.array([52.5, 57.5, ALT])
-    rm.csi_correct(pos, LinkState.NLOS)
-    assert rm.state_at(pos) is LinkState.NLOS
-    # exploring the whole map and re-running updates cannot flip it back,
-    # even if the explored geometry says the ray is clear
-    sense(truth, em, (100, 100, ALT), 0.0, SensorModel(360.0, 300.0))
-    rm.update_around(pos, 300.0)
+    rm = make_rm(em, bs)
     rm.ensure_layer_evaluated()
-    assert rm.state_at(pos) is LinkState.NLOS
-    # a later LoS measurement is also ignored: sticky wins by contract
-    rm.csi_correct(pos, LinkState.LOS)
-    assert rm.state_at(pos) is LinkState.NLOS
+    # two assumed-LoS cells, measured against what the explored map will say
+    # of their rays: NLoS where the ray is clear, LoS where it is blocked
+    assumed = rm.state_grid == _STATE_CODE[LinkState.ASSUMED_LOS]
+    blocked = ray_blocked_grid(truth, bs, ALT)
+    s = truth.cell_size_m
+    cells = [np.argwhere(assumed & ~blocked)[0], np.argwhere(assumed & blocked)[0]]
+    nlos_pos, los_pos = (((ix + 0.5) * s, (iy + 0.5) * s, ALT) for ix, iy in cells)
+    rm.csi_correct(nlos_pos, LinkState.NLOS)
+    rm.csi_correct(los_pos, LinkState.LOS)
+    # exploring the whole map, which a fresh estimate follows, and
+    # re-running every refresh flips neither
+    sense(truth, em, (100, 100, ALT), 0.0, SensorModel(360.0, 300.0))
+    assert em.known.all()
+    fresh = make_rm(em, bs)
+    assert fresh.state_at(nlos_pos) is LinkState.LOS
+    assert fresh.state_at(los_pos) is LinkState.NLOS
+    for pos in (nlos_pos, los_pos):
+        rm.update_around(pos, 300.0)
+    rm.ensure_layer_evaluated()
+    assert rm.state_at(nlos_pos) is LinkState.NLOS
+    assert rm.state_at(los_pos) is LinkState.LOS
+    # a later LoS measurement does not overwrite NLoS either
+    rm.csi_correct(nlos_pos, LinkState.LOS)
+    assert rm.state_at(nlos_pos) is LinkState.NLOS
 
 
 def test_csi_rejects_non_measurements():
@@ -160,9 +174,12 @@ def test_missing_cell_evaluated_on_demand():
 
 def test_update_around_classifies_only_stale_cells_in_range(monkeypatch):
     truth = city(6)
-    rm = make_rm(ExploredMap.fully_known(truth), BS)
-    # with sticky NLoS a fully known map never looks at its window
-    rm.sticky_enabled = False
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    # a map fully known at construction never looks at its window, so this
+    # one learns the whole map after it
+    rm = make_rm(em, BS)
+    sense(truth, em, (100, 100, ALT), 0.0, SensorModel(360.0, 300.0))
+    assert em.known.all()
     rm.ensure_layer_evaluated()
     grid = rm.state_grid.copy()
     calls = []
@@ -181,11 +198,13 @@ def test_update_around_classifies_only_stale_cells_in_range(monkeypatch):
     rm.state_grid[16, 16] = MISSING
     rm.update_around(pos, 20.0)
     assert calls == []
-    # a stale cell in range: one call for its ray alone, restoring its estimate
-    rm.state_grid[20, 20] = MISSING
+    # a stale cell in range, 17.7 m out: one call for its ray alone, restoring
+    # its estimate (the BS's own cell, whose ray crosses no cell, is settled
+    # LoS without a call)
+    rm.state_grid[23, 20] = MISSING
     rm.update_around(pos, 20.0)
-    assert calls == [[20 * truth.depth_cells + 20]]
-    assert rm.state_grid[20, 20] == grid[20, 20]
+    assert calls == [[23 * truth.depth_cells + 20]]
+    assert rm.state_grid[23, 20] == grid[23, 20]
 
 
 def counting_classify(monkeypatch) -> list:
@@ -320,28 +339,12 @@ def test_refresh_classifies_missing_rays_and_rays_whose_verdict_learned_cells_ca
     assert np.array_equal(rm.state_grid.ravel()[want & unseen], settled)
 
 
-def test_measured_nlos_reverts_without_sticky():
-    truth = city(9)
-    em = ExploredMap.fully_known(truth)
-    table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
-    rm = RadioMap(table, em, sticky_nlos=False)
-    rm.ensure_layer_evaluated()
-    ix, iy = np.argwhere(rm.state_grid == _STATE_CODE[LinkState.LOS])[0]
-    pos = ((ix + 0.5) * truth.cell_size_m, (iy + 0.5) * truth.cell_size_m, ALT)
-    rm.csi_correct(pos, LinkState.NLOS)
-    assert rm.state_at(pos) is LinkState.NLOS
-    rm.ensure_layer_evaluated()  # nothing was learned, yet the measurement is due
-    assert rm.state_at(pos) is LinkState.LOS
-
-
-@pytest.mark.parametrize("sticky", [True, False])
 @pytest.mark.parametrize("seed", [10, 11, 12])
-def test_dirty_refresh_matches_full_refresh(seed, sticky):
+def test_dirty_refresh_matches_full_refresh(seed):
     truth = city(seed)
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
-    maps = [RadioMap(table, em, sticky_nlos=sticky),
-            FullRefreshRadioMap(table, em, sticky_nlos=sticky)]
+    maps = [RadioMap(table, em), FullRefreshRadioMap(table, em)]
     sensor = SensorModel(120.0, 50.0)
     rng = np.random.default_rng(seed)
     seen = set()
@@ -414,11 +417,10 @@ def test_update_around_classifies_only_while_the_map_can_learn(monkeypatch, kind
 
 
 def test_update_around_on_a_global_episode_checks_no_window(monkeypatch):
-    # a fully known map with sticky NLoS can never have a due cell
+    # a fully known map can never have a due cell
     cfg = default_config(seed=4)
     cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
         cfg.scenario, map_size_m=(200.0, 200.0), endpoint_distance_m=(80.0, 160.0)))
-    assert cfg.sim.sticky_nlos
     sc = build_scenario(cfg.scenario)
     updates, due_calls = [], []
     update, due = RadioMap.update_around, RadioMap._due
@@ -439,23 +441,18 @@ def test_update_around_on_a_global_episode_checks_no_window(monkeypatch):
     assert due_calls == []
 
 
-@pytest.mark.parametrize("sticky", [True, False])
-def test_measured_nlos_on_a_fully_known_map_reverts_in_update_around_only_without_sticky(
-        sticky):
+def test_measured_nlos_on_a_fully_known_map_survives_update_around():
     truth = city(9)
     em = ExploredMap.fully_known(truth)
     rm = make_rm(em, BS)
-    rm.sticky_enabled = sticky
     ix, iy = np.argwhere(rm.state_grid == _STATE_CODE[LinkState.LOS])[0]
     pos = ((ix + 0.5) * truth.cell_size_m, (iy + 0.5) * truth.cell_size_m, ALT)
     rm.csi_correct(pos, LinkState.NLOS)
     assert rm.state_at(pos) is LinkState.NLOS
     before = rm.state_grid.copy()
-    rm.update_around(pos, 10.0)  # nothing was learned, yet without sticky it is due
-    want = LinkState.NLOS if sticky else LinkState.LOS
-    assert rm.state_at(pos) is want
-    changed = np.argwhere(rm.state_grid != before)
-    assert changed.tolist() == ([] if sticky else [[ix, iy]])
+    rm.update_around(pos, 10.0)
+    assert rm.state_at(pos) is LinkState.NLOS
+    assert np.array_equal(rm.state_grid, before)
 
 
 @pytest.mark.parametrize("bs, repeats", [((2.5, 2.5, 25.0), 0), ((-7.5, 2.5, 25.0), 1)],
@@ -508,10 +505,9 @@ def test_learned_building_between_the_ray_ends_turns_a_ray_still_crossing_unknow
     assert rm.state_grid.reshape(-1)[target] == _STATE_CODE[LinkState.NLOS]
 
 
-def assert_matches_full_refresh(truth, em, table, sticky, rng, steps=150):
+def assert_matches_full_refresh(truth, em, table, rng, steps=150):
     """Fly random operations on RadioMap and FullRefreshRadioMap; their grids stay equal."""
-    maps = [RadioMap(table, em, sticky_nlos=sticky),
-            FullRefreshRadioMap(table, em, sticky_nlos=sticky)]
+    maps = [RadioMap(table, em), FullRefreshRadioMap(table, em)]
     sensor = SensorModel(120.0, 50.0)
     seen = set()
     for _ in range(steps):
@@ -537,8 +533,7 @@ def assert_matches_full_refresh(truth, em, table, sticky, rng, steps=150):
     assert seen == {MISSING, *_CODE_STATE}
 
 
-@pytest.mark.parametrize("sticky", [True, False])
-def test_dirty_refresh_matches_full_refresh_on_a_map_partly_known_at_construction(sticky):
+def test_dirty_refresh_matches_full_refresh_on_a_map_partly_known_at_construction():
     truth = city(13)
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     rng = np.random.default_rng(13)
@@ -547,19 +542,18 @@ def test_dirty_refresh_matches_full_refresh_on_a_map_partly_known_at_constructio
               rng.uniform(-180, 180), SensorModel(120.0, 50.0))
     assert 0.05 < em.known.mean() < 0.5
     table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
-    assert_matches_full_refresh(truth, em, table, sticky, rng)
+    assert_matches_full_refresh(truth, em, table, rng)
     assert em.known.mean() < 1.0
 
 
-@pytest.mark.parametrize("sticky", [True, False])
 @pytest.mark.parametrize("bs", [(102.5, 102.5, 80.0), (-30.0, 117.5, 80.0)],
                          ids=["centre", "off-map"])
-def test_dirty_refresh_matches_full_refresh_with_the_bs_above_the_layer(bs, sticky):
+def test_dirty_refresh_matches_full_refresh_with_the_bs_above_the_layer(bs):
     # off the map, rays run along the clamped border cells, so a ray can
     # hold one cell in several entries
     truth = city(14)
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     table = RayTable(np.array(bs), truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
     assert table.origin[2] > table.target_z
-    assert_matches_full_refresh(truth, em, table, sticky, np.random.default_rng(14))
+    assert_matches_full_refresh(truth, em, table, np.random.default_rng(14))
     assert em.known.mean() < 1.0

@@ -302,5 +302,7 @@ def test_endpoints_that_no_free_path_can_join_are_refused():
     heights = np.zeros((40, 40))
     heights[20, :] = heights[:, 20] = 100.0
     cfg = small_cfg(endpoint_distance_m=(150.0, 200.0))
-    with pytest.raises(ScenarioError, match="joined by free cells"):
+    with pytest.raises(ScenarioError, match="joined by free cells") as err:
         place_bs_and_endpoints(cfg, HeightField(heights, 5.0), np.random.default_rng(0), 0)
+    assert "scenario.endpoint_distance_m = [150.0, 200.0]" in str(err.value)
+    assert "planner.safety_margin_cells = 0" in str(err.value)
