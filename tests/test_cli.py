@@ -191,7 +191,6 @@ def test_batch_rejects_non_positive_episodes(tmp_path, capsys):
     ('{"sensor": {"range_m": 0}}', [], "sensor.range_m"),
     ('{"planner": {"safety_margin_cells": 0}}', [], "planner.safety_margin_cells"),
     ('{"planner": {"commit_within_sensed": true}}', [], "unknown keys in [planner]"),
-    ('{"sim": {"sticky_nlos": false}}', [], "unknown keys in [sim]"),
     ('{"sim": 3}', [], "[sim]"),
     ('[1]', [], "config root"),
     # integers too large for a float: a float field and an integer field
@@ -199,6 +198,7 @@ def test_batch_rejects_non_positive_episodes(tmp_path, capsys):
                  id="timeout_s-1e400-int"),
     pytest.param('{"scenario": {"n_bs": 1%s}}' % ("0" * 400), [], "scenario.n_bs",
                  id="n_bs-1e400-int"),
+    ('{"sim": {"sticky_nlos": false}}', [], "unknown keys in [sim]"),
 ])
 def test_malformed_value_is_config_error_naming_the_field(tmp_path, capsys, text, extra, field):
     cfg = tmp_path / "bad.json"

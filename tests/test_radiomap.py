@@ -93,36 +93,34 @@ def test_optimism_invariant():
     assert los >= 800 and assumed >= 500 and nlos_est >= 50, (los, assumed, nlos_est)
 
 
-def test_measured_states_are_final():
+@pytest.mark.parametrize("measured", [LinkState.LOS, LinkState.NLOS], ids=["los", "nlos"])
+@pytest.mark.parametrize("prior", [None, LinkState.ASSUMED_LOS, LinkState.LOS, LinkState.NLOS],
+                         ids=["missing", "assumed", "measured-los", "measured-nlos"])
+def test_measured_states_are_final(prior, measured):
+    # a measurement overwrites every state but NLoS, and the state it leaves
+    # survives full sensing and every refresh, on a cell whose ray a fresh
+    # estimate over the learned map gives the opposite verdict
+    want = LinkState.NLOS if LinkState.NLOS in (prior, measured) else LinkState.LOS
     truth = city(4)
     bs = np.array([102.5, 102.5, 45.0])  # sees about two thirds of the layer
+    blocked = ray_blocked_grid(truth, bs, ALT)
+    ix, iy = np.argwhere(blocked == (want is LinkState.LOS))[0]
+    pos = ((ix + 0.5) * truth.cell_size_m, (iy + 0.5) * truth.cell_size_m, ALT)
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     rm = make_rm(em, bs)
-    rm.ensure_layer_evaluated()
-    # two assumed-LoS cells, measured against what the explored map will say
-    # of their rays: NLoS where the ray is clear, LoS where it is blocked
-    assumed = rm.state_grid == _STATE_CODE[LinkState.ASSUMED_LOS]
-    blocked = ray_blocked_grid(truth, bs, ALT)
-    s = truth.cell_size_m
-    cells = [np.argwhere(assumed & ~blocked)[0], np.argwhere(assumed & blocked)[0]]
-    nlos_pos, los_pos = (((ix + 0.5) * s, (iy + 0.5) * s, ALT) for ix, iy in cells)
-    rm.csi_correct(nlos_pos, LinkState.NLOS)
-    rm.csi_correct(los_pos, LinkState.LOS)
-    # exploring the whole map, which a fresh estimate follows, and
-    # re-running every refresh flips neither
+    if prior is LinkState.ASSUMED_LOS:
+        rm.ensure_layer_evaluated()
+    elif prior is not None:
+        rm.csi_correct(pos, prior)
+    assert rm.state_at(pos) is prior
+    rm.csi_correct(pos, measured)
+    assert rm.state_at(pos) is want
     sense(truth, em, (100, 100, ALT), 0.0, SensorModel(360.0, 300.0))
     assert em.known.all()
-    fresh = make_rm(em, bs)
-    assert fresh.state_at(nlos_pos) is LinkState.LOS
-    assert fresh.state_at(los_pos) is LinkState.NLOS
-    for pos in (nlos_pos, los_pos):
-        rm.update_around(pos, 300.0)
+    assert make_rm(em, bs).state_at(pos) is not want
+    rm.update_around(pos, 300.0)
     rm.ensure_layer_evaluated()
-    assert rm.state_at(nlos_pos) is LinkState.NLOS
-    assert rm.state_at(los_pos) is LinkState.LOS
-    # a later LoS measurement does not overwrite NLoS either
-    rm.csi_correct(nlos_pos, LinkState.LOS)
-    assert rm.state_at(nlos_pos) is LinkState.NLOS
+    assert rm.state_at(pos) is want
 
 
 def test_csi_rejects_non_measurements():

@@ -306,3 +306,23 @@ def test_endpoints_that_no_free_path_can_join_are_refused():
         place_bs_and_endpoints(cfg, HeightField(heights, 5.0), np.random.default_rng(0), 0)
     assert "scenario.endpoint_distance_m = [150.0, 200.0]" in str(err.value)
     assert "planner.safety_margin_cells = 0" in str(err.value)
+
+
+@pytest.mark.parametrize("heights, kw, names", [
+    (np.full((40, 40), 10.0), {"n_bs": 1},
+     ["not enough street cells (0)", "scenario.n_bs = 1"]),
+    # 40 base stations a quarter diagonal apart do not fit on a 200 m map
+    (np.zeros((40, 40)), {"n_bs": 40},
+     ["could not separate", "scenario.n_bs = 40"]),
+    # 100 m blocks but for street row 20, which lies inside their one-cell shell
+    (np.repeat(np.where(np.arange(40) == 20, 0.0, 100.0)[:, None], 40, axis=1),
+     {"n_bs": 1, "uav_altitude_m": 50.0},
+     ["no collision-free cells", "scenario.uav_altitude_m = 50.0",
+      "planner.safety_margin_cells = 1"]),
+], ids=["no-street", "crowded-bs", "no-free-cell"])
+def test_placement_failures_name_their_fields_with_values(heights, kw, names):
+    with pytest.raises(ScenarioError) as err:
+        place_bs_and_endpoints(small_cfg(**kw), HeightField(heights, 5.0),
+                               np.random.default_rng(0), 1)
+    for name in names:
+        assert name in str(err.value)
