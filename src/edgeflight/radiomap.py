@@ -19,14 +19,19 @@ a ray's "blocked" can only switch on and its "crosses unknown" only switch
 off. An assumed-LoS verdict therefore changes only when a learned crossing
 blocks the ray or when the ray's last unknown crossing turns known. A map
 that can learn counts each ray's table entries over cells not yet known.
-Each refresh first takes the cells learned since the last one off those
+Each refresh first takes the cells learned since the last intake off those
 counts, and marks dirty the rays whose count reaches 0 and the rays crossing
 a learned cell tall enough to block any ray of the table. It then
-refreshes only the stale cells that are missing or whose ray is dirty. A ray
-that crosses no known cell, its count equal to its entry count, can be
-neither blocked nor cleared, so it is settled without being classified:
-assumed LoS, or LoS if it crosses no cell. On an unchanged map nothing is
-classified.
+refreshes only the stale cells that are missing or whose ray is dirty. A
+refresh whose window holds no missing or assumed-LoS cell has nothing to
+estimate, so it returns before the intake; the next window holding such a
+cell takes in every cell learned since. Nothing is refreshed in between, so
+the counts and dirty flags it leaves are those of separate intakes. The
+episode refreshes the vehicle's own cell every tick, and the explored
+planner the whole layer before each plan. A ray that crosses no known
+cell, its count equal to its entry count, can be neither blocked nor
+cleared, so it is settled without being classified: assumed LoS, or LoS if
+it crosses no cell. On an unchanged map nothing is classified.
 """
 
 from __future__ import annotations
@@ -75,14 +80,19 @@ class RadioMap:
 
         Due are the missing cells, and the assumed-LoS cells whose ray is
         dirty. LoS and NLoS are final: a verdict over known heights and a
-        measurement are both truth. First marks dirty the rays whose verdict
-        the cells learned since the last call can change: those left with no
-        unknown crossing, and those crossing a learned cell taller than the
-        lowest minz of the table, which alone can block. A ray that still
-        crosses an unknown cell and meets only low learned cells keeps its
-        verdict, so it is not marked; on a flat map that is every ray still
-        crossing an unknown cell.
+        measurement are both truth. A window with neither stale state has
+        nothing due, and returns before taking in the cells learned since the
+        last intake. Otherwise first marks dirty the rays whose verdict those
+        cells can change: those left with no unknown crossing, and those
+        crossing a learned cell taller than the lowest minz of the table,
+        which alone can block. A ray that still crosses an unknown cell and
+        meets only low learned cells keeps its verdict, so it is not marked;
+        on a flat map that is every ray still crossing an unknown cell.
         """
+        codes = self.state_grid[win]
+        missing, assumed = codes == MISSING, codes == _ASSUMED
+        if not (missing.any() or assumed.any()):
+            return missing
         if self._known_seen is not None:
             known = self.explored.known
             learned = np.flatnonzero(known != self._known_seen)
@@ -95,8 +105,7 @@ class RadioMap:
                 tall = learned[self.explored.heights.ravel()[learned] > self.table.low]
                 if len(tall):
                     dirty[self.table.rays_crossing(tall)] = True
-        codes = self.state_grid[win]
-        return (codes == MISSING) | ((codes == _ASSUMED) & self._dirty[win])
+        return missing | (assumed & self._dirty[win])
 
     def _refresh(self, idx: np.ndarray) -> None:
         """Re-estimate the given flat cells from their rays over the explored map.

@@ -1,8 +1,9 @@
 """Closed-loop episode execution and seeded batch comparisons.
 
 Each tick: true link budgets at the current position set the offload mode and
-the true speed cap; sensing and radio-map maintenance run at the effective
-frame cadence; the current cell gets a measured (CSI) state every tick; the
+the true speed cap; sensing runs at the effective frame cadence; from the
+first frame on, the radio map refreshes the current cell, the only one the
+tick reads; the current cell gets a measured (CSI) state every tick; the
 planner re-commits on its cadence or when the committed segment is
 invalidated; then the vehicle advances along the committed polyline at the
 lesser of the planned and true speed limits.
@@ -30,7 +31,7 @@ from .linkfield import TruthLink, ray_table_for
 from .offload import STEP_FLOOR_M, remote_update_rate, select_mode, speed_limit
 from .planner import Planner, PlannerKind, replan_due, segment_invalidated
 from .radiomap import RadioMap
-from .scenario import Scenario, build_scenario
+from .scenario import Scenario, build_scenario, grid_cell
 from .worldmap import ExploredMap, sense
 
 
@@ -50,8 +51,11 @@ class TrajectoryLog:
     `true_state` is the serving link's ground-truth state at the tick's
     position; `est_state` is the radio map's estimate of that cell before
     the tick's measurement is written, or `none` if the cell was never
-    estimated. The global arm's map is fully known, so it reads the truth
-    state from tick 0.
+    estimated. The cell is refreshed from the first frame on, so on the
+    learning arms `none` appears only before the first frame, on a cell no
+    earlier tick has measured (on the explored arm, also only before the
+    first plan, which estimates the whole layer). The global arm's map is
+    fully known, so it reads the truth state from tick 0.
     """
 
     COLUMNS = (
@@ -139,7 +143,8 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     alt = scenario.cfg.uav_altitude_m
     dt = cfg.sim.tick_s
     sensor = cfg.sensor
-    update_radius = sensor.range_m + 2.0 * truth.cell_size_m
+    s = truth.cell_size_m
+    nx, ny = truth.width_cells, truth.depth_cells
 
     if kind is PlannerKind.GLOBAL:
         explored = ExploredMap.fully_known(truth)
@@ -167,6 +172,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     seg_leg = 0
     last_plan = -math.inf
     frame_credit = 0.0
+    sensed = False
     dist = 0.0
     nlos_dist = 0.0
     cap_integral = 0.0
@@ -196,17 +202,23 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         mode, eff_fps = select_mode(remote_fps, cfg.offload.local_fps)
         true_lim = speed_limit(eff_fps, cfg.offload)
 
-        # 3: sensing and radio-map maintenance at the frame cadence
+        # 3: sensing at the frame cadence
         frame_credit += eff_fps * dt
         if frame_credit >= 1.0:
             frame_credit -= math.floor(frame_credit)
             sense(truth, explored, pos, heading, sensor)
-            rm.update_around(pos, update_radius)
+            sensed = True
 
-        # 4: measured state of the current cell
-        est = rm.state_at(pos)
+        # 4: the current cell's estimate, refreshed from the first frame on,
+        # then its measured state. All three calls take the cell's centre as
+        # plain floats, which costs less than reading the position array.
+        ix, iy = grid_cell(pos, s, nx, ny)
+        centre = ((ix + 0.5) * s, (iy + 0.5) * s)
+        if sensed:
+            rm.update_around(centre, 0.0)
+        est = rm.state_at(centre)
         est_name = est.value if est is not None else "none"
-        rm.csi_correct(pos, true_state)
+        rm.csi_correct(centre, true_state)
 
         # 5: planning
         invalid = (seg is None or seg_leg >= len(legs)

@@ -8,7 +8,9 @@ preset at master seed 4 on a 200 m x 200 m map with 80-160 m missions,
 `aggregate.csv` are committed verbatim under `tests/golden/`; the nine
 trajectory CSVs are pinned by their sha256 digests in
 `tests/golden/trajectories.sha256`. The trajectories' `est_state` column
-records `RadioMap.state_at` on every tick, `none` included. Every numeric
+records `RadioMap.state_at` on every tick. Every episode of this batch
+starts in remote mode and takes a frame on its first tick, so no row reads
+`none`; `test_simcore` pins the rows before a first frame. Every numeric
 trajectory field must parse as a plain number.
 
 A change that alters outputs on purpose regenerates the files with

@@ -9,7 +9,7 @@ from edgeflight.linkfield import TruthLink, ray_table_for
 from edgeflight.planner import PlannerKind
 from edgeflight.radiomap import _CODE_STATE, _STATE_CODE, MISSING, RadioMap
 from edgeflight.scenario import HeightField, ScenarioConfig, build_scenario, generate_city
-from edgeflight.simcore import run_episode
+from edgeflight.simcore import batch_seeds, run_episode
 from edgeflight.worldmap import ExploredMap, RayTable, SensorModel, sense
 from oracles import FullRefreshRadioMap, RayResult, ray_blocked, ray_blocked_grid, wedge_cells
 
@@ -168,6 +168,48 @@ def test_missing_cell_evaluated_on_demand():
     # a zero radius reaches only the cell whose centre is `around`
     ix, iy = em.cell_of(p)
     assert np.flatnonzero(rm.state_grid != MISSING).tolist() == [ix * 10 + iy]
+
+
+def test_a_window_with_no_stale_cell_defers_the_intake_of_learned_cells(monkeypatch):
+    """Learned cells are taken in by the first window that holds a stale cell.
+
+    A window of only measured (LoS or NLoS) cells needs no estimate, so it
+    leaves the unknown counts and the last seen knowledge as they were. The
+    next window holding missing cells takes in everything learned since, and
+    its estimates equal a full re-classification: stale counts would settle
+    rays that learned buildings block as assumed LoS.
+    """
+    truth = city(15)
+    s = truth.cell_size_m
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    rm = make_rm(em, BS)
+    full = FullRefreshRadioMap(rm.table, em)
+    centres = [((ix + 0.5) * s, (iy + 0.5) * s, ALT) for ix, iy in ((30, 30), (31, 30))]
+    for m in (rm, full):
+        m.csi_correct(centres[0], LinkState.LOS)
+        m.csi_correct(centres[1], LinkState.NLOS)
+    sense(truth, em, (150.0, 150.0, ALT), 45.0, SensorModel(360.0, 60.0))
+    seen = rm._known_seen.copy()
+    assert not np.array_equal(seen, em.known)
+    calls = []
+    rays_crossing = RayTable.rays_crossing
+
+    def counting(table, cells):
+        calls.append(len(cells))
+        return rays_crossing(table, cells)
+
+    monkeypatch.setattr(RayTable, "rays_crossing", counting)
+    for c in centres:
+        rm.update_around(c, 0.0)
+    assert calls == []
+    assert np.array_equal(rm._known_seen, seen)
+    # missing cells whose rays to the BS cross learned buildings
+    for m in (rm, full):
+        m.update_around((175.0, 175.0, ALT), 25.0)
+    assert calls and np.array_equal(rm._known_seen, em.known)
+    assert rm.state_grid.tobytes() == full.state_grid.tobytes()
+    window = rm.state_grid[30:, 30:]
+    assert (window == _STATE_CODE[LinkState.NLOS]).sum() > 20
 
 
 def test_update_around_classifies_only_stale_cells_in_range(monkeypatch):
@@ -342,31 +384,7 @@ def test_dirty_refresh_matches_full_refresh(seed):
     truth = city(seed)
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     table = RayTable(BS, truth.width_cells, truth.depth_cells, truth.cell_size_m, ALT)
-    maps = [RadioMap(table, em), FullRefreshRadioMap(table, em)]
-    sensor = SensorModel(120.0, 50.0)
-    rng = np.random.default_rng(seed)
-    seen = set()
-    for _ in range(150):
-        pos = (rng.uniform(0, 200), rng.uniform(0, 200), ALT)
-        op = rng.choice(["sense", "update_around", "csi_correct", "ensure_layer_evaluated"],
-                        p=[0.3, 0.3, 0.3, 0.1])
-        if op == "sense":
-            sense(truth, em, pos, rng.uniform(-180, 180), sensor)
-        elif op == "update_around":
-            radius = rng.uniform(0.0, 60.0)
-            for rm in maps:
-                rm.update_around(pos, radius)
-        elif op == "csi_correct":
-            measured = LinkState.NLOS if rng.random() < 0.5 else LinkState.LOS
-            for rm in maps:
-                rm.csi_correct(pos, measured)
-        else:
-            for rm in maps:
-                rm.ensure_layer_evaluated()
-        fast, full = maps
-        assert fast.state_grid.tobytes() == full.state_grid.tobytes(), op
-        seen.update(np.unique(fast.state_grid).tolist())
-    assert seen == {MISSING, *_CODE_STATE}
+    assert_matches_full_refresh(truth, em, table, np.random.default_rng(seed))
     assert 0.2 < em.known.mean() < 1.0
 
 
@@ -412,6 +430,35 @@ def test_update_around_classifies_only_while_the_map_can_learn(monkeypatch, kind
     assert metrics.reached
     assert len(updates) > 100
     assert bool(from_update) is learns
+
+
+def test_update_around_in_an_episode_refreshes_at_most_the_vehicle_cell(monkeypatch):
+    # a default city, whose learning arms refresh the current cell each tick
+    cfg = default_config()
+    sc = build_scenario(dataclasses.replace(cfg.scenario, rng_seed=batch_seeds(0, 1)[0]),
+                        cfg.planner.safety_margin_cells)
+    inside, sizes = [], []
+    update, refresh = RadioMap.update_around, RadioMap._refresh
+
+    def flagged_update(rm, around, radius_m):
+        inside.append(1)
+        try:
+            return update(rm, around, radius_m)
+        finally:
+            inside.pop()
+
+    def recording_refresh(rm, idx):
+        if inside:
+            sizes.append(len(idx))
+        return refresh(rm, idx)
+
+    monkeypatch.setattr(RadioMap, "update_around", flagged_update)
+    monkeypatch.setattr(RadioMap, "_refresh", recording_refresh)
+    for kind in (PlannerKind.BASELINE, PlannerKind.EXPLORED):
+        sizes.clear()
+        metrics, _ = run_episode(sc, kind, cfg, collect_log=False)
+        assert metrics.reached
+        assert sizes and max(sizes) == 1, kind
 
 
 def test_update_around_on_a_global_episode_checks_no_window(monkeypatch):
@@ -504,24 +551,34 @@ def test_learned_building_between_the_ray_ends_turns_a_ray_still_crossing_unknow
 
 
 def assert_matches_full_refresh(truth, em, table, rng, steps=150):
-    """Fly random operations on RadioMap and FullRefreshRadioMap; their grids stay equal."""
+    """Fly random operations on RadioMap and FullRefreshRadioMap; their grids stay equal.
+
+    A "tick" is run_episode's call shape: a measurement at a point, then a
+    refresh of that point's cell alone, whose window then holds no stale
+    cell and takes in nothing learned.
+    """
     maps = [RadioMap(table, em), FullRefreshRadioMap(table, em)]
     sensor = SensorModel(120.0, 50.0)
+    s = em.cell_size_m
     seen = set()
     for _ in range(steps):
         pos = (rng.uniform(0, 200), rng.uniform(0, 200), ALT)
-        op = rng.choice(["sense", "update_around", "csi_correct", "ensure_layer_evaluated"],
-                        p=[0.3, 0.3, 0.3, 0.1])
+        op = rng.choice(
+            ["sense", "update_around", "csi_correct", "tick", "ensure_layer_evaluated"],
+            p=[0.3, 0.2, 0.2, 0.2, 0.1])
         if op == "sense":
             sense(truth, em, pos, rng.uniform(-180, 180), sensor)
         elif op == "update_around":
             radius = rng.uniform(0.0, 60.0)
             for rm in maps:
                 rm.update_around(pos, radius)
-        elif op == "csi_correct":
+        elif op in ("csi_correct", "tick"):
             measured = LinkState.NLOS if rng.random() < 0.5 else LinkState.LOS
+            ix, iy = em.cell_of(pos)
             for rm in maps:
                 rm.csi_correct(pos, measured)
+                if op == "tick":
+                    rm.update_around(((ix + 0.5) * s, (iy + 0.5) * s, ALT), 0.0)
         else:
             for rm in maps:
                 rm.ensure_layer_evaluated()

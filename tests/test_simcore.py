@@ -240,6 +240,42 @@ def test_global_arm_estimates_the_truth_state_from_the_first_tick():
     assert [r[est_col] for r in log.rows] == [r[true_col] for r in log.rows]
 
 
+def test_learning_arms_estimate_no_cell_before_their_first_frame(monkeypatch):
+    """`est_state` reads `none` on the first row only, which no frame precedes.
+
+    The README batch's first city starts in local mode: its first frame
+    comes a few ticks in, and the vehicle waits in its start cell until then.
+    The current cell is refreshed only from the first frame on, so tick 0
+    reads a cell nothing has written yet. Its CSI measurement is what the
+    later ticks before the frame read.
+    """
+    cfg = with_seed(default_config(), batch_seeds(0, 1)[0])
+    sc = build_scenario(cfg.scenario, cfg.planner.safety_margin_cells)
+    events = []
+    sense, append = simcore.sense, TrajectoryLog.append
+
+    def spy_sense(*args):
+        events.append("sense")
+        return sense(*args)
+
+    def spy_append(log, *args):
+        events.append("log")
+        return append(log, *args)
+
+    monkeypatch.setattr(simcore, "sense", spy_sense)
+    monkeypatch.setattr(TrajectoryLog, "append", spy_append)
+    est_col = TrajectoryLog.COLUMNS.index("est_state")
+    for kind in (PlannerKind.BASELINE, PlannerKind.EXPLORED):
+        events.clear()
+        metrics, log = run_episode(sc, kind, cfg)
+        assert metrics.reached
+        first_frame = events[:events.index("sense")].count("log")
+        assert first_frame > 1, kind
+        assert len({sc.truth.cell_of(r[1:3]) for r in log.rows[:first_frame]}) == 1, kind
+        none = [r[est_col] == "none" for r in log.rows]
+        assert none == [t == 0 for t in range(len(log.rows))], kind
+
+
 def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
     """Windows priced ahead change no output bit on any arm.
 
