@@ -79,9 +79,9 @@ def free_space_path_loss_db(distance_m, carrier_hz):
 # linkfield.TruthLink.budgets prices many positions with the array versions
 # and matches these helpers bit for bit: the positions of a replan window, and
 # every cell centre of the global arm's planning grids. It does not replace
-# them: one array pass at a single position costs about 3.5 times the three
-# per-point calls (72 against 19 us on a 2-core AVX-512 host), and most ticks
-# of an arm whose true limit binds are priced one at a time.
+# them: one array pass at a single position costs about 3 times the three
+# per-point calls (56 against 19 us on a 2-core AVX-512 host, three BSs), and
+# most ticks of an arm whose true limit binds are priced one at a time.
 
 def path_loss_db_scalar(distance_m: float, nlos: bool, carrier_loss: float,
                         p: ChannelParams) -> float:

@@ -105,6 +105,7 @@ class TruthLink:
         # the array pass their stack and the stacked masks
         self._bs = [np.asarray(b, dtype=float) for b in scenario.bs_positions]
         self._bs_stack = np.stack(self._bs)
+        self._others = [i for i in range(len(self._bs)) if i != scenario.serving_bs]
         self._blocked_stack = np.stack(self.blocked)
         self._carrier_loss = float(carrier_loss_db(params.carrier_hz))
         self._noise_mw = dbm_to_mw_scalar(params.noise_dbm)
@@ -167,26 +168,24 @@ class TruthLink:
         is the array form of the per-point one, in the same order. The cell
         lookup is `//` on float64, clipped as in `grid_cell`; the norms and
         cross products are stacked `matmul`s, which reach the same BLAS dot
-        per pair as `.dot`; the ufuncs run on contiguous arrays; and the
-        interference sums from 0.0 in BS order. The simulator prices a
-        replan window with it, and the global planner every cell centre.
+        per pair as `.dot`; the ufuncs run on contiguous arrays, the
+        interferers' as one (n_bs - 1, n) stack; and the interference sums
+        from 0.0 in BS order. The simulator prices a replan window with it,
+        and the global planner every cell centre.
         """
         p = self.p
         pts = np.array(points, dtype=float)
-        ix = np.clip(pts[:, 0] // self._s, 0, self._nx - 1).astype(np.intp)
-        iy = np.clip(pts[:, 1] // self._s, 0, self._ny - 1).astype(np.intp)
-        serving = self.sc.serving_bs
+        ij = np.clip(pts[:, :2] // self._s, 0, (self._nx - 1, self._ny - 1)).astype(np.intp)
+        serving, others = self.sc.serving_bs, self._others
         vec = self._bs_stack[:, None, :] - pts  # (n_bs, n, 3), BS minus position
         row, col = vec[..., None, :], vec[..., :, None]
         dist = np.sqrt((row @ col)[..., 0, 0])
-        nlos = self._blocked_stack[:, ix * self._ny + iy]
+        nlos = self._blocked_stack[:, ij[:, 0] * self._ny + ij[:, 1]]
         gain = layer_gain_db(dist, nlos, p)
-        cross = (row[serving] @ col)[..., 0, 0]
-        i_mw = np.zeros(len(pts))
-        for i in range(len(self._bs)):
-            if i == serving:
-                continue
-            cosang = cross[i] / np.maximum(dist[serving] * dist[i], 1e-12)
-            ang = np.degrees(np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0)))
-            i_mw += dbm_to_mw(p.bs_tx_power_dbm + antenna_gain_db(ang, p) + gain[i])
+        # every interferer at once, rows in BS order
+        cross = (row[serving] @ col[others])[..., 0, 0]
+        cosang = cross / np.maximum(dist[serving] * dist[others], 1e-12)
+        ang = np.degrees(np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0)))
+        i_mw = sum(dbm_to_mw(p.bs_tx_power_dbm + antenna_gain_db(ang, p) + gain[others]),
+                   np.zeros(len(pts)))
         return (*capacities(gain[serving], i_mw, p, self._noise_mw), nlos[serving])

@@ -264,7 +264,8 @@ class Planner:
 
         cells = [divmod(f, ny) for f in cells_flat]
 
-        commit = 1
+        # a map fully known at construction has sensed every cell
+        commit = len(cells) if self._fully_known else 1
         while commit < len(cells) and self.explored.known[cells[commit]]:
             commit += 1
         committed = cells[:commit]

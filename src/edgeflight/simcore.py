@@ -136,6 +136,20 @@ def _fly_ahead(tl: TruthLink, pos, waypoints, legs, seg_leg, v, dt, ticks: int):
     return first, deque(zip(points, advances, *priced))
 
 
+def _at_goal(pos, goal_xy: tuple[float, float]) -> bool:
+    """Whether `pos` is within 1e-6 m of `goal_xy` in the plane: math.sqrt(off.dot(off)) < 1e-6.
+
+    The norm of off = pos[:2] - goal_xy is taken only when both axis offsets
+    are below 1e-6 m. That is exact: rounding is monotone and IEEE
+    sqrt(fl(x*x)) = |x|, so a larger offset's norm is at least 1e-6.
+    """
+    gx, gy = goal_xy
+    if abs(pos[0] - gx) < 1e-6 and abs(pos[1] - gy) < 1e-6:
+        off = pos[:2] - goal_xy
+        return math.sqrt(off.dot(off)) < 1e-6
+    return False
+
+
 def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
                 collect_log: bool = True) -> tuple[Metrics, TrajectoryLog]:
     """Fly one mission with one policy arm; deterministic for a given scenario."""
@@ -158,7 +172,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
 
     pos = np.asarray(scenario.start, dtype=float).copy()
     goal = np.asarray(scenario.goal, dtype=float)
-    goal_xy = goal[:2]
+    goal_xy = (float(goal[0]), float(goal[1]))
     heading = math.degrees(float(np.arctan2(goal[1] - pos[1], goal[0] - pos[0])))
     time_s = 0.0
     log = TrajectoryLog()
@@ -252,8 +266,8 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             ahead.clear()
         if v > 0.0:
             if moved > STEP_FLOOR_M:
-                delta = p - pos
-                heading = math.degrees(float(np.arctan2(delta[1], delta[0])))
+                (px, py, _), (x, y, _) = p.tolist(), pos.tolist()
+                heading = math.degrees(float(np.arctan2(py - y, px - x)))
         elif seg.heading_hint is not None:
             heading = seg.heading_hint
 
@@ -267,8 +281,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         time_s += dt
         pos = p
 
-        off = pos[:2] - goal_xy
-        if math.sqrt(off.dot(off)) < 1e-6:
+        if _at_goal(pos, goal_xy):
             reached = True
             break
 

@@ -57,12 +57,15 @@ class ExploredMap:
         known: bool array, True where the cell height has been observed.
         heights: observed heights, only meaningful where known.
         cell_size_m: grid resolution.
+        complete: True once `sense` has found every cell known; from then on
+            it returns at once.
     """
 
     def __init__(self, width_cells: int, depth_cells: int, cell_size_m: float):
         self.known = np.zeros((width_cells, depth_cells), dtype=bool)
         self.heights = np.zeros((width_cells, depth_cells))
         self.cell_size_m = float(cell_size_m)
+        self.complete = False
 
     @classmethod
     def fully_known(cls, truth: HeightField) -> "ExploredMap":
@@ -104,11 +107,15 @@ def sense(truth: HeightField, explored: ExploredMap, position, heading_deg: floa
     Only this function and `ExploredMap.fully_known` write an explored map, so
     a known cell already holds its truth height; when every cell of the
     sensor's bounding window is known, the wedge would change nothing and is
-    not built.
+    not built. That return also marks the map `complete` once every cell is
+    known, and a complete map returns before its window is built.
     """
+    if explored.complete:
+        return explored
     s = truth.cell_size_m
     win = disk_window(position, sensor.range_m, s, truth.width_cells, truth.depth_cells)
     if win is None or explored.known[win].all():
+        explored.complete = bool(explored.known.all())
         return explored
     dx, dy = centre_offsets(position, s, win)
     dist = np.hypot(dx, dy)
@@ -247,7 +254,8 @@ class RayTable:
             cell = np.multiply(np.repeat(p[rays], counts[rays]), u[at], out=self.cells[keep])
             cell += base
             cell += np.repeat(q[rays], counts[rays]) * v[at]
-            np.take(minz, at, out=self.minz[keep])
+            # `at` is in range by construction; mode "raise" would buffer `out`
+            np.take(minz, at, out=self.minz[keep], mode="clip")
 
     @cached_property
     def low(self) -> float:

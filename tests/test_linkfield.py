@@ -148,8 +148,9 @@ def test_global_planning_grids_equal_the_per_tick_budgets_at_cell_centres():
 def test_budgets_equal_the_per_point_methods_bit_for_bit():
     """One array pass prices every position with the per-point methods' bits.
 
-    Three default cities, and one with five BSs, whose three interferers make
-    the order of the interference sum show. The positions are random ones,
+    Three default cities, one with five BSs, whose three interferers make
+    the order of the interference sum show, and one with a single BS, whose
+    interferer stack is empty. The positions are random ones,
     cell corners and cell edges, points off the map and points straight
     above each BS. They are priced all at once, in batches of 7, one at a
     time, and from arrays whose rows are not contiguous.
@@ -158,6 +159,7 @@ def test_budgets_equal_the_per_point_methods_bit_for_bit():
     rng = np.random.default_rng(18)
     cities = [dataclasses.replace(cfg.scenario, rng_seed=seed) for seed in (4, 9, 11)]
     cities.append(dataclasses.replace(cfg.scenario, rng_seed=4, n_bs=5))
+    cities.append(dataclasses.replace(cfg.scenario, rng_seed=9, n_bs=1))
     for scfg in cities:
         sc = build_scenario(scfg)
         alt = sc.cfg.uav_altitude_m

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -340,3 +342,28 @@ def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
             counts["abandoned"] += "point" not in t and "plan" not in t and own
             counts["per_point"] += "point" in t
     assert all(counts.values()), counts
+
+
+def _ulps_from(x: float, k: int) -> float:
+    """x moved k representable doubles up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+@pytest.mark.parametrize("goal", [(0.0, 0.0), (2.5, 7.5), (123.456, 78.9)])
+def test_goal_test_equals_the_exact_norm_within_ulps_of_its_radius(goal):
+    """`_at_goal` agrees with the norm of pos[:2] - goal on offsets a few ulps from ±1e-6 m."""
+    gx, gy = goal
+    axis = [0.0, 5e-7, -5e-7]
+    for r in (1e-6, -1e-6, 1e-6 / math.sqrt(2.0), -1e-6 / math.sqrt(2.0)):
+        axis += [_ulps_from(g + r, k) - g for g in (gx, gy) for k in range(-3, 4) if k]
+        axis.append(r)
+    got, want = [], []
+    for ox, oy in itertools.product(axis, repeat=2):
+        pos = np.array([gx + ox, gy + oy, 50.0])
+        off = pos[:2] - np.array(goal)
+        want.append(math.sqrt(off.dot(off)) < 1e-6)
+        got.append(simcore._at_goal(pos, goal))
+    assert got == want
+    assert any(want) and not all(want)

@@ -178,6 +178,52 @@ def test_sense_reveals_the_one_unknown_cell_of_a_known_window():
             assert em.heights[cell] == (truth.heights[cell] if revealed else -1.0)
 
 
+def spy_windows(monkeypatch) -> list:
+    """Record every sensor window `sense` builds."""
+    calls = []
+    window = worldmap.disk_window
+    monkeypatch.setattr(worldmap, "disk_window",
+                        lambda *a: calls.append(a) or window(*a))
+    return calls
+
+
+def test_sense_on_a_map_known_from_construction_builds_one_window(monkeypatch):
+    truth = random_city(7)
+    em = ExploredMap.fully_known(truth)
+    known, heights = em.known.copy(), em.heights.copy()
+    windows = spy_windows(monkeypatch)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        pos = (rng.uniform(0, 200), rng.uniform(0, 200), 50.0)
+        assert sense(truth, em, pos, rng.uniform(-180, 180), SensorModel(120.0, 50.0)) is em
+    assert len(windows) == 1
+    assert em.complete
+    assert np.array_equal(em.known, known)
+    assert np.array_equal(em.heights, heights)
+
+
+def test_sense_on_a_map_completed_by_sensing_returns_before_its_window(monkeypatch):
+    truth = random_city(8)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    windows = spy_windows(monkeypatch)
+    centre, east = (100.0, 100.0, 50.0), (180.0, 100.0, 50.0)
+    sense(truth, em, east, 0.0, SensorModel(360.0, 80.0))
+    before = em.known.copy()
+    sense(truth, em, east, 0.0, SensorModel(120.0, 50.0))  # a known window, not a known map
+    assert np.array_equal(em.known, before)
+    assert not em.complete and len(windows) == 2
+    sense(truth, em, centre, 0.0, SensorModel(360.0, np.hypot(200.0, 200.0)))
+    assert em.known.all() and not em.complete  # the wedge was built
+    known, heights = em.known.copy(), em.heights.copy()
+    sense(truth, em, centre, 90.0, SensorModel(120.0, 50.0))
+    assert em.complete and len(windows) == 4
+    for heading in (0.0, 90.0, -135.0):
+        sense(truth, em, east, heading, SensorModel(120.0, 50.0))
+    assert len(windows) == 4
+    assert np.array_equal(em.known, known)
+    assert np.array_equal(em.heights, heights)
+
+
 def test_sensor_validation():
     with pytest.raises(ConfigError, match="sensor.fov_deg"):
         SensorModel(fov_deg=0.0)
