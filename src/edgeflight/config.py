@@ -181,6 +181,25 @@ def _check_tick_moves(oc: OffloadConfig, sim: SimParams) -> None:
             "tick must fly to move the vehicle; raise sim.tick_s")
 
 
+def _check_sensor_reach(sensor: SensorModel, sc: ScenarioConfig) -> None:
+    """Reject a sensor range that cannot reach a neighbouring cell's centre.
+
+    A plan commits only sensed cells, and with one cell committed the
+    heading hint turns the camera toward the next cell's centre. From a
+    stop in the current cell a diagonal neighbour's centre lies up to
+    1.5 * sqrt(2) cell widths away. Beyond the sensor's range it is never
+    sensed, no plan commits past the current cell, and the vehicle stands
+    until the timeout.
+    """
+    reach = 1.5 * math.sqrt(2.0) * sc.cell_size_m
+    if sensor.range_m < reach:
+        raise ConfigError(
+            f"sensor.range_m ({sensor.range_m!r} m) is below 1.5 * sqrt(2) * "
+            f"scenario.cell_size_m ({sc.cell_size_m!r} m) = {reach!r} m, the farthest a "
+            "neighbouring cell's centre lies from the current cell, so the vehicle could "
+            "stand until the timeout; raise sensor.range_m")
+
+
 @dataclass(frozen=True)
 class Config:
     scenario: ScenarioConfig = ScenarioConfig()
@@ -195,6 +214,7 @@ class Config:
         _check_plos_curve(self.channel)
         _check_frame_rate(self.offload, self.channel, self.scenario, self.sim)
         _check_tick_moves(self.offload, self.sim)
+        _check_sensor_reach(self.sensor, self.scenario)
         _check_edge_weights(self.offload, self.planner, self.scenario)
 
 

@@ -19,6 +19,7 @@ import math
 import numpy as np
 
 from .channel import (
+    _FOUR_PI_OVER_C_DB,
     ChannelParams,
     LinkState,
     antenna_gain_db,
@@ -99,6 +100,7 @@ class TruthLink:
         truth = scenario.truth
         self._nx, self._ny = truth.width_cells, truth.depth_cells
         self._s = truth.cell_size_m
+        self._last_cell = (self._nx - 1, self._ny - 1)
         self.blocked = [_truth_blocked(scenario, i, layer_z)
                         for i in range(len(scenario.bs_positions))]
         # Per-call invariants: the scalar budgets index a list of BS vectors,
@@ -160,32 +162,59 @@ class TruthLink:
         sinr = s_mw / (self._noise_mw + i_mw)
         return capacity_bps_scalar(sinr, p.bandwidth_hz), sinr, i_mw / (i_mw + s_mw)
 
+    def cells(self, pts: np.ndarray) -> np.ndarray:
+        """(n, 2) float cell indices (ix, iy) of the rows of `pts`, as `grid_cell` finds them.
+
+        `//` on float64 gives the bits of grid_cell's floor division, and the
+        clip to the grid is a maximum then a minimum.
+        """
+        ij = pts[:, :2] // self._s
+        np.maximum(ij, 0.0, out=ij)
+        return np.minimum(ij, self._last_cell, out=ij)
+
     def budgets(self, points):
         """(uplink_bps, downlink_bps, downlink_sinr, interference_fraction, serving_nlos) per row.
 
         Row i of the (n, 3) array `points` equals `uplink_capacity`,
         `downlink` and `serving_state` at points[i], bit for bit: every step
         is the array form of the per-point one, in the same order. The cell
-        lookup is `//` on float64, clipped as in `grid_cell`; the norms and
-        cross products are stacked `matmul`s, which reach the same BLAS dot
-        per pair as `.dot`; the ufuncs run on contiguous arrays, the
-        interferers' as one (n_bs - 1, n) stack; and the interference sums
-        from 0.0 in BS order. The simulator prices a replan window with it,
-        and the global planner every cell centre.
+        lookup is `cells`; the norms and cross products are stacked
+        `matmul`s, which reach the same BLAS dot per pair as `.dot`. The rest
+        is one chain over stacked rows: the interferers' angles, then one
+        `np.power` over the interferers', uplink and downlink powers in dBm,
+        the interference summed from 0.0 in BS order, and one `log2` over
+        both SINRs. Every ufunc runs on contiguous rows, and the carrier term
+        is the per-point methods' hoisted `carrier_loss_db`. The simulator
+        prices a replan window with it, and the global planner every cell
+        centre.
         """
         p = self.p
         pts = np.array(points, dtype=float)
-        ij = np.clip(pts[:, :2] // self._s, 0, (self._nx - 1, self._ny - 1)).astype(np.intp)
+        ij = self.cells(pts).astype(np.intp)
         serving, others = self.sc.serving_bs, self._others
         vec = self._bs_stack[:, None, :] - pts  # (n_bs, n, 3), BS minus position
         row, col = vec[..., None, :], vec[..., :, None]
         dist = np.sqrt((row @ col)[..., 0, 0])
         nlos = self._blocked_stack[:, ij[:, 0] * self._ny + ij[:, 1]]
-        gain = layer_gain_db(dist, nlos, p)
-        # every interferer at once, rows in BS order
+        # layer_gain_db, its carrier term hoisted
+        gain = -(20.0 * np.log10(np.maximum(dist, 1e-9)) + self._carrier_loss
+                 + _FOUR_PI_OVER_C_DB + np.where(nlos, p.nlos_excess_db, 0.0))
         cross = (row[serving] @ col[others])[..., 0, 0]
         cosang = cross / np.maximum(dist[serving] * dist[others], 1e-12)
         ang = np.degrees(np.arccos(np.minimum(np.maximum(cosang, -1.0), 1.0)))
-        i_mw = sum(dbm_to_mw(p.bs_tx_power_dbm + antenna_gain_db(ang, p) + gain[others]),
-                   np.zeros(len(pts)))
-        return (*capacities(gain[serving], i_mw, p, self._noise_mw), nlos[serving])
+        # dbm_to_mw on one stack of powers: the interferers in BS order, the
+        # uplink, the downlink
+        k, n = len(others), len(pts)
+        dbm = np.empty((k + 2, n))
+        np.add(p.bs_tx_power_dbm + antenna_gain_db(ang, p), gain[others], out=dbm[:k])
+        np.add(p.uav_tx_power_dbm, gain[serving], out=dbm[k])
+        np.add(p.bs_tx_power_dbm, gain[serving], out=dbm[k + 1])
+        mw = np.power(10.0, np.divide(dbm, 10.0, out=dbm), out=dbm)
+        i_mw = sum(mw[:k], np.zeros(n))
+        s_mw = mw[k + 1]
+        # capacity_bps on both SINRs, the uplink's and the downlink's
+        sinr = np.empty((2, n))
+        np.divide(mw[k], self._noise_mw, out=sinr[0])
+        np.divide(s_mw, self._noise_mw + i_mw, out=sinr[1])
+        cap = p.bandwidth_hz * np.log2(1.0 + np.maximum(sinr, 0.0))
+        return cap[0], cap[1], sinr[1], i_mw / (i_mw + s_mw), nlos[serving]

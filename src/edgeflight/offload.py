@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import require
 
 # A tick's flight budget at or below this many metres moves the vehicle no
@@ -58,3 +60,20 @@ def select_mode(remote_fps: float, local_fps: float) -> tuple[ProcessingMode, fl
 def speed_limit(effective_fps: float, oc: OffloadConfig) -> float:
     """Permissible speed so every meter of travel still gets its frames."""
     return min(effective_fps / oc.frames_per_meter, oc.v_max_mps)
+
+
+def governor(uplink_bps, downlink_bps, oc: OffloadConfig):
+    """(remote, effective fps, speed limit) per element, over arrays of capacities.
+
+    Element i equals `remote_update_rate`, then `select_mode` (whose mode is
+    REMOTE where `remote` is True) and `speed_limit` at uplink_bps[i] and
+    downlink_bps[i], bit for bit: every step is the array form of the scalar
+    one, in the same order.
+    """
+    up = np.asarray(uplink_bps, dtype=float)
+    dn = np.asarray(downlink_bps, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cycle = oc.frame_bits / up + oc.remote_processing_s + oc.feedback_bits / dn
+        rate = np.where((up > 0.0) & (dn > 0.0), 1.0 / cycle, 0.0)
+    fps = np.maximum(rate, oc.local_fps)
+    return rate >= oc.local_fps, fps, np.minimum(fps / oc.frames_per_meter, oc.v_max_mps)

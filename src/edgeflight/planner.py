@@ -43,7 +43,7 @@ from scipy.sparse import csgraph
 from .channel import ChannelParams, LinkState, dbm_to_mw, expected_path_loss_db
 from .errors import StuckError, require
 from .linkfield import TruthLink, capacities, layer_gain_db, layer_offsets
-from .offload import OffloadConfig
+from .offload import OffloadConfig, governor
 from .radiomap import _STATE_CODE, RadioMap
 from .scenario import _SQRT2, inflate_obstacles, lattice_edges
 from .worldmap import ExploredMap
@@ -84,17 +84,6 @@ class TrajectorySegment:
     plan_cost: float          # cost of the full search path before truncation
     reaches_goal: bool
     heading_hint: float | None = None
-
-
-def rate_to_limit_grid(up_bps: np.ndarray, dn_bps: np.ndarray, oc: OffloadConfig) -> np.ndarray:
-    """Vectorized remote-rate pipeline: capacities -> fps -> speed limit."""
-    up = np.asarray(up_bps, dtype=float)
-    dn = np.asarray(dn_bps, dtype=float)
-    with np.errstate(divide="ignore"):
-        cycle = oc.frame_bits / up + oc.remote_processing_s + oc.feedback_bits / dn
-        remote = np.where((up > 0) & (dn > 0), 1.0 / cycle, 0.0)
-    fps = np.maximum(remote, oc.local_fps)
-    return np.minimum(fps / oc.frames_per_meter, oc.v_max_mps)
 
 
 class Planner:
@@ -140,14 +129,14 @@ class Planner:
             up, dn, *_ = capacities(-expected_path_loss_db(dist, elev, self.ch), 0.0, self.ch,
                                     dbm_to_mw(self.ch.noise_dbm))
             zeros = np.zeros((self._nx, self._ny))
-            return rate_to_limit_grid(up, dn, self.oc), zeros.astype(bool), zeros
+            return governor(up, dn, self.oc)[2], zeros.astype(bool), zeros
         if self.kind is PlannerKind.GLOBAL:
             ix, iy = np.indices((self._nx, self._ny)).reshape(2, -1)
             centres = np.column_stack([(ix + 0.5) * self._s, (iy + 0.5) * self._s,
                                        np.full(ix.size, self._alt)])
             up, dn, _, intf, nlos = self.tl.budgets(centres)
             return tuple(g.reshape(self._nx, self._ny)
-                         for g in (rate_to_limit_grid(up, dn, self.oc), nlos, intf))
+                         for g in (governor(up, dn, self.oc)[2], nlos, intf))
         return None
 
     def _explored_limits(self) -> np.ndarray:
@@ -160,7 +149,7 @@ class Planner:
                                  self._nx, self._ny, self._s, self._alt)
         gain = layer_gain_db(dist, np.array([False, True])[:, None, None], self.ch)
         up, dn, *_ = capacities(gain, 0.0, self.ch, dbm_to_mw(self.ch.noise_dbm))
-        return rate_to_limit_grid(up, dn, self.oc)
+        return governor(up, dn, self.oc)[2]
 
     def _grids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(speed limit, nlos, interference-fraction) grids; assumed LoS is priced as LoS."""

@@ -9,11 +9,17 @@ invalidated; then the vehicle advances along the committed polyline at the
 lesser of the planned and true speed limits.
 
 Right after a plan whose speed the true limit does not bind, the window up to
-the next cadence replan is flown ahead at the planned speeds, and its true
-budgets are priced in one array pass. A later tick takes its budgets from that
-window when it reaches the priced position, and its advance while its own
-speed is still the planned one. Each tick's steps and their order do not
-change, nor do any of their bits.
+the next cadence replan is flown ahead at the planned speeds, and each of its
+later ticks gets a record priced in array passes: the true budgets, the
+offload mode, frame rate and true limit, the cell centre and the heading after
+the advance. A later tick takes its record when it reaches the priced
+position, and the record's advance and heading while its own speed is still
+the planned one. On a map fully known at construction, sensing, the radio-map
+refresh and the measurement change nothing and the estimate is the truth
+state, so a tick that took its record skips them. A committed segment that
+passed its check against the forbidden mask is not checked again while the
+mask is the same object; a fresh window's segment is checked once on the plan
+tick. No tick's outputs change, nor do any of their bits.
 """
 
 from __future__ import annotations
@@ -28,7 +34,15 @@ from .channel import LinkState
 from .config import Config
 from .errors import StuckError
 from .linkfield import TruthLink, ray_table_for
-from .offload import STEP_FLOOR_M, remote_update_rate, select_mode, speed_limit
+from .offload import (
+    STEP_FLOOR_M,
+    OffloadConfig,
+    ProcessingMode,
+    governor,
+    remote_update_rate,
+    select_mode,
+    speed_limit,
+)
 from .planner import Planner, PlannerKind, replan_due, segment_invalidated
 from .radiomap import RadioMap
 from .scenario import Scenario, build_scenario, grid_cell
@@ -113,27 +127,50 @@ def _advance(pos, waypoints, legs, seg_leg, v, dt):
     return p, seg_leg, moved
 
 
-def _fly_ahead(tl: TruthLink, pos, waypoints, legs, seg_leg, v, dt, ticks: int):
-    """A fresh plan's first advance at `v`, and the next `ticks` ticks flown ahead.
+def _fly_ahead(tl: TruthLink, oc: OffloadConfig, s: float, pos, waypoints, legs, seg_leg,
+               v, dt, ticks: int, hint):
+    """A fresh plan's first advance at `v`, and the record of each of the next `ticks` ticks.
 
     The later ticks fly at the planned leg speeds, up to the segment's end,
     where the tick replans. Their positions are priced in one
-    `TruthLink.budgets` call. Returns (first advance, queue of (position,
-    advance, uplink, downlink, downlink SINR, interference fraction, serving
-    NLoS) per later tick).
+    `TruthLink.budgets` call and one `offload.governor` call, and their
+    headings in one `arctan2`, each with the bits of the per-tick call.
+    Returns (first advance, queue of records), a record being (position,
+    advance, uplink, downlink, downlink SINR, serving NLoS, mode, effective
+    fps, true limit, cell centre, heading after the advance) of one later
+    tick. The advance at the segment's end is None; the heading is None where
+    the advance leaves it as it was. `s` is the cell size and `hint` the
+    segment's heading hint.
     """
     first = _advance(pos, waypoints, legs, seg_leg, v, dt)
     points, advances = [], []
+    headings, turns = [], []  # turns: the records whose advance moves the heading
     p, leg, _ = first
     for _ in range(ticks):
         points.append(p)
         if leg >= len(legs):
             advances.append(None)
+            headings.append(None)
             break
-        advances.append(_advance(p, waypoints, legs, leg, legs[leg], dt))
-        p, leg, _ = advances[-1]
-    priced = (a.tolist() for a in tl.budgets(points))
-    return first, deque(zip(points, advances, *priced))
+        v_leg = legs[leg]
+        advances.append(_advance(p, waypoints, legs, leg, v_leg, dt))
+        p, leg, moved = advances[-1]
+        headings.append(None if v_leg > 0.0 else hint)
+        if v_leg > 0.0 and moved > STEP_FLOOR_M:
+            turns.append(len(points) - 1)
+    pts = np.array(points)
+    up, dn, sinr, _, nlos = tl.budgets(pts)
+    remote, fps, lim = governor(up, dn, oc)
+    if turns:
+        step = np.array([advances[i][0] for i in turns]) - pts[turns]
+        dy, dx = np.ascontiguousarray(step[:, 1::-1].T)
+        for i, a in zip(turns, np.arctan2(dy, dx).tolist()):
+            headings[i] = math.degrees(a)
+    modes = [ProcessingMode.REMOTE if r else ProcessingMode.LOCAL for r in remote.tolist()]
+    centres = ((tl.cells(pts) + 0.5) * s).tolist()
+    return first, deque(zip(points, advances, up.tolist(), dn.tolist(), sinr.tolist(),
+                            nlos.tolist(), modes, fps.tolist(), lim.tolist(), centres,
+                            headings))
 
 
 def _at_goal(pos, goal_xy: tuple[float, float]) -> bool:
@@ -193,50 +230,69 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     reached = False
     max_ticks = int(math.ceil(cfg.sim.timeout_s / dt))
     ahead = deque()  # the window flown ahead after the last plan (_fly_ahead)
+    passed = None  # the forbidden mask the committed segment last passed
+    known_map = bool(explored.known.all())
     # no episode flies past its timeout, so neither does a window; this also
     # keeps a huge replan period's tick count finite
     window = math.ceil(min(cfg.planner.replan_period_s, cfg.sim.timeout_s) / dt)
 
     for _ in range(max_ticks):
         # 1-2: true budgets -> mode, rate, speed cap. A tick that reaches the
-        # position its queued entry was priced at takes the entry's budgets;
-        # any other prices its own. The first tick of an episode comes before
+        # position its queued record was priced at takes the record; any
+        # other prices its own. The first tick of an episode comes before
         # any plan, so every arm calls the per-point methods at least once per
         # episode, which the benchmark's traced run checks layer by layer.
-        entry = ahead.popleft() if ahead else None
-        if entry is not None and entry[0] is pos:
-            _, _, up_true, dn_true, dn_sinr, _, nlos = entry
+        rec = ahead.popleft() if ahead else None
+        if rec is not None and rec[0] is pos:
+            (_, advance, up_true, dn_true, dn_sinr, nlos, mode, eff_fps, true_lim, centre,
+             turn) = rec
             true_state = LinkState.NLOS if nlos else LinkState.LOS
         else:
-            entry = None
+            rec = None
             up_true = tl.uplink_capacity(pos)
             dn_true, dn_sinr, _ = tl.downlink(pos)
             true_state = tl.serving_state(pos)
-        remote_fps = remote_update_rate(up_true, dn_true, cfg.offload)
-        mode, eff_fps = select_mode(remote_fps, cfg.offload.local_fps)
-        true_lim = speed_limit(eff_fps, cfg.offload)
+            remote_fps = remote_update_rate(up_true, dn_true, cfg.offload)
+            mode, eff_fps = select_mode(remote_fps, cfg.offload.local_fps)
+            true_lim = speed_limit(eff_fps, cfg.offload)
+            # the radio map's calls take the cell's centre as plain floats,
+            # which costs less than reading the position array
+            ix, iy = grid_cell(pos, s, nx, ny)
+            centre = ((ix + 0.5) * s, (iy + 0.5) * s)
+        # on a map fully known at construction, sensing, the refresh and the
+        # measurement change nothing, and the estimate is the truth state; a
+        # tick that took a record skips them
+        settled = rec is not None and known_map
 
         # 3: sensing at the frame cadence
         frame_credit += eff_fps * dt
         if frame_credit >= 1.0:
             frame_credit -= math.floor(frame_credit)
-            sense(truth, explored, pos, heading, sensor)
+            if not settled:
+                sense(truth, explored, pos, heading, sensor)
             sensed = True
 
         # 4: the current cell's estimate, refreshed from the first frame on,
-        # then its measured state. All three calls take the cell's centre as
-        # plain floats, which costs less than reading the position array.
-        ix, iy = grid_cell(pos, s, nx, ny)
-        centre = ((ix + 0.5) * s, (iy + 0.5) * s)
-        if sensed:
-            rm.update_around(centre, 0.0)
-        est = rm.state_at(centre)
-        est_name = est.value if est is not None else "none"
-        rm.csi_correct(centre, true_state)
+        # then its measured state
+        if settled:
+            est_name = true_state.value
+        else:
+            if sensed:
+                rm.update_around(centre, 0.0)
+            est = rm.state_at(centre)
+            est_name = est.value if est is not None else "none"
+            rm.csi_correct(centre, true_state)
 
-        # 5: planning
-        invalid = (seg is None or seg_leg >= len(legs)
-                   or segment_invalidated(seg, seg_leg, planner.forbidden_mask()))
+        # 5: planning. A segment that passed the check against the current
+        # forbidden mask passes it again: the mask is the same object until
+        # the obstacles change, and the cells left only shrink.
+        if seg is None or seg_leg >= len(legs):
+            invalid = True
+        else:
+            forbidden = planner.forbidden_mask()
+            invalid = (forbidden is not passed
+                       and segment_invalidated(seg, seg_leg, forbidden))
+            passed = None if invalid else forbidden
         planned = replan_due(time_s, last_plan, cfg.planner, invalidated=invalid)
         if planned:
             try:
@@ -250,26 +306,36 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             legs = list(seg.leg_speeds)
             seg_leg = 0
             last_plan = time_s
+            passed = None
 
         # 6: advance along the committed polyline. A later tick of the window
-        # adopts its queued advance only at the planned speed; otherwise it
-        # flies its own and drops the queue.
+        # adopts its record's advance and heading only at the planned speed;
+        # otherwise it flies its own and drops the queue. A fresh window
+        # checks its segment once for the ticks that adopt it.
         v_plan = legs[seg_leg] if seg_leg < len(legs) else 0.0
         v = min(v_plan, true_lim)
-        if planned and v == v_plan:
-            (p, seg_leg, moved), ahead = _fly_ahead(
-                tl, pos, waypoints, legs, seg_leg, v, dt, window)
-        elif entry is not None and v == v_plan:
-            p, seg_leg, moved = entry[1]
+        if rec is not None and v == v_plan and not planned:
+            p, seg_leg, moved = advance
+            if turn is not None:
+                heading = turn
         else:
-            p, seg_leg, moved = _advance(pos, waypoints, legs, seg_leg, v, dt)
-            ahead.clear()
-        if v > 0.0:
-            if moved > STEP_FLOOR_M:
-                (px, py, _), (x, y, _) = p.tolist(), pos.tolist()
-                heading = math.degrees(float(np.arctan2(py - y, px - x)))
-        elif seg.heading_hint is not None:
-            heading = seg.heading_hint
+            if planned and v == v_plan:
+                (p, seg_leg, moved), ahead = _fly_ahead(
+                    tl, cfg.offload, s, pos, waypoints, legs, seg_leg, v, dt, window,
+                    seg.heading_hint)
+                if seg_leg < len(legs):
+                    forbidden = planner.forbidden_mask()
+                    if not segment_invalidated(seg, seg_leg, forbidden):
+                        passed = forbidden
+            else:
+                p, seg_leg, moved = _advance(pos, waypoints, legs, seg_leg, v, dt)
+                ahead.clear()
+            if v > 0.0:
+                if moved > STEP_FLOOR_M:
+                    (px, py, _), (x, y, _) = p.tolist(), pos.tolist()
+                    heading = math.degrees(float(np.arctan2(py - y, px - x)))
+            elif seg.heading_hint is not None:
+                heading = seg.heading_hint
 
         if collect_log:
             log.append(time_s, pos, moved / dt, mode, true_state, est_name,

@@ -27,6 +27,10 @@ _CORNER_EPS = 1e-12
 # Rays per RayTable build, cut and classification block.
 _BLOCK_RAYS = 256
 
+# Table entries per chunk of a classified run of rays: the chunk's intp and
+# float64 temporaries take 64 KiB each, half glibc's default mmap threshold.
+_RUN_CHUNK = 8192
+
 # (key, corner half table) of the last RayTable cut: see RayTable._cut.
 _half = None
 
@@ -158,15 +162,15 @@ class RayTable:
     Any other origin is traced.
 
     classify_subset, one gather and one logical-or per ray, is the only
-    classifier, for truth and partial maps alike. A block of consecutive rays
-    owns one contiguous run of entries, which it reads as a slice; any other
-    block gathers its rays' ranges. It reads only what can still change a
-    verdict: on a fully known grid no knowledge (no ray crosses an unknown
-    cell), and where no height exceeds `low`, the lowest entry altitude
-    (minz) of the table, no heights (no entry is blocked); a fully known grid
-    with no such height is answered without a scan. Its verdicts follow the
-    contract in the module docstring and are checked against the scalar
-    cell-by-cell walk in tests/oracles.py.
+    classifier, for truth and partial maps alike. One contiguous run of rays
+    owns one contiguous run of entries, which it reads in chunks; any other
+    rays gather their ranges block by block. It reads only what can still
+    change a verdict: on a fully known grid no knowledge (no ray crosses an
+    unknown cell), and where no height exceeds `low`, the lowest entry
+    altitude (minz) of the table, no heights (no entry is blocked); a fully
+    known grid with no such height is answered without a scan. Its verdicts
+    follow the contract in the module docstring and are checked against the
+    scalar cell-by-cell walk in tests/oracles.py.
 
     rays_crossing answers the inverse question, which rays cross a cell,
     from a cell -> rays index in the same CSR layout: the table's transpose,
@@ -269,8 +273,11 @@ class RayTable:
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(blocked, crosses_unknown) per given flat ray index, on a partially known grid.
 
-        With every cell known the blocked mask is the truth verdict. Rays are
-        classified _BLOCK_RAYS at a time, so the per-crossing temporaries stay
+        With every cell known the blocked mask is the truth verdict. One
+        contiguous run of rays, such as every ray of the table, owns one
+        contiguous run of entries, which `_classify_run` reads in chunks of
+        _RUN_CHUNK entries and reduces once. Any other rays are classified
+        _BLOCK_RAYS at a time. Either way the per-crossing temporaries stay
         small however many rays one call asks for. A fully known grid reads
         no knowledge, and heights no greater than `low` are not read.
         """
@@ -281,10 +288,45 @@ class RayTable:
         heights = heights.ravel() if np.max(heights, initial=-np.inf) > self.low else None
         if known is None and heights is None:
             return blocked, crosses
+        if len(rays) and rays[-1] - rays[0] == len(rays) - 1 and (np.diff(rays) == 1).all():
+            self._classify_run(int(rays[0]), known, heights, blocked, crosses)
+            return blocked, crosses
         for lo in range(0, len(rays), _BLOCK_RAYS):
             part = slice(lo, lo + _BLOCK_RAYS)
             self._classify_block(rays[part], known, heights, blocked[part], crosses[part])
         return blocked, crosses
+
+    def _classify_run(self, first, known, heights, blocked, crosses):
+        """Write the verdicts of rays first, first + 1, ... into `blocked` and `crosses`.
+
+        The rays' entries are one slice of the table. Each chunk of it writes
+        its per-entry hits (and knowledge) into one array over the run, and
+        one reduceat per array reduces every ray over its own entries. Rays
+        with no crossing are left out of the reduction, as in
+        `_classify_block`, whose contract this follows.
+        """
+        offsets = self.offsets[first:first + len(blocked) + 1]
+        e0, e1 = int(offsets[0]), int(offsets[-1])
+        if e0 == e1:
+            return
+        some = offsets[1:] > offsets[:-1]
+        start = offsets[:-1][some] - e0
+        hit = None if heights is None else np.empty(e1 - e0, dtype=bool)
+        k = None if known is None else np.empty(e1 - e0, dtype=bool)
+        for lo in range(e0, e1, _RUN_CHUNK):
+            at = slice(lo, min(lo + _RUN_CHUNK, e1))
+            part = slice(at.start - e0, at.stop - e0)
+            c = self.cells[at].astype(np.intp)
+            if k is not None:
+                np.take(known, c, out=k[part], mode="clip")  # c is in range
+            if hit is not None:
+                h = np.greater(heights[c], self.minz[at], out=hit[part])
+                if k is not None:
+                    h &= k[part]
+        if hit is not None:
+            blocked[some] = np.logical_or.reduceat(hit, start)
+        if k is not None:
+            crosses[some] = ~blocked[some] & ~np.logical_and.reduceat(k, start)
 
     def _classify_block(self, rays, known, heights, blocked, crosses):
         """Write the verdicts of `rays` into the views `blocked` and `crosses`.
@@ -300,10 +342,7 @@ class RayTable:
         lo, counts = lo[some], counts[some]
         if not len(counts):
             return
-        if (np.diff(rays) == 1).all():  # one run of the table
-            at, start = slice(lo[0], lo[-1] + counts[-1]), lo - lo[0]
-        else:  # table entries, each ray's first gathered one
-            at, start = _ranges(lo, counts)
+        at, start = _ranges(lo, counts)  # table entries, each ray's first gathered one
         c = self.cells[at].astype(np.intp)  # numpy gathers slower by an int32 index
         k = None if known is None else known[c]
         if heights is not None:

@@ -400,3 +400,24 @@ def test_memory_error_outside_the_map_grid_keeps_its_traceback(
     monkeypatch.setattr("edgeflight.cli.run_episode", out_of_memory)
     with pytest.raises(MemoryError):
         main(["run", "--config", str(small_config_path), "--out", str(tmp_path / "x")])
+
+
+@pytest.mark.parametrize("range_m, code", [(10.5, EXIT_CONFIG), (10.7, EXIT_OK)])
+def test_sensor_range_short_of_a_neighbouring_centre_is_config_error(
+        tmp_path, capsys, range_m, code):
+    # on 5 m cells a diagonal neighbour's centre can lie 1.5 * sqrt(2) * 5 =
+    # 10.61 m from the vehicle; below that range a vehicle whose next hop is
+    # such a centre never senses it, and stands until the timeout
+    d = config_to_dict(default_config())
+    d["sensor"]["range_m"] = range_m
+    cfg = tmp_path / "sensor.json"
+    cfg.write_text(json.dumps(d))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == code
+    err = capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert err.startswith("config error:")
+        assert "sensor.range_m" in err and "scenario.cell_size_m" in err
+        assert not (tmp_path / "x").exists()
+    else:
+        assert err == "" and (tmp_path / "x" / "metrics.csv").is_file()

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from edgeflight.errors import ConfigError
 from edgeflight.offload import (
     OffloadConfig,
     ProcessingMode,
+    governor,
     remote_update_rate,
     select_mode,
     speed_limit,
@@ -53,6 +55,35 @@ def test_rate_monotone_in_uplink():
     assert all(a < b for a, b in zip(rates, rates[1:]))
     # processing delay bounds the rate even with infinite links
     assert rates[-1] < 1.0 / oc.remote_processing_s
+
+
+@pytest.mark.parametrize("oc", [
+    OffloadConfig(),
+    # no feedback: a dead downlink divides zero by zero in the array form
+    OffloadConfig(frame_bits=2e5, feedback_bits=0.0, remote_processing_s=0.0),
+    OffloadConfig(local_fps=0.0, v_max_mps=3.0),
+], ids=["default", "no-feedback", "no-local"])
+def test_governor_equals_the_scalar_pipeline_bit_for_bit(oc):
+    """Element i of `governor` is remote_update_rate, select_mode and speed_limit at i.
+
+    Random capacities over eight decades, dead links, the capacities whose
+    remote rate ties the local one, and rates far past v_max_mps.
+    """
+    rng = np.random.default_rng(21)
+    up = np.concatenate([10.0 ** rng.uniform(3.0, 11.0, 400), [0.0, 1e6, 0.0, 1e12]])
+    dn = np.concatenate([10.0 ** rng.uniform(3.0, 11.0, 400), [1e6, 0.0, 0.0, 1e12]])
+    if oc.local_fps > 0.0 and oc.remote_processing_s == 0.0 and oc.feedback_bits == 0.0:
+        up = np.append(up, oc.frame_bits * oc.local_fps)  # a remote rate equal to the local one
+        dn = np.append(dn, 1e6)
+    remote, fps, lim = governor(up, dn, oc)
+    want = []
+    for u, d in zip(up.tolist(), dn.tolist()):
+        mode, eff = select_mode(remote_update_rate(u, d, oc), oc.local_fps)
+        want.append((mode is ProcessingMode.REMOTE, eff, speed_limit(eff, oc)))
+    assert list(zip(remote.tolist(), fps.tolist(), lim.tolist())) == want
+    # with no local rate, a dead link's zero remote rate ties it and stays remote
+    assert {w[0] for w in want} == ({False, True} if oc.local_fps > 0.0 else {True})
+    assert any(w[2] == oc.v_max_mps for w in want)
 
 
 def test_config_validation():

@@ -13,7 +13,6 @@ from edgeflight.planner import (
     PlanConfig,
     Planner,
     PlannerKind,
-    rate_to_limit_grid,
     replan_due,
     segment_invalidated,
 )
@@ -340,16 +339,6 @@ def test_in_goal_cell_plan_closes_the_gap():
     assert seg.reaches_goal
     assert np.allclose(seg.points[-1], sc.goal)
     assert len(seg.leg_speeds) == 1
-
-
-def test_rate_to_limit_grid_matches_scalar_pipeline():
-    up = np.array([[10e6, 1e6], [0.0, 20e6]])
-    dn = np.array([[10e6, 5e6], [1e6, 1e5]])
-    got = rate_to_limit_grid(up, dn, OC)
-    for i in range(2):
-        for j in range(2):
-            fps = max(remote_update_rate(up[i, j], dn[i, j], OC), OC.local_fps)
-            assert got[i, j] == pytest.approx(speed_limit(fps, OC))
 
 
 @pytest.mark.parametrize("ch, oc", [

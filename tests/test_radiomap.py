@@ -428,7 +428,10 @@ def test_update_around_classifies_only_while_the_map_can_learn(monkeypatch, kind
     monkeypatch.setattr(RayTable, "classify_subset", counting)
     metrics, _ = run_episode(sc, kind, cfg, collect_log=False)
     assert metrics.reached
-    assert len(updates) > 100
+    # a map fully known at construction is refreshed only on the ticks that
+    # price their own budgets, a map that learns on every tick from its
+    # first frame on
+    assert len(updates) > (100 if learns else 0)
     assert bool(from_update) is learns
 
 
@@ -462,7 +465,8 @@ def test_update_around_in_an_episode_refreshes_at_most_the_vehicle_cell(monkeypa
 
 
 def test_update_around_on_a_global_episode_checks_no_window(monkeypatch):
-    # a fully known map can never have a due cell
+    # a fully known map can never have a due cell; the episode calls
+    # update_around only on the ticks that price their own budgets
     cfg = default_config(seed=4)
     cfg = dataclasses.replace(cfg, scenario=dataclasses.replace(
         cfg.scenario, map_size_m=(200.0, 200.0), endpoint_distance_m=(80.0, 160.0)))
@@ -482,7 +486,7 @@ def test_update_around_on_a_global_episode_checks_no_window(monkeypatch):
     monkeypatch.setattr(RadioMap, "_due", counting_due)
     metrics, _ = run_episode(sc, PlannerKind.GLOBAL, cfg, collect_log=False)
     assert metrics.reached
-    assert len(updates) > 100
+    assert len(updates) >= 1
     assert due_calls == []
 
 

@@ -10,6 +10,7 @@ from edgeflight import simcore
 from edgeflight.config import default_config, flat_city_config, with_seed
 from edgeflight.linkfield import TruthLink
 from edgeflight.planner import Planner, PlannerKind
+from edgeflight.radiomap import RadioMap
 from edgeflight.scenario import build_scenario
 from edgeflight.simcore import (
     BatchResult,
@@ -278,15 +279,23 @@ def test_learning_arms_estimate_no_cell_before_their_first_frame(monkeypatch):
         assert none == [t == 0 for t in range(len(log.rows))], kind
 
 
+# the calls a tick that took its record skips on a map fully known at construction
+SETTLED_SKIPS = ("sense", "update_around", "state_at", "csi_correct", "segment_invalidated",
+                 "remote_update_rate")
+
+
 def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
     """Windows priced ahead change no output bit on any arm.
 
     Every arm flies one default city twice: as is, and with no window flown
-    ahead, so that every tick prices its own budgets and runs its own
-    advance. Metrics reprs and log rows must be
-    equal. Spies on the tick's calls show the paths the first flight took:
-    ticks that adopted a queued advance, windows abandoned when the true
-    limit bound a later tick, and ticks priced point by point.
+    ahead, so that every tick prices its own budgets, governor and heading
+    and runs its own advance. Metrics reprs and log rows must be equal.
+    Spies on the tick's calls show the paths the first flight took: ticks
+    that adopted a queued record, windows abandoned when the true limit
+    bound a later tick, and ticks priced point by point. On the global arm,
+    whose map is fully known from construction, an adopted tick calls none
+    of the per-tick map, planning-check and governor calls; every arm still
+    calls each of them in the episode.
     """
     cfg = default_config()
     seed = batch_seeds(0, 1)[0]
@@ -294,17 +303,28 @@ def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
                         cfg.planner.safety_margin_cells)
     events = []
 
-    def spy(owner, name, tag):
+    def spy(owner, name, tag=None):
         orig = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            events.append(tag)
+            events.append(tag or name)
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
+    headings = []  # the heading of every sense call
+    sense = simcore.sense
+
+    def sensing(truth, explored, pos, heading, sensor):
+        events.append("sense")
+        headings.append(heading)
+        return sense(truth, explored, pos, heading, sensor)
+
+    monkeypatch.setattr(simcore, "sense", sensing)
+
     def fly(kind):
         events.clear()
+        headings.clear()
         metrics, log = run_episode(sc, kind, cfg)
         ticks, tick = [], []
         for e in events:  # a tick's calls end with its log row
@@ -314,16 +334,20 @@ def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
             else:
                 tick.append(e)
         assert len(ticks) == len(log.rows)
-        return repr(dataclasses.astuple(metrics)), log.rows, ticks
+        return repr(dataclasses.astuple(metrics)), log.rows, ticks, list(headings)
 
     spy(TruthLink, "uplink_capacity", "point")
     spy(TruthLink, "budgets", "window")
     spy(Planner, "plan", "plan")
     spy(simcore, "_advance", "advance")
     spy(TrajectoryLog, "append", "log")
+    for name in ("segment_invalidated", "remote_update_rate"):
+        spy(simcore, name)
+    for name in ("update_around", "state_at", "csi_correct"):
+        spy(RadioMap, name)
     ahead = {kind: fly(kind) for kind in PlannerKind}
 
-    def first_advance_only(tl, pos, waypoints, legs, seg_leg, v, dt, ticks):
+    def first_advance_only(tl, oc, s, pos, waypoints, legs, seg_leg, v, dt, ticks, hint):
         # budgets still prices the global planner's grids
         return simcore._advance(pos, waypoints, legs, seg_leg, v, dt), deque()
 
@@ -332,15 +356,24 @@ def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
 
     counts = {"adopted": 0, "abandoned": 0, "per_point": 0}
     for kind in PlannerKind:
-        metrics, rows, ticks = ahead[kind]
+        metrics, rows, ticks, sensed_headings = ahead[kind]
         assert (metrics, rows) == per_point[kind][:2], kind
+        if kind is not PlannerKind.GLOBAL:  # the headings the records carried, bit for bit
+            assert sensed_headings == per_point[kind][3], kind
         assert all("point" in t for t in per_point[kind][2])
         assert "point" in ticks[0]  # every arm prices its first tick point by point
+        called = set().union(*ticks)
+        assert all(name in called for name in SETTLED_SKIPS), (kind, called)
         for t in ticks:
             own = "advance" in t and "window" not in t
-            counts["adopted"] += "plan" not in t and "advance" not in t
+            adopted = "plan" not in t and "advance" not in t
+            counts["adopted"] += adopted
             counts["abandoned"] += "point" not in t and "plan" not in t and own
             counts["per_point"] += "point" in t
+            if kind is PlannerKind.GLOBAL and "point" not in t:
+                # a plan tick checks its fresh segment once for the window
+                skipped = set(SETTLED_SKIPS) - ({"segment_invalidated"} if not adopted else set())
+                assert not set(t) & skipped, t
     assert all(counts.values()), counts
 
 

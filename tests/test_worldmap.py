@@ -463,15 +463,24 @@ def test_classify_subset_of_unsorted_duplicated_and_empty_rays():
 
 
 def spy_blocks(monkeypatch) -> list:
-    """Patch RayTable._classify_block to record, per block, (knowledge read, heights read)."""
+    """Patch both RayTable kernels to record, per call, (knowledge read, heights read).
+
+    `_classify_block` is called per block of rays, `_classify_run` once per
+    contiguous run.
+    """
     reads = []
-    block = RayTable._classify_block
 
-    def spying(table, rays, known, heights, blocked, crosses):
-        reads.append((known is not None, heights is not None))
-        return block(table, rays, known, heights, blocked, crosses)
+    def spy(name):
+        kernel = getattr(RayTable, name)
 
-    monkeypatch.setattr(RayTable, "_classify_block", spying)
+        def spying(table, rays, known, heights, blocked, crosses):
+            reads.append((known is not None, heights is not None))
+            return kernel(table, rays, known, heights, blocked, crosses)
+
+        monkeypatch.setattr(RayTable, name, spying)
+
+    spy("_classify_block")
+    spy("_classify_run")
     return reads
 
 
@@ -596,6 +605,99 @@ def test_consecutive_rays_read_as_one_slice_match_the_oracle_and_any_order(monke
         ranges_calls.clear()
         seen.update(zip(want_blocked, want_crosses))
     assert seen == {(True, False), (False, True), (False, False)}
+
+
+def _block_verdicts(table: RayTable, rays, known, heights):
+    """classify_subset's verdicts taken block by block through `_classify_block`."""
+    blocked = np.zeros(len(rays), dtype=bool)
+    crosses = np.zeros(len(rays), dtype=bool)
+    known = None if known.all() else known.ravel()
+    for lo in range(0, len(rays), worldmap._BLOCK_RAYS):
+        part = slice(lo, lo + worldmap._BLOCK_RAYS)
+        table._classify_block(rays[part], known, heights.ravel(), blocked[part], crosses[part])
+    return blocked, crosses
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 1000])
+@pytest.mark.parametrize("origin", [(57.5, 142.5, 25.0), (100.0, 63.0, 25.0)],
+                         ids=["cut", "traced"])
+def test_run_kernel_equals_the_block_path_and_the_oracle(monkeypatch, origin, chunk):
+    """One contiguous run is read in entry chunks and reduced once, with the block path's verdicts.
+
+    Fully and partly known grids, the latter once with their unknown cells
+    at height 0 and once at their truth heights; the whole table and partial runs that
+    start, end and pass through the zero-crossing rays around the origin
+    cell. Chunks of 1, 7 and 1,000 entries make rays straddle chunk
+    boundaries; the default chunk reads the whole table in several.
+    """
+    if chunk is not None:
+        monkeypatch.setattr(worldmap, "_RUN_CHUNK", chunk)
+    truth = random_city(6)
+    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
+    sense(truth, em, (60.0, 140.0, 50.0), 30.0, SensorModel(200.0, 80.0))
+    table = RayTable(np.array(origin), truth.width_cells, truth.depth_cells,
+                     truth.cell_size_m, target_z=50.0)
+    ny = truth.depth_cells
+    n = truth.width_cells * ny
+    origin_ray = 11 * ny + 28  # the cut origin's cell: no crossing, nor its neighbours'
+    runs = [
+        np.arange(n),
+        np.arange(origin_ray, origin_ray + 300),
+        np.arange(origin_ray - 299, origin_ray + 1),
+        np.arange(10 * ny + 20, 12 * ny + 35),
+        np.arange(5 * ny + 3, 5 * ny + 4),
+    ]
+    if chunk is None:
+        assert len(table.cells) > 2 * worldmap._RUN_CHUNK
+    full = ExploredMap.fully_known(truth)
+    # partly known, its unknown cells holding their truth heights, which
+    # must not block
+    hidden = ExploredMap.fully_known(truth)
+    hidden.known[:] = em.known
+    reads = spy_blocks(monkeypatch)
+    seen = set()
+    for m in (em, hidden, full):
+        for run in runs:
+            reads.clear()
+            blocked, crosses = table.classify_subset(run, m.known, m.heights)
+            assert reads == [(m is not full, True)]  # one run call; no knowledge on the full map
+            b, c = _block_verdicts(table, run, m.known, m.heights)
+            assert np.array_equal(blocked, b) and np.array_equal(crosses, c)
+            if chunk in (None, 7):  # the scalar walk over every ray, on two chunk sizes
+                want_blocked, want_crosses = _oracle_verdicts(table, m, run)
+                assert blocked.tolist() == want_blocked and crosses.tolist() == want_crosses
+            seen.update(zip(blocked.tolist(), crosses.tolist()))
+    assert seen == {(True, False), (False, True), (False, False)}
+    if origin[:2] == (57.5, 142.5):
+        assert not np.diff(table.offsets)[origin_ray - 1:origin_ray + 2].any()
+
+
+def test_run_classification_memory_is_bounded_by_its_chunks():
+    """One 80×80 whole-table classification holds at most two bytes per entry.
+
+    Those are the hits and the knowledge over the run, beside one chunk's
+    temporaries and a few arrays per ray; a kernel that gathered the whole
+    run at once would hold the table's 8-byte cell indices and heights.
+    """
+    cfg = default_config(seed=3)
+    sc = build_scenario(cfg.scenario)
+    table = ray_table_for(sc, sc.serving_bs, sc.cfg.uav_altitude_m)
+    heights = sc.truth.heights
+    n, entries = heights.size, len(table.cells)
+    assert (n, table.low < heights.max()) == (80 * 80, True)
+    rays = np.arange(n)
+    for known in (np.ones(heights.shape, dtype=bool),
+                  np.random.default_rng(16).random(heights.shape) < 0.5):
+        table.classify_subset(rays, known, heights)
+        tracemalloc.start()
+        try:
+            table.classify_subset(rays, known, heights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = (1 if known.all() else 2) * entries + 24 * worldmap._RUN_CHUNK + 40 * n
+        assert peak <= bound, (peak, bound)
+        assert peak < 8 * entries
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 40), (7, 13), (37, 50)])
