@@ -31,7 +31,7 @@ from .errors import ConfigError, ScenarioError
 from .gridfile import save_grid
 from .planner import PlannerKind
 from .scenario import build_scenario
-from .simcore import run_batch, run_episode
+from .simcore import run_batch, run_episode, time_spec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,9 +111,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _metrics_row(kind: PlannerKind, m) -> str:
+def _metrics_row(kind: PlannerKind, m, spec: str) -> str:
     return (
-        f"{kind.value},{m.flight_distance_m:.3f},{m.flight_duration_s:.1f},"
+        f"{kind.value},{m.flight_distance_m:.3f},{m.flight_duration_s:{spec}},"
         f"{m.avg_uplink_capacity_bps / 1e6:.6f},{m.nlos_distance_ratio:.6f},"
         f"{int(m.reached)},{int(m.stuck)}"
     )
@@ -125,13 +125,14 @@ def cmd_run(args) -> int:
     out = _out_dir(args)
     scenario = build_scenario(cfg.scenario, cfg.planner.safety_margin_cells)
     head = _header(cfg, cfg.scenario.rng_seed)
+    spec = time_spec(cfg.sim.tick_s)
 
     lines = [f"# {h}" for h in head]
     lines.append("kind,distance_m,duration_s,avg_uplink_mbps,nlos_ratio,reached,stuck")
     any_stuck = False
     for kind in kinds:
         metrics, log = run_episode(scenario, kind, cfg)
-        lines.append(_metrics_row(kind, metrics))
+        lines.append(_metrics_row(kind, metrics, spec))
         (out / f"trajectory_{kind.value}.csv").write_text(log.to_csv(head))
         any_stuck |= metrics.stuck
         print(
@@ -152,6 +153,7 @@ def cmd_batch(args) -> int:
     kinds = _parse_kinds(args.planners)
     out = _out_dir(args)
     head = _header(cfg, cfg.scenario.rng_seed)
+    spec = time_spec(cfg.sim.tick_s)
     result = run_batch(cfg, episodes=args.episodes, kinds=kinds,
                        collect_logs=args.export_trajectories)
 
@@ -161,7 +163,7 @@ def cmd_batch(args) -> int:
         "nlos_ratio,reached,stuck"
     )
     for r in result.rows:
-        ep_lines.append(f"{r.episode},{r.scenario_seed},{_metrics_row(r.kind, r.metrics)}")
+        ep_lines.append(f"{r.episode},{r.scenario_seed},{_metrics_row(r.kind, r.metrics, spec)}")
     (out / "episodes.csv").write_text("\n".join(ep_lines) + "\n")
 
     agg_lines = [f"# {h}" for h in head]
@@ -173,7 +175,7 @@ def cmd_batch(args) -> int:
         a = result.aggregate(kind)
         agg_lines.append(
             f"{a['kind']},{a['episodes']},{a['total_distance_m'] / 1e3:.4f},"
-            f"{a['total_duration_s']:.1f},{a['avg_uplink_capacity_bps'] / 1e6:.4f},"
+            f"{a['total_duration_s']:{spec}},{a['avg_uplink_capacity_bps'] / 1e6:.4f},"
             f"{a['nlos_distance_ratio'] * 100:.3f},{a['stuck_episodes']}"
         )
         print(agg_lines[-1])

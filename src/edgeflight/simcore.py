@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -59,8 +60,20 @@ class Metrics:
     stuck: bool
 
 
+def time_spec(tick_s: float) -> str:
+    """Format spec for a time that is a whole number of ticks of `tick_s` seconds.
+
+    A simulated time is a running sum of ticks and carries the sum's
+    rounding error, so it is printed to the tick's own decimal places, at
+    least one and at most nine: every tick then prints as a distinct, exact
+    multiple of the tick, and a 0.1 s tick prints as `.1f`.
+    """
+    places = -Decimal(repr(tick_s)).as_tuple().exponent
+    return f".{min(max(places, 1), 9)}f"
+
+
 class TrajectoryLog:
-    """Per-tick mission record, one row per simulated tick.
+    """Per-tick mission record, one row per simulated tick of `tick_s` seconds.
 
     `true_state` is the serving link's ground-truth state at the tick's
     position; `est_state` is the radio map's estimate of that cell before
@@ -77,7 +90,8 @@ class TrajectoryLog:
         "true_state", "est_state", "uplink_bps", "downlink_sinr_db",
     )
 
-    def __init__(self):
+    def __init__(self, tick_s: float):
+        self.tick_s = tick_s
         self.rows: list[tuple] = []
 
     def append(self, time_s, pos, speed, mode, true_state, est_state,
@@ -92,9 +106,10 @@ class TrajectoryLog:
     def to_csv(self, header_lines: list[str] | None = None) -> str:
         out = [f"# {h}" for h in (header_lines or [])]
         out.append(",".join(self.COLUMNS))
+        spec = time_spec(self.tick_s)
         for r in self.rows:
             out.append(
-                f"{r[0]:.1f},{r[1]!r},{r[2]!r},{r[3]!r},{r[4]!r},{r[5]},"
+                f"{r[0]:{spec}},{r[1]!r},{r[2]!r},{r[3]!r},{r[4]!r},{r[5]},"
                 f"{r[6]},{r[7]},{r[8]!r},{r[9]!r}"
             )
         return "\n".join(out) + "\n"
@@ -212,7 +227,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     goal_xy = (float(goal[0]), float(goal[1]))
     heading = math.degrees(float(np.arctan2(goal[1] - pos[1], goal[0] - pos[0])))
     time_s = 0.0
-    log = TrajectoryLog()
+    log = TrajectoryLog(dt)
 
     # the committed segment's waypoint rows and leg speeds as lists, indexed
     # without a numpy scalar per tick; the speeds stay numpy float64s, whose

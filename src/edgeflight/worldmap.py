@@ -24,21 +24,20 @@ from .scenario import HeightField, centre_offsets, disk_window, grid_cell
 # visited. Genuine chords between cell-center endpoints are many orders wider.
 _CORNER_EPS = 1e-12
 
-# Rays per RayTable build, cut and classification block.
+# Rays per RayTable build and cut.
 _BLOCK_RAYS = 256
 
-# Table entries per chunk of a classified run of rays: the chunk's intp and
-# float64 temporaries take 64 KiB each, half glibc's default mmap threshold.
+# Table entries per chunk of a classification: the chunk's intp and float64
+# temporaries take 64 KiB each, half glibc's default mmap threshold.
 _RUN_CHUNK = 8192
 
 # (key, corner half table) of the last RayTable cut: see RayTable._cut.
 _half = None
 
 
-def _ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(at, start): ranges lo[i]:lo[i] + counts[i] concatenated, and where each begins in at."""
-    start = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) + np.repeat(lo - start, counts), start
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges lo[i]:lo[i] + counts[i], concatenated."""
+    return np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
 
 def _crossings(p0: float, p1: np.ndarray) -> np.ndarray:
@@ -162,9 +161,10 @@ class RayTable:
     Any other origin is traced.
 
     classify_subset, one gather and one logical-or per ray, is the only
-    classifier, for truth and partial maps alike. One contiguous run of rays
-    owns one contiguous run of entries, which it reads in chunks; any other
-    rays gather their ranges block by block. It reads only what can still
+    classifier, for truth and partial maps alike, and `_classify` its one
+    kernel. It reads the rays' entries in chunks of whole rays: one
+    contiguous run of rays owns one contiguous run of entries, read as
+    slices; any other rays gather their ranges. It reads only what can still
     change a verdict: on a fully known grid no knowledge (no ray crosses an
     unknown cell), and where no height exceeds `low`, the lowest entry
     altitude (minz) of the table, no heights (no entry is blocked); a fully
@@ -253,7 +253,7 @@ class RayTable:
         base = i0 * ny + j0
         for k in range(0, n, _BLOCK_RAYS):
             rays = slice(k, k + _BLOCK_RAYS)
-            at = _ranges(lo[rays], counts[rays])[0]
+            at = _ranges(lo[rays], counts[rays])
             keep = slice(self.offsets[k], self.offsets[min(k + _BLOCK_RAYS, n)])
             cell = np.multiply(np.repeat(p[rays], counts[rays]), u[at], out=self.cells[keep])
             cell += base
@@ -273,11 +273,9 @@ class RayTable:
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(blocked, crosses_unknown) per given flat ray index, on a partially known grid.
 
-        With every cell known the blocked mask is the truth verdict. One
-        contiguous run of rays, such as every ray of the table, owns one
-        contiguous run of entries, which `_classify_run` reads in chunks of
-        _RUN_CHUNK entries and reduces once. Any other rays are classified
-        _BLOCK_RAYS at a time. Either way the per-crossing temporaries stay
+        With every cell known the blocked mask is the truth verdict. The rays
+        may come in any order and repeat; `_classify` reads their entries in
+        chunks of about _RUN_CHUNK, so the per-crossing temporaries stay
         small however many rays one call asks for. A fully known grid reads
         no knowledge, and heights no greater than `low` are not read.
         """
@@ -286,69 +284,53 @@ class RayTable:
         crosses = np.zeros(len(rays), dtype=bool)
         known = None if known.all() else known.ravel()
         heights = heights.ravel() if np.max(heights, initial=-np.inf) > self.low else None
-        if known is None and heights is None:
-            return blocked, crosses
-        if len(rays) and rays[-1] - rays[0] == len(rays) - 1 and (np.diff(rays) == 1).all():
-            self._classify_run(int(rays[0]), known, heights, blocked, crosses)
-            return blocked, crosses
-        for lo in range(0, len(rays), _BLOCK_RAYS):
-            part = slice(lo, lo + _BLOCK_RAYS)
-            self._classify_block(rays[part], known, heights, blocked[part], crosses[part])
+        if known is not None or heights is not None:
+            self._classify(rays, known, heights, blocked, crosses)
         return blocked, crosses
 
-    def _classify_run(self, first, known, heights, blocked, crosses):
-        """Write the verdicts of rays first, first + 1, ... into `blocked` and `crosses`.
+    def _classify(self, rays, known, heights, blocked, crosses):
+        """Write the verdicts of `rays` into `blocked` and `crosses`.
 
-        The rays' entries are one slice of the table. Each chunk of it writes
-        its per-entry hits (and knowledge) into one array over the run, and
-        one reduceat per array reduces every ray over its own entries. Rays
-        with no crossing are left out of the reduction, as in
-        `_classify_block`, whose contract this follows.
+        The rays' entries are read in chunks of whole rays, each from the
+        first ray to start at or after a multiple of _RUN_CHUNK entries: as a
+        slice of the table when the rays are one contiguous run, gathered
+        through `_ranges` otherwise. Each chunk writes its per-entry hits
+        (and knowledge) into one array over the call, and one reduceat per
+        array reduces every ray over its own entries. `known` None stands
+        for a fully known grid, `heights` None for one where nothing blocks.
         """
-        offsets = self.offsets[first:first + len(blocked) + 1]
-        e0, e1 = int(offsets[0]), int(offsets[-1])
-        if e0 == e1:
-            return
-        some = offsets[1:] > offsets[:-1]
-        start = offsets[:-1][some] - e0
-        hit = None if heights is None else np.empty(e1 - e0, dtype=bool)
-        k = None if known is None else np.empty(e1 - e0, dtype=bool)
-        for lo in range(e0, e1, _RUN_CHUNK):
-            at = slice(lo, min(lo + _RUN_CHUNK, e1))
-            part = slice(at.start - e0, at.stop - e0)
-            c = self.cells[at].astype(np.intp)
+        run = len(rays) and rays[-1] - rays[0] == len(rays) - 1 and (np.diff(rays) == 1).all()
+        if run:  # ray i's entries: base + edge[i]:base + edge[i + 1] of the table
+            base = int(self.offsets[rays[0]])
+            edge = self.offsets[rays[0]:rays[-1] + 2] - base
+        else:
+            lo = self.offsets[rays]
+            counts = self.offsets[rays + 1] - lo
+            edge = np.zeros(len(rays) + 1, dtype=np.int64)
+            np.cumsum(counts, out=edge[1:])
+        start, total = edge[:-1], int(edge[-1])
+        hit = None if heights is None else np.empty(total, dtype=bool)
+        k = None if known is None else np.empty(total, dtype=bool)
+        rows, ends = [0, len(rays)], [0, total]  # chunk bounds, in rays and in entries
+        if total > _RUN_CHUNK:
+            rows = np.searchsorted(start, np.arange(0, total, _RUN_CHUNK)).tolist()
+            rows = list(dict.fromkeys([*rows, len(rays)]))
+            ends = edge[rows].tolist()
+        for r0, r1, e0, e1 in zip(rows, rows[1:], ends, ends[1:]):
+            part = slice(e0, e1)
+            at = slice(base + e0, base + e1) if run else _ranges(lo[r0:r1], counts[r0:r1])
+            c = self.cells[at].astype(np.intp)  # numpy gathers slower by an int32 index
             if k is not None:
                 np.take(known, c, out=k[part], mode="clip")  # c is in range
             if hit is not None:
                 h = np.greater(heights[c], self.minz[at], out=hit[part])
                 if k is not None:
                     h &= k[part]
+        # rays with no crossing keep (False, False): reduceat would read their
+        # empty segments as the entry at their start
+        some = edge[1:] > start
+        start = start[some]
         if hit is not None:
-            blocked[some] = np.logical_or.reduceat(hit, start)
-        if k is not None:
-            crosses[some] = ~blocked[some] & ~np.logical_and.reduceat(k, start)
-
-    def _classify_block(self, rays, known, heights, blocked, crosses):
-        """Write the verdicts of `rays` into the views `blocked` and `crosses`.
-
-        Each ray is reduced over its own gathered crossings. Rays with no
-        crossing keep (False, False) and are left out, because reduceat reads
-        an empty segment as the element at its start. `known` None stands
-        for a fully known grid, `heights` None for one where nothing blocks.
-        """
-        lo = self.offsets[rays]
-        counts = self.offsets[rays + 1] - lo
-        some = counts > 0
-        lo, counts = lo[some], counts[some]
-        if not len(counts):
-            return
-        at, start = _ranges(lo, counts)  # table entries, each ray's first gathered one
-        c = self.cells[at].astype(np.intp)  # numpy gathers slower by an int32 index
-        k = None if known is None else known[c]
-        if heights is not None:
-            hit = heights[c] > self.minz[at]
-            if k is not None:
-                hit &= k
             blocked[some] = np.logical_or.reduceat(hit, start)
         if k is not None:
             crosses[some] = ~blocked[some] & ~np.logical_and.reduceat(k, start)
@@ -370,7 +352,7 @@ class RayTable:
         offsets, rays = self._inverse
         cells = np.asarray(cells, dtype=np.intp)
         lo = offsets[cells]
-        return rays[_ranges(lo, offsets[cells + 1] - lo)[0]]
+        return rays[_ranges(lo, offsets[cells + 1] - lo)]
 
 
 def _corner_half(a: int, b: int, oz: float, tz: float):

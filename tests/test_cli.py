@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -84,6 +85,34 @@ def test_batch_is_byte_deterministic(tmp_path, small_config_path):
     assert logs0 == logs1 and len(logs0) == 6
     for name in logs0:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("tick_s", [0.05, 0.25])
+def test_time_columns_print_every_tick_as_an_exact_multiple(tmp_path, small_config_path, tick_s):
+    # printed to 0.1 s, 0.05 s ticks once read 0.0, 0.1, 0.1, 0.2, 0.2, 0.2
+    # and 0.25 s ticks 0.2, 0.5, 0.8
+    d = json.loads(small_config_path.read_text())
+    d["sim"]["tick_s"] = tick_s
+    cfg = tmp_path / "tick.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "b"
+    rc = main(["batch", "--config", str(cfg), "--out", str(out), "--episodes", "2",
+               "--planners", "global", "--export-trajectories"])
+    assert rc == EXIT_OK
+
+    def rows(name):
+        lines = [l for l in (out / name).read_text().splitlines() if not l.startswith("#")]
+        return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+
+    tick = Decimal(repr(tick_s))
+    durations = []
+    for ep in rows("episodes.csv"):
+        times = [r["time_s"] for r in rows(f"trajectory_ep{int(ep['episode']):03d}_global.csv")]
+        assert times == [f"{k * tick:.2f}" for k in range(len(times))]
+        assert ep["reached"] == "1" and Decimal(ep["duration_s"]) == len(times) * tick
+        durations.append(Decimal(ep["duration_s"]))
+    (agg,) = rows("aggregate.csv")
+    assert agg["total_duration_s"] == f"{sum(durations):.2f}"
 
 
 def test_seed_override_changes_output(tmp_path, small_config_path):

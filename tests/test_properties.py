@@ -32,8 +32,10 @@ def small_configs(draw):
             "endpoint_distance_m": [lo, lo + draw(st.floats(0.0, 60.0))],
             "rng_seed": draw(st.integers(0, 2**16)),
         },
+        # no shorter than config's reach check (test_cli covers its rejection),
+        # so that the draws fly rather than fail validation
         "sensor": {"fov_deg": draw(st.floats(30.0, 360.0)),
-                   "range_m": draw(st.floats(5.0, 80.0))},
+                   "range_m": draw(st.floats(1.5 * math.sqrt(2.0) * s, 80.0))},
         "planner": {"safety_margin_cells": draw(st.integers(1, 2))},
         "sim": {"tick_s": draw(st.sampled_from([0.1, 0.25, 0.5])),
                 "timeout_s": draw(st.floats(1.0, 60.0))},

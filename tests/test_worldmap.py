@@ -462,25 +462,20 @@ def test_classify_subset_of_unsorted_duplicated_and_empty_rays():
     assert (blocked[-2], crosses[-2]) == (blocked[8], crosses[8])
 
 
-def spy_blocks(monkeypatch) -> list:
-    """Patch both RayTable kernels to record, per call, (knowledge read, heights read).
+def spy_kernel(monkeypatch) -> list:
+    """Patch the RayTable kernel to record, per call, (knowledge read, heights read).
 
-    `_classify_block` is called per block of rays, `_classify_run` once per
-    contiguous run.
+    `_classify` is called at most once per classify_subset, and not when the
+    call has nothing to read.
     """
     reads = []
+    kernel = RayTable._classify
 
-    def spy(name):
-        kernel = getattr(RayTable, name)
+    def spying(table, rays, known, heights, blocked, crosses):
+        reads.append((known is not None, heights is not None))
+        return kernel(table, rays, known, heights, blocked, crosses)
 
-        def spying(table, rays, known, heights, blocked, crosses):
-            reads.append((known is not None, heights is not None))
-            return kernel(table, rays, known, heights, blocked, crosses)
-
-        monkeypatch.setattr(RayTable, name, spying)
-
-    spy("_classify_block")
-    spy("_classify_run")
+    monkeypatch.setattr(RayTable, "_classify", spying)
     return reads
 
 
@@ -493,13 +488,15 @@ def test_fully_known_grid_reads_no_knowledge_and_matches_the_oracle(monkeypatch)
     long_rays = np.random.default_rng(14).permutation(truth.width_cells * ny)[:300]
     # unsorted, one ray twice, zero-crossing rays first and last: gathered ranges
     rays = np.concatenate([[11 * ny + 28], long_rays, long_rays[[7]], [12 * ny + 29]])
-    reads = spy_blocks(monkeypatch)
+    reads = spy_kernel(monkeypatch)
     ranges_calls = []
     ranges = worldmap._ranges
     monkeypatch.setattr(worldmap, "_ranges", lambda *a: ranges_calls.append(1) or ranges(*a))
     blocked, crosses = table.classify_subset(rays, np.ones_like(truth.heights, dtype=bool),
                                              truth.heights)
-    assert reads == [(False, True)] * 2 and len(ranges_calls) == 2
+    # one kernel call, whose entries fit one chunk: one gather
+    assert np.diff(table.offsets)[rays].sum() <= worldmap._RUN_CHUNK
+    assert reads == [(False, True)] and len(ranges_calls) == 1
     assert not crosses.any()
     s = truth.cell_size_m
     verdicts = [ray_blocked(truth, origin, np.array([(r // ny + 0.5) * s, (r % ny + 0.5) * s,
@@ -525,9 +522,9 @@ def test_heights_at_or_below_the_lowest_entry_are_not_read(monkeypatch, origin):
     em.heights[:] = np.where(rng.random(em.heights.shape) < 0.5, low,
                              low * rng.random(em.heights.shape))
     rays = np.arange(em.known.size)
-    reads = spy_blocks(monkeypatch)
+    reads = spy_kernel(monkeypatch)
     blocked, crosses = table.classify_subset(rays, em.known, em.heights)
-    assert set(reads) == {(True, False)}
+    assert reads == [(True, False)]
     want_blocked, want_crosses = _oracle_verdicts(table, em, rays)
     assert blocked.tolist() == want_blocked and crosses.tolist() == want_crosses
     assert not blocked.any() and crosses.any() and not crosses.all()
@@ -543,7 +540,7 @@ def test_heights_at_or_below_the_lowest_entry_are_not_read(monkeypatch, origin):
     em.heights.reshape(-1)[cell] = low + 1e-6
     reads.clear()
     blocked, crosses = table.classify_subset(rays, em.known, em.heights)
-    assert set(reads) == {(True, True)}
+    assert reads == [(True, True)]
     want_blocked, want_crosses = _oracle_verdicts(table, em, rays)
     assert blocked.tolist() == want_blocked and crosses.tolist() == want_crosses
     assert blocked.any()
@@ -577,7 +574,7 @@ def test_consecutive_rays_read_as_one_slice_match_the_oracle_and_any_order(monke
     ny = truth.depth_cells
     origin_ray = 11 * ny + 28  # no crossing, nor have the rays beside it
     runs = [
-        np.arange(100, 700),                          # over the 256-ray call blocks
+        np.arange(100, 700),                          # over several chunks
         np.arange(origin_ray, origin_ray + 300),      # starts on zero-crossing rays,
         np.arange(origin_ray - 299, origin_ray + 1),  # ends on them,
         np.arange(10 * ny + 20, 12 * ny + 35),        # passes through them
@@ -593,7 +590,7 @@ def test_consecutive_rays_read_as_one_slice_match_the_oracle_and_any_order(monke
     seen = set()
     for run in runs:
         blocked, crosses = table.classify_subset(run, em.known, em.heights)
-        assert not ranges_calls  # every block of a run is one slice of the table
+        assert not ranges_calls  # every chunk of a run is one slice of the table
         want_blocked, want_crosses = _oracle_verdicts(table, em, run)
         assert blocked.tolist() == want_blocked and crosses.tolist() == want_crosses
         # the same rays out of order, or a single ray twice, take the gathered ranges
@@ -607,28 +604,18 @@ def test_consecutive_rays_read_as_one_slice_match_the_oracle_and_any_order(monke
     assert seen == {(True, False), (False, True), (False, False)}
 
 
-def _block_verdicts(table: RayTable, rays, known, heights):
-    """classify_subset's verdicts taken block by block through `_classify_block`."""
-    blocked = np.zeros(len(rays), dtype=bool)
-    crosses = np.zeros(len(rays), dtype=bool)
-    known = None if known.all() else known.ravel()
-    for lo in range(0, len(rays), worldmap._BLOCK_RAYS):
-        part = slice(lo, lo + worldmap._BLOCK_RAYS)
-        table._classify_block(rays[part], known, heights.ravel(), blocked[part], crosses[part])
-    return blocked, crosses
-
-
 @pytest.mark.parametrize("chunk", [None, 1, 7, 1000])
 @pytest.mark.parametrize("origin", [(57.5, 142.5, 25.0), (100.0, 63.0, 25.0)],
                          ids=["cut", "traced"])
-def test_run_kernel_equals_the_block_path_and_the_oracle(monkeypatch, origin, chunk):
-    """One contiguous run is read in entry chunks and reduced once, with the block path's verdicts.
+def test_chunked_kernel_matches_the_oracle_on_runs_and_gathered_rays(monkeypatch, origin, chunk):
+    """Runs read as slices and gathered rays, chunk by chunk, with the scalar walk's verdicts.
 
     Fully and partly known grids, the latter once with their unknown cells
-    at height 0 and once at their truth heights; the whole table and partial runs that
-    start, end and pass through the zero-crossing rays around the origin
-    cell. Chunks of 1, 7 and 1,000 entries make rays straddle chunk
-    boundaries; the default chunk reads the whole table in several.
+    at height 0 and once at their truth heights; the whole table and partial
+    runs that start, end and pass through the zero-crossing rays around the
+    origin cell, each also out of order with some rays repeated. Chunks of
+    1, 7 and 1,000 entries put multiples of the chunk inside rays, often
+    several in one ray; the default chunk reads the whole table in several.
     """
     if chunk is not None:
         monkeypatch.setattr(worldmap, "_RUN_CHUNK", chunk)
@@ -654,19 +641,26 @@ def test_run_kernel_equals_the_block_path_and_the_oracle(monkeypatch, origin, ch
     # must not block
     hidden = ExploredMap.fully_known(truth)
     hidden.known[:] = em.known
-    reads = spy_blocks(monkeypatch)
+    rng = np.random.default_rng(17)
+    reads = spy_kernel(monkeypatch)
+    ranges_calls = []
+    ranges = worldmap._ranges
+    monkeypatch.setattr(worldmap, "_ranges", lambda *a: ranges_calls.append(1) or ranges(*a))
     seen = set()
     for m in (em, hidden, full):
+        want = np.array(_oracle_verdicts(table, m, np.arange(n)))  # (blocked, crosses) per ray
         for run in runs:
-            reads.clear()
-            blocked, crosses = table.classify_subset(run, m.known, m.heights)
-            assert reads == [(m is not full, True)]  # one run call; no knowledge on the full map
-            b, c = _block_verdicts(table, run, m.known, m.heights)
-            assert np.array_equal(blocked, b) and np.array_equal(crosses, c)
-            if chunk in (None, 7):  # the scalar walk over every ray, on two chunk sizes
-                want_blocked, want_crosses = _oracle_verdicts(table, m, run)
-                assert blocked.tolist() == want_blocked and crosses.tolist() == want_crosses
-            seen.update(zip(blocked.tolist(), crosses.tolist()))
+            # the run, then its rays out of order with a tenth of them repeated
+            mixed = np.concatenate([rng.permutation(run), rng.choice(run, len(run) // 10 + 2)])
+            for rays, gathered in ((run, False), (mixed, True)):
+                reads.clear()
+                ranges_calls.clear()
+                blocked, crosses = table.classify_subset(rays, m.known, m.heights)
+                assert reads == [(m is not full, True)]  # one call; no knowledge on the full map
+                assert bool(ranges_calls) == gathered
+                assert np.array_equal(blocked, want[0, rays])
+                assert np.array_equal(crosses, want[1, rays])
+                seen.update(zip(blocked.tolist(), crosses.tolist()))
     assert seen == {(True, False), (False, True), (False, False)}
     if origin[:2] == (57.5, 142.5):
         assert not np.diff(table.offsets)[origin_ray - 1:origin_ray + 2].any()
@@ -677,7 +671,9 @@ def test_run_classification_memory_is_bounded_by_its_chunks():
 
     Those are the hits and the knowledge over the run, beside one chunk's
     temporaries and a few arrays per ray; a kernel that gathered the whole
-    run at once would hold the table's 8-byte cell indices and heights.
+    run at once would hold the table's 8-byte cell indices and heights. The
+    same rays out of order are gathered chunk by chunk, within the same
+    8 bytes per entry.
     """
     cfg = default_config(seed=3)
     sc = build_scenario(cfg.scenario)
@@ -698,6 +694,15 @@ def test_run_classification_memory_is_bounded_by_its_chunks():
         bound = (1 if known.all() else 2) * entries + 24 * worldmap._RUN_CHUNK + 40 * n
         assert peak <= bound, (peak, bound)
         assert peak < 8 * entries
+    known = np.random.default_rng(16).random(heights.shape) < 0.5
+    rays = np.random.default_rng(18).permutation(n)
+    tracemalloc.start()
+    try:
+        table.classify_subset(rays, known, heights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * entries, (peak, entries)
 
 
 @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 40), (7, 13), (37, 50)])
