@@ -181,23 +181,37 @@ def _check_tick_moves(oc: OffloadConfig, sim: SimParams) -> None:
             "tick must fly to move the vehicle; raise sim.tick_s")
 
 
+def sensor_reach_m(cell_size_m: float, map_size_m) -> float:
+    """The shortest sensor range that sees a neighbouring cell's centre from any stop.
+
+    From a stop in the current cell a diagonal neighbour's centre lies up to
+    1.5 * sqrt(2) cell widths away. `sense` measures each axis offset
+    (i + 0.5) * s - p in map coordinates, rounding the centre and the
+    difference by half an ulp of the map's largest coordinate each, so its
+    distance can exceed the exact one by sqrt(2) such ulps; the distance's
+    rounding and this bound's own add a few ulps at their scale. Eight ulps
+    of the larger scale cover them all.
+    """
+    exact = 1.5 * math.sqrt(2.0) * cell_size_m
+    return exact + 8.0 * math.ulp(max(*map_size_m, exact))
+
+
 def _check_sensor_reach(sensor: SensorModel, sc: ScenarioConfig) -> None:
     """Reject a sensor range that cannot reach a neighbouring cell's centre.
 
     A plan commits only sensed cells, and with one cell committed the
-    heading hint turns the camera toward the next cell's centre. From a
-    stop in the current cell a diagonal neighbour's centre lies up to
-    1.5 * sqrt(2) cell widths away. Beyond the sensor's range it is never
-    sensed, no plan commits past the current cell, and the vehicle stands
-    until the timeout.
+    heading hint turns the camera toward the next cell's centre. Beyond the
+    sensor's range it is never sensed, no plan commits past the current
+    cell, and the vehicle stands until the timeout.
     """
-    reach = 1.5 * math.sqrt(2.0) * sc.cell_size_m
+    reach = sensor_reach_m(sc.cell_size_m, sc.map_size_m)
     if sensor.range_m < reach:
         raise ConfigError(
-            f"sensor.range_m ({sensor.range_m!r} m) is below 1.5 * sqrt(2) * "
-            f"scenario.cell_size_m ({sc.cell_size_m!r} m) = {reach!r} m, the farthest a "
-            "neighbouring cell's centre lies from the current cell, so the vehicle could "
-            "stand until the timeout; raise sensor.range_m")
+            f"sensor.range_m ({sensor.range_m!r} m) is below {reach!r} m, 1.5 * sqrt(2) * "
+            f"scenario.cell_size_m ({sc.cell_size_m!r} m) and the rounding of a centre offset "
+            f"on scenario.map_size_m ({sc.map_size_m!r}): the farthest a neighbouring cell's "
+            "centre lies from the current cell, so the vehicle could stand until the "
+            "timeout; raise sensor.range_m")
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,6 @@ class TruthLink:
         truth = scenario.truth
         self._nx, self._ny = truth.width_cells, truth.depth_cells
         self._s = truth.cell_size_m
-        self._last_cell = (self._nx - 1, self._ny - 1)
         self.blocked = [_truth_blocked(scenario, i, layer_z)
                         for i in range(len(scenario.bs_positions))]
         # Per-call invariants: the scalar budgets index a list of BS vectors,
@@ -162,35 +161,27 @@ class TruthLink:
         sinr = s_mw / (self._noise_mw + i_mw)
         return capacity_bps_scalar(sinr, p.bandwidth_hz), sinr, i_mw / (i_mw + s_mw)
 
-    def cells(self, pts: np.ndarray) -> np.ndarray:
-        """(n, 2) float cell indices (ix, iy) of the rows of `pts`, as `grid_cell` finds them.
-
-        `//` on float64 gives the bits of grid_cell's floor division, and the
-        clip to the grid is a maximum then a minimum.
-        """
-        ij = pts[:, :2] // self._s
-        np.maximum(ij, 0.0, out=ij)
-        return np.minimum(ij, self._last_cell, out=ij)
-
     def budgets(self, points):
         """(uplink_bps, downlink_bps, downlink_sinr, interference_fraction, serving_nlos) per row.
 
         Row i of the (n, 3) array `points` equals `uplink_capacity`,
         `downlink` and `serving_state` at points[i], bit for bit: every step
         is the array form of the per-point one, in the same order. The cell
-        lookup is `cells`; the norms and cross products are stacked
-        `matmul`s, which reach the same BLAS dot per pair as `.dot`. The rest
-        is one chain over stacked rows: the interferers' angles, then one
-        `np.power` over the interferers', uplink and downlink powers in dBm,
-        the interference summed from 0.0 in BS order, and one `log2` over
-        both SINRs. Every ufunc runs on contiguous rows, and the carrier term
-        is the per-point methods' hoisted `carrier_loss_db`. The simulator
-        prices a replan window with it, and the global planner every cell
-        centre.
+        lookup is `grid_cell`'s: `//` on float64 gives the bits of its floor
+        division, and its clip to the grid is a maximum then a minimum. The
+        norms and cross products are stacked `matmul`s, which reach the same
+        BLAS dot per pair as `.dot`. The rest is one chain over stacked rows:
+        the interferers' angles, then one `np.power` over the interferers',
+        uplink and downlink powers in dBm, the interference summed from 0.0 in
+        BS order, and one `log2` over both SINRs. Every ufunc runs on
+        contiguous rows, and the carrier term is the per-point methods'
+        hoisted `carrier_loss_db`. The simulator prices a replan window with
+        it, and the global planner every cell centre.
         """
         p = self.p
         pts = np.array(points, dtype=float)
-        ij = self.cells(pts).astype(np.intp)
+        ij = np.minimum(np.maximum(pts[:, :2] // self._s, 0.0),
+                        (self._nx - 1, self._ny - 1)).astype(np.intp)
         serving, others = self.sc.serving_bs, self._others
         vec = self._bs_stack[:, None, :] - pts  # (n_bs, n, 3), BS minus position
         row, col = vec[..., None, :], vec[..., :, None]

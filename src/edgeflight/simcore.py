@@ -8,18 +8,19 @@ planner re-commits on its cadence or when the committed segment is
 invalidated; then the vehicle advances along the committed polyline at the
 lesser of the planned and true speed limits.
 
-Right after a plan whose speed the true limit does not bind, the window up to
-the next cadence replan is flown ahead at the planned speeds, and each of its
-later ticks gets a record priced in array passes: the true budgets, the
-offload mode, frame rate and true limit, the cell centre and the heading after
-the advance. A later tick takes its record when it reaches the priced
-position, and the record's advance and heading while its own speed is still
-the planned one. On a map fully known at construction, sensing, the radio-map
-refresh and the measurement change nothing and the estimate is the truth
-state, so a tick that took its record skips them. A committed segment that
-passed its check against the forbidden mask is not checked again while the
-mask is the same object; a fresh window's segment is checked once on the plan
-tick. No tick's outputs change, nor do any of their bits.
+Right after a plan tick whose speed the true limit does not bind has flown its
+own advance, the window up to the next cadence replan is flown ahead at the
+planned speeds, and each of its ticks gets a record priced in array passes:
+the true budgets, the offload mode, frame rate and true limit. A later tick
+takes its record when it reaches the priced position, and the record's
+advance while its own speed is still the planned one; every tick's heading
+and cell centre come from the per-tick path. On a map fully known at
+construction, sensing, the radio-map refresh and the measurement change
+nothing and the estimate is the truth state, so a tick that took its record
+skips them and the cell centre they read. A committed segment that passed its
+check against the forbidden mask is not checked again while the mask is the
+same object, so each tick has one check site. No tick's outputs change, nor
+do any of their bits.
 """
 
 from __future__ import annotations
@@ -142,50 +143,30 @@ def _advance(pos, waypoints, legs, seg_leg, v, dt):
     return p, seg_leg, moved
 
 
-def _fly_ahead(tl: TruthLink, oc: OffloadConfig, s: float, pos, waypoints, legs, seg_leg,
-               v, dt, ticks: int, hint):
-    """A fresh plan's first advance at `v`, and the record of each of the next `ticks` ticks.
+def _fly_ahead(tl: TruthLink, oc: OffloadConfig, pos, waypoints, legs, seg_leg, dt,
+               ticks: int):
+    """The records of the `ticks` ticks after a plan tick whose advance left `pos` on `seg_leg`.
 
-    The later ticks fly at the planned leg speeds, up to the segment's end,
-    where the tick replans. Their positions are priced in one
-    `TruthLink.budgets` call and one `offload.governor` call, and their
-    headings in one `arctan2`, each with the bits of the per-tick call.
-    Returns (first advance, queue of records), a record being (position,
-    advance, uplink, downlink, downlink SINR, serving NLoS, mode, effective
-    fps, true limit, cell centre, heading after the advance) of one later
-    tick. The advance at the segment's end is None; the heading is None where
-    the advance leaves it as it was. `s` is the cell size and `hint` the
-    segment's heading hint.
+    The ticks fly at the planned leg speeds, up to the segment's end, where
+    the tick replans. Their positions are priced in one `TruthLink.budgets`
+    call and one `offload.governor` call, each with the bits of the per-tick
+    call. A record is (position, advance, uplink, downlink, downlink SINR,
+    serving NLoS, mode, effective fps, true limit) of one tick; the advance
+    at the segment's end is None.
     """
-    first = _advance(pos, waypoints, legs, seg_leg, v, dt)
     points, advances = [], []
-    headings, turns = [], []  # turns: the records whose advance moves the heading
-    p, leg, _ = first
     for _ in range(ticks):
-        points.append(p)
-        if leg >= len(legs):
+        points.append(pos)
+        if seg_leg >= len(legs):
             advances.append(None)
-            headings.append(None)
             break
-        v_leg = legs[leg]
-        advances.append(_advance(p, waypoints, legs, leg, v_leg, dt))
-        p, leg, moved = advances[-1]
-        headings.append(None if v_leg > 0.0 else hint)
-        if v_leg > 0.0 and moved > STEP_FLOOR_M:
-            turns.append(len(points) - 1)
-    pts = np.array(points)
-    up, dn, sinr, _, nlos = tl.budgets(pts)
+        advances.append(_advance(pos, waypoints, legs, seg_leg, legs[seg_leg], dt))
+        pos, seg_leg, _ = advances[-1]
+    up, dn, sinr, _, nlos = tl.budgets(np.array(points))
     remote, fps, lim = governor(up, dn, oc)
-    if turns:
-        step = np.array([advances[i][0] for i in turns]) - pts[turns]
-        dy, dx = np.ascontiguousarray(step[:, 1::-1].T)
-        for i, a in zip(turns, np.arctan2(dy, dx).tolist()):
-            headings[i] = math.degrees(a)
     modes = [ProcessingMode.REMOTE if r else ProcessingMode.LOCAL for r in remote.tolist()]
-    centres = ((tl.cells(pts) + 0.5) * s).tolist()
-    return first, deque(zip(points, advances, up.tolist(), dn.tolist(), sinr.tolist(),
-                            nlos.tolist(), modes, fps.tolist(), lim.tolist(), centres,
-                            headings))
+    return deque(zip(points, advances, up.tolist(), dn.tolist(), sinr.tolist(), nlos.tolist(),
+                     modes, fps.tolist(), lim.tolist()))
 
 
 def _at_goal(pos, goal_xy: tuple[float, float]) -> bool:
@@ -259,8 +240,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         # episode, which the benchmark's traced run checks layer by layer.
         rec = ahead.popleft() if ahead else None
         if rec is not None and rec[0] is pos:
-            (_, advance, up_true, dn_true, dn_sinr, nlos, mode, eff_fps, true_lim, centre,
-             turn) = rec
+            _, advance, up_true, dn_true, dn_sinr, nlos, mode, eff_fps, true_lim = rec
             true_state = LinkState.NLOS if nlos else LinkState.LOS
         else:
             rec = None
@@ -270,13 +250,9 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             remote_fps = remote_update_rate(up_true, dn_true, cfg.offload)
             mode, eff_fps = select_mode(remote_fps, cfg.offload.local_fps)
             true_lim = speed_limit(eff_fps, cfg.offload)
-            # the radio map's calls take the cell's centre as plain floats,
-            # which costs less than reading the position array
-            ix, iy = grid_cell(pos, s, nx, ny)
-            centre = ((ix + 0.5) * s, (iy + 0.5) * s)
         # on a map fully known at construction, sensing, the refresh and the
         # measurement change nothing, and the estimate is the truth state; a
-        # tick that took a record skips them
+        # tick that took a record skips them and the cell centre they read
         settled = rec is not None and known_map
 
         # 3: sensing at the frame cadence
@@ -292,6 +268,10 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         if settled:
             est_name = true_state.value
         else:
+            # the radio map's calls take the cell's centre as plain floats,
+            # which costs less than reading the position array
+            ix, iy = grid_cell(pos, s, nx, ny)
+            centre = ((ix + 0.5) * s, (iy + 0.5) * s)
             if sensed:
                 rm.update_around(centre, 0.0)
             est = rm.state_at(centre)
@@ -300,7 +280,8 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
 
         # 5: planning. A segment that passed the check against the current
         # forbidden mask passes it again: the mask is the same object until
-        # the obstacles change, and the cells left only shrink.
+        # the obstacles change, and the cells left only shrink. A fresh
+        # segment is first checked on the tick after its plan.
         if seg is None or seg_leg >= len(legs):
             invalid = True
         else:
@@ -323,34 +304,26 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             last_plan = time_s
             passed = None
 
-        # 6: advance along the committed polyline. A later tick of the window
-        # adopts its record's advance and heading only at the planned speed;
-        # otherwise it flies its own and drops the queue. A fresh window
-        # checks its segment once for the ticks that adopt it.
+        # 6: advance along the committed polyline. A tick of the window adopts
+        # its record's advance only at the planned speed; any other flies its
+        # own, after which a plan at the planned speed flies the next window
+        # ahead and any other tick drops the queue. The heading follows a
+        # step longer than the floor; at speed 0 it takes the segment's hint.
         v_plan = legs[seg_leg] if seg_leg < len(legs) else 0.0
         v = min(v_plan, true_lim)
         if rec is not None and v == v_plan and not planned:
             p, seg_leg, moved = advance
-            if turn is not None:
-                heading = turn
         else:
+            p, seg_leg, moved = _advance(pos, waypoints, legs, seg_leg, v, dt)
             if planned and v == v_plan:
-                (p, seg_leg, moved), ahead = _fly_ahead(
-                    tl, cfg.offload, s, pos, waypoints, legs, seg_leg, v, dt, window,
-                    seg.heading_hint)
-                if seg_leg < len(legs):
-                    forbidden = planner.forbidden_mask()
-                    if not segment_invalidated(seg, seg_leg, forbidden):
-                        passed = forbidden
+                ahead = _fly_ahead(tl, cfg.offload, p, waypoints, legs, seg_leg, dt, window)
             else:
-                p, seg_leg, moved = _advance(pos, waypoints, legs, seg_leg, v, dt)
                 ahead.clear()
-            if v > 0.0:
-                if moved > STEP_FLOOR_M:
-                    (px, py, _), (x, y, _) = p.tolist(), pos.tolist()
-                    heading = math.degrees(float(np.arctan2(py - y, px - x)))
-            elif seg.heading_hint is not None:
-                heading = seg.heading_hint
+        if moved > STEP_FLOOR_M:
+            (px, py, _), (x, y, _) = p.tolist(), pos.tolist()
+            heading = math.degrees(float(np.arctan2(py - y, px - x)))
+        elif v <= 0.0 and seg.heading_hint is not None:
+            heading = seg.heading_hint
 
         if collect_log:
             log.append(time_s, pos, moved / dt, mode, true_state, est_name,

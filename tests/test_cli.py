@@ -1,6 +1,8 @@
 import json
+import math
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from edgeflight.cli import EXIT_CONFIG, EXIT_OK, EXIT_STUCK, main
@@ -10,8 +12,10 @@ from edgeflight.config import (
     config_to_dict,
     default_config,
     preset_config,
+    sensor_reach_m,
 )
-from edgeflight.scenario import _MAX_RAY_TABLE_ENTRIES, ScenarioConfig
+from edgeflight.scenario import _MAX_RAY_TABLE_ENTRIES, HeightField, ScenarioConfig, grid_cell
+from edgeflight.worldmap import ExploredMap, sense
 from oracles import load_grid
 
 
@@ -450,3 +454,47 @@ def test_sensor_range_short_of_a_neighbouring_centre_is_config_error(
         assert not (tmp_path / "x").exists()
     else:
         assert err == "" and (tmp_path / "x" / "metrics.csv").is_file()
+
+
+@pytest.mark.parametrize("s", [0.7, 4.2, 1.1, 0.3, 5.0])
+def test_smallest_accepted_sensor_range_sees_every_hinted_diagonal_neighbour(
+        tmp_path, capsys, s):
+    """The corner probe: from every cell corner of an 80 x 80 grid, a 1e-9 deg
+    wedge at the smallest range Config accepts, turned by the planner's
+    heading hint toward the farthest diagonal neighbour's centre, reveals it.
+    The other three diagonal neighbours lie at most sqrt(2.5) cells away.
+    On all but 5 m cells `sense` rounds some of those centres up to
+    1.4e-14 m beyond 1.5 * sqrt(2) * s. One representable range below, the
+    CLI exits 2."""
+    n = 80
+    d = config_to_dict(default_config())
+    d["scenario"].update(map_size_m=[n * s, n * s], cell_size_m=s,
+                         building_footprint_m=3 * s, street_width_m=6 * s)
+    reach = sensor_reach_m(s, (n * s, n * s))
+    d["sensor"] = {"fov_deg": 1e-9, "range_m": reach}
+    sensor = config_from_dict(d).sensor
+    truth = HeightField(np.zeros((n, n)), s)
+    explored = ExploredMap(n, n, s)
+    missed = []
+    for a in range(1, n):
+        for b in range(1, n):
+            p = np.array([a * s, b * s, 50.0])
+            ix, iy = grid_cell(p, s, n, n)
+            # the diagonal neighbour farther from p on each axis
+            cell = tuple(i + (1 if i * s == c else -1) for i, c in zip((ix, iy), p[:2]))
+            if not all(0 <= i < n for i in cell):
+                continue
+            ahead = truth.cell_center(*cell)
+            hint = math.degrees(float(np.arctan2(ahead[1] - p[1], ahead[0] - p[0])))
+            explored.known[:] = False
+            sense(truth, explored, p, hint, sensor)
+            if not explored.known[cell]:
+                missed.append((a, b))
+    assert not missed, missed[:5]
+    d["sensor"]["range_m"] = math.nextafter(reach, 0.0)
+    cfg = tmp_path / "sensor.json"
+    cfg.write_text(json.dumps(d))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "sensor.range_m" in err and "scenario.cell_size_m" in err

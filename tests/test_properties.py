@@ -6,7 +6,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeflight.config import config_from_dict
+from edgeflight.config import config_from_dict, sensor_reach_m
 from edgeflight.errors import ConfigError, ScenarioError
 from edgeflight.planner import PlannerKind
 from edgeflight.scenario import build_scenario
@@ -17,25 +17,31 @@ from edgeflight.simcore import run_episode
 def small_configs(draw):
     """Config documents for maps of at most 100 m; some fail validation or placement."""
     s = draw(st.sampled_from([5.0, 10.0]))
-    cells = st.integers(4, int(100.0 / s)).map(lambda k: k * s)
+    cells = st.integers(4, int(100.0 / s))
+    nx, ny = draw(cells), draw(cells)
+    # a street period that fits the shorter side, and an endpoint band at
+    # least one cell wide, so that most draws reach the flight
+    footprint = draw(st.integers(1, 3))
+    street = draw(st.integers(1, min(3, min(nx, ny) - footprint)))
     lo = draw(st.floats(1.0, 60.0))
+    map_size_m = [nx * s, ny * s]
     return {
         "scenario": {
-            "map_size_m": [draw(cells), draw(cells)],
+            "map_size_m": map_size_m,
             "cell_size_m": s,
             "rayleigh_scale_m": draw(st.floats(0.0, 80.0)),
-            "building_footprint_m": draw(st.integers(1, 3)) * s,
-            "street_width_m": draw(st.integers(1, 3)) * s,
+            "building_footprint_m": footprint * s,
+            "street_width_m": street * s,
             "n_bs": draw(st.integers(1, 3)),
             "bs_height_m": draw(st.floats(5.0, 60.0)),
             "uav_altitude_m": draw(st.floats(10.0, 120.0)),
-            "endpoint_distance_m": [lo, lo + draw(st.floats(0.0, 60.0))],
+            "endpoint_distance_m": [lo, lo + draw(st.floats(s, 60.0))],
             "rng_seed": draw(st.integers(0, 2**16)),
         },
         # no shorter than config's reach check (test_cli covers its rejection),
         # so that the draws fly rather than fail validation
         "sensor": {"fov_deg": draw(st.floats(30.0, 360.0)),
-                   "range_m": draw(st.floats(1.5 * math.sqrt(2.0) * s, 80.0))},
+                   "range_m": draw(st.floats(sensor_reach_m(s, map_size_m), 80.0))},
         "planner": {"safety_margin_cells": draw(st.integers(1, 2))},
         "sim": {"tick_s": draw(st.sampled_from([0.1, 0.25, 0.5])),
                 "timeout_s": draw(st.floats(1.0, 60.0))},

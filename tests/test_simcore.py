@@ -288,14 +288,15 @@ def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
     """Windows priced ahead change no output bit on any arm.
 
     Every arm flies one default city twice: as is, and with no window flown
-    ahead, so that every tick prices its own budgets, governor and heading
-    and runs its own advance. Metrics reprs and log rows must be equal.
-    Spies on the tick's calls show the paths the first flight took: ticks
-    that adopted a queued record, windows abandoned when the true limit
-    bound a later tick, and ticks priced point by point. On the global arm,
-    whose map is fully known from construction, an adopted tick calls none
-    of the per-tick map, planning-check and governor calls; every arm still
-    calls each of them in the episode.
+    ahead, so that every tick prices its own budgets and governor and runs
+    its own advance. Metrics reprs and log rows must be equal, and so must
+    the learning arms' sensed headings. Spies on the tick's calls show the
+    paths the first flight took: ticks that adopted a queued record, windows
+    abandoned when the true limit bound a later tick, and ticks priced point
+    by point. On the global arm, whose map is fully known from construction,
+    a tick that took its record calls none of the per-tick map and governor
+    calls, and checks its segment only as the first tick of a window; every
+    arm still calls each of them in the episode.
     """
     cfg = default_config()
     seed = batch_seeds(0, 1)[0]
@@ -347,33 +348,35 @@ def test_flying_ahead_gives_the_per_point_flight(monkeypatch):
         spy(RadioMap, name)
     ahead = {kind: fly(kind) for kind in PlannerKind}
 
-    def first_advance_only(tl, oc, s, pos, waypoints, legs, seg_leg, v, dt, ticks, hint):
+    def no_window(tl, oc, pos, waypoints, legs, seg_leg, dt, ticks):
         # budgets still prices the global planner's grids
-        return simcore._advance(pos, waypoints, legs, seg_leg, v, dt), deque()
+        return deque()
 
-    monkeypatch.setattr(simcore, "_fly_ahead", first_advance_only)
+    monkeypatch.setattr(simcore, "_fly_ahead", no_window)
     per_point = {kind: fly(kind) for kind in PlannerKind}
 
-    counts = {"adopted": 0, "abandoned": 0, "per_point": 0}
+    counts = {"adopted": 0, "abandoned": 0, "per_point": 0, "window_checks": 0}
     for kind in PlannerKind:
         metrics, rows, ticks, sensed_headings = ahead[kind]
         assert (metrics, rows) == per_point[kind][:2], kind
-        if kind is not PlannerKind.GLOBAL:  # the headings the records carried, bit for bit
+        if kind is not PlannerKind.GLOBAL:  # every sensed heading, bit for bit
             assert sensed_headings == per_point[kind][3], kind
         assert all("point" in t for t in per_point[kind][2])
         assert "point" in ticks[0]  # every arm prices its first tick point by point
         called = set().union(*ticks)
         assert all(name in called for name in SETTLED_SKIPS), (kind, called)
-        for t in ticks:
+        for i, t in enumerate(ticks):
             own = "advance" in t and "window" not in t
             adopted = "plan" not in t and "advance" not in t
             counts["adopted"] += adopted
             counts["abandoned"] += "point" not in t and "plan" not in t and own
             counts["per_point"] += "point" in t
             if kind is PlannerKind.GLOBAL and "point" not in t:
-                # a plan tick checks its fresh segment once for the window
-                skipped = set(SETTLED_SKIPS) - ({"segment_invalidated"} if not adopted else set())
-                assert not set(t) & skipped, t
+                # a window's segment is checked once, on its first tick
+                first = "window" in ticks[i - 1]
+                assert t.count("segment_invalidated") <= first, (i, t)
+                counts["window_checks"] += "segment_invalidated" in t
+                assert not set(t) & (set(SETTLED_SKIPS) - {"segment_invalidated"}), t
     assert all(counts.values()), counts
 
 
