@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
         any_stuck |= metrics.stuck
         print(
             f"{kind.value}: distance {metrics.flight_distance_m:.0f} m, "
-            f"duration {metrics.flight_duration_s:.1f} s, "
+            f"duration {metrics.flight_duration_s:{spec}} s, "
             f"uplink {metrics.avg_uplink_capacity_bps / 1e6:.1f} Mbps, "
             f"nlos {metrics.nlos_distance_ratio * 100:.1f} %"
             + (" [stuck]" if metrics.stuck else "")

@@ -23,15 +23,17 @@ Each refresh first takes the cells learned since the last intake off those
 counts, and marks dirty the rays whose count reaches 0 and the rays crossing
 a learned cell tall enough to block any ray of the table. It then
 refreshes only the stale cells that are missing or whose ray is dirty. A
-refresh whose window holds no missing or assumed-LoS cell has nothing to
-estimate, so it returns before the intake; the next window holding such a
+refresh that reaches no missing or assumed-LoS cell has nothing to
+estimate, so it returns before the intake; the next refresh reaching such a
 cell takes in every cell learned since. Nothing is refreshed in between, so
 the counts and dirty flags it leaves are those of separate intakes. The
 episode refreshes the vehicle's own cell every tick, and the explored
-planner the whole layer before each plan. A ray that crosses no known
-cell, its count equal to its entry count, can be neither blocked nor
-cleared, so it is settled without being classified: assumed LoS, or LoS if
-it crosses no cell. On an unchanged map nothing is classified.
+planner the whole layer before each plan. The per-tick calls
+(`update_around`, `state_at`, `csi_correct`) take the map cell (ix, iy)
+itself. A ray that crosses no known cell, its count equal to its entry
+count, can be neither blocked nor cleared, so it is settled without being
+classified: assumed LoS, or LoS if it crosses no cell. On an unchanged map
+nothing is classified.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import LinkState
-from .scenario import centre_offsets, disk_window
 from .worldmap import ExploredMap, RayTable
 
 _STATE_CODE = {LinkState.LOS: 0, LinkState.NLOS: 1, LinkState.ASSUMED_LOS: 2}
@@ -75,21 +76,22 @@ class RadioMap:
         self._unknown = np.diff(table.offsets)
         np.subtract.at(self._unknown, table.rays_crossing(np.flatnonzero(self._known_seen)), 1)
 
-    def _due(self, win) -> np.ndarray:
-        """Mask of the cells in window `win` that a refresh must classify.
+    def _due(self, at) -> np.ndarray:
+        """Whether each cell of `at` must be classified: one cell (ix, iy) or the layer `np.s_[:]`.
 
         Due are the missing cells, and the assumed-LoS cells whose ray is
         dirty. LoS and NLoS are final: a verdict over known heights and a
-        measurement are both truth. A window with neither stale state has
-        nothing due, and returns before taking in the cells learned since the
-        last intake. Otherwise first marks dirty the rays whose verdict those
-        cells can change: those left with no unknown crossing, and those
-        crossing a learned cell taller than the lowest minz of the table,
-        which alone can block. A ray that still crosses an unknown cell and
-        meets only low learned cells keeps its verdict, so it is not marked;
-        on a flat map that is every ray still crossing an unknown cell.
+        measurement are both truth. If `at` holds neither stale state,
+        nothing is due, and the call returns before taking in the cells
+        learned since the last intake. Otherwise first marks dirty the rays
+        whose verdict those cells can change: those left with no unknown
+        crossing, and those crossing a learned cell taller than the lowest
+        minz of the table, which alone can block. A ray that still crosses an
+        unknown cell and meets only low learned cells keeps its verdict, so
+        it is not marked; on a flat map that is every ray still crossing an
+        unknown cell.
         """
-        codes = self.state_grid[win]
+        codes = self.state_grid[at]
         missing, assumed = codes == MISSING, codes == _ASSUMED
         if not (missing.any() or assumed.any()):
             return missing
@@ -105,7 +107,7 @@ class RadioMap:
                 tall = learned[self.explored.heights.ravel()[learned] > self.table.low]
                 if len(tall):
                     dirty[self.table.rays_crossing(tall)] = True
-        return missing | (assumed & self._dirty[win])
+        return missing | (assumed & self._dirty[at])
 
     def _refresh(self, idx: np.ndarray) -> None:
         """Re-estimate the given flat cells from their rays over the explored map.
@@ -130,26 +132,16 @@ class RadioMap:
         )
         grid[idx] = np.where(blocked, _NLOS, np.where(crosses, _ASSUMED, _LOS))
 
-    def update_around(self, around, radius_m: float) -> None:
-        """Re-estimate every missing or dirty stale cell within radius of `around`.
+    def update_around(self, cell) -> None:
+        """Re-estimate map cell `cell` = (ix, iy) if `_due` finds it stale.
 
-        A map fully known at construction has no missing cell and, since
-        nothing is unknown, no assumed-LoS one; those are the only stale
-        states, so no cell can ever be due and the call returns at once.
+        It is due if missing, or assumed LoS with a dirty ray; no other cell
+        is classified. A map fully known at construction has no missing cell
+        and, since nothing is unknown, no assumed-LoS one; those are the only
+        stale states, so no cell can ever be due and the call returns at once.
         """
-        if self._known_seen is None:
-            return
-        s = self.explored.cell_size_m
-        nx, ny = self.state_grid.shape
-        win = disk_window(around, radius_m, s, nx, ny)
-        if win is None:
-            return
-        due = self._due(win)
-        if not due.any():
-            return
-        dx, dy = centre_offsets(around, s, win)
-        i, j = np.nonzero((np.hypot(dx, dy) <= radius_m) & due)
-        self._refresh((i + win[0].start) * ny + (j + win[1].start))
+        if self._known_seen is not None and self._due(cell):
+            self._refresh(np.array([cell[0] * self.state_grid.shape[1] + cell[1]]))
 
     def ensure_layer_evaluated(self) -> None:
         """Bring every flight-layer cell up to date with the explored map.
@@ -162,8 +154,8 @@ class RadioMap:
         """
         self._refresh(np.flatnonzero(self._due(np.s_[:])))
 
-    def csi_correct(self, position, measured: LinkState) -> None:
-        """Overwrite the current cell with a measured LoS/NLoS state.
+    def csi_correct(self, cell, measured: LinkState) -> None:
+        """Overwrite map cell `cell` = (ix, iy) with a measured LoS/NLoS state.
 
         An NLoS cell is never overwritten. A measured cell is never stale
         again, so its ray's dirty flag is left as it is.
@@ -173,11 +165,10 @@ class RadioMap:
         """
         if measured not in (LinkState.LOS, LinkState.NLOS):
             raise ValueError("CSI measurement must be LoS or NLoS")
-        cell = self.explored.cell_of(position)
         if self.state_grid[cell] != _NLOS:
             self.state_grid[cell] = _STATE_CODE[measured]
 
-    def state_at(self, point) -> LinkState | None:
-        """Estimated state of the cell holding `point`; None if never estimated."""
-        code = int(self.state_grid[self.explored.cell_of(point)])
+    def state_at(self, cell) -> LinkState | None:
+        """Estimated state of map cell `cell` = (ix, iy); None if never estimated."""
+        code = int(self.state_grid[cell])
         return None if code == MISSING else _CODE_STATE[code]

@@ -123,10 +123,10 @@ class ScenarioConfig:
 def grid_cell(point, cell_size_m: float, nx: int, ny: int) -> tuple[int, int]:
     """Cell (ix, iy) of an nx x ny grid holding an (x, y[, z]) point.
 
-    Points off the grid clip to its border cells. This is the one cell lookup
-    behind every `cell_of`. The coordinates are read as Python floats, whose
-    floor division gives the bits numpy's gives on float64, without a numpy
-    scalar per call.
+    Points off the grid clip to its border cells. This is the one cell
+    lookup, behind `HeightField.cell_of` and the tick's. The coordinates are
+    read as Python floats, whose floor division gives the bits numpy's gives
+    on float64, without a numpy scalar per call.
     """
     ix = int(float(point[0]) // cell_size_m)
     iy = int(float(point[1]) // cell_size_m)

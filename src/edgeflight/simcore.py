@@ -3,7 +3,8 @@
 Each tick: true link budgets at the current position set the offload mode and
 the true speed cap; sensing runs at the effective frame cadence; from the
 first frame on, the radio map refreshes the current cell, the only one the
-tick reads; the current cell gets a measured (CSI) state every tick; the
+tick reads; the current cell gets a measured (CSI) state every tick (the
+three radio-map calls take the map cell the tick looks up once); the
 planner re-commits on its cadence or when the committed segment is
 invalidated; then the vehicle advances along the committed polyline at the
 lesser of the planned and true speed limits.
@@ -14,10 +15,10 @@ planned speeds, and each of its ticks gets a record priced in array passes:
 the true budgets, the offload mode, frame rate and true limit. A later tick
 takes its record when it reaches the priced position, and the record's
 advance while its own speed is still the planned one; every tick's heading
-and cell centre come from the per-tick path. On a map fully known at
+and map cell come from the per-tick path. On a map fully known at
 construction, sensing, the radio-map refresh and the measurement change
 nothing and the estimate is the truth state, so a tick that took its record
-skips them and the cell centre they read. A committed segment that passed its
+skips them and the cell lookup they need. A committed segment that passed its
 check against the forbidden mask is not checked again while the mask is the
 same object, so each tick has one check site. No tick's outputs change, nor
 do any of their bits.
@@ -252,7 +253,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
             true_lim = speed_limit(eff_fps, cfg.offload)
         # on a map fully known at construction, sensing, the refresh and the
         # measurement change nothing, and the estimate is the truth state; a
-        # tick that took a record skips them and the cell centre they read
+        # tick that took a record skips them and the cell lookup they need
         settled = rec is not None and known_map
 
         # 3: sensing at the frame cadence
@@ -268,15 +269,12 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         if settled:
             est_name = true_state.value
         else:
-            # the radio map's calls take the cell's centre as plain floats,
-            # which costs less than reading the position array
-            ix, iy = grid_cell(pos, s, nx, ny)
-            centre = ((ix + 0.5) * s, (iy + 0.5) * s)
+            cell = grid_cell(pos, s, nx, ny)
             if sensed:
-                rm.update_around(centre, 0.0)
-            est = rm.state_at(centre)
+                rm.update_around(cell)
+            est = rm.state_at(cell)
             est_name = est.value if est is not None else "none"
-            rm.csi_correct(centre, true_state)
+            rm.csi_correct(cell, true_state)
 
         # 5: planning. A segment that passed the check against the current
         # forbidden mask passes it again: the mask is the same object until

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import require
-from .scenario import HeightField, centre_offsets, disk_window, grid_cell
+from .scenario import HeightField, centre_offsets, disk_window
 
 # Ties in the traversal parameter below this width are exact corner touches;
 # the segment has zero extent inside the off-diagonal cells, so they are not
@@ -84,9 +84,6 @@ class ExploredMap:
     @property
     def depth_cells(self) -> int:
         return self.known.shape[1]
-
-    def cell_of(self, point) -> tuple[int, int]:
-        return grid_cell(point, self.cell_size_m, *self.known.shape)
 
 
 @dataclass(frozen=True)

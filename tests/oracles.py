@@ -414,7 +414,7 @@ def padded_ray_table(origin, nx: int, ny: int, cell_size_m: float, target_z: flo
 
 
 class FullRefreshRadioMap(RadioMap):
-    """RadioMap whose every refresh re-classifies each stale cell in range.
+    """RadioMap whose every refresh re-classifies each stale cell it reaches.
 
     Stale: missing and assumed LoS. Whether a crossed cell turned known since
     the last estimate is not consulted, so RadioMap's per-ray unknown counts

@@ -92,9 +92,11 @@ def test_batch_is_byte_deterministic(tmp_path, small_config_path):
 
 
 @pytest.mark.parametrize("tick_s", [0.05, 0.25])
-def test_time_columns_print_every_tick_as_an_exact_multiple(tmp_path, small_config_path, tick_s):
+def test_time_columns_print_every_tick_as_an_exact_multiple(tmp_path, small_config_path, tick_s,
+                                                           capsys):
     # printed to 0.1 s, 0.05 s ticks once read 0.0, 0.1, 0.1, 0.2, 0.2, 0.2
-    # and 0.25 s ticks 0.2, 0.5, 0.8
+    # and 0.25 s ticks 0.2, 0.5, 0.8; `run`'s summary line once printed
+    # 43.9 s where its metrics.csv held 43.95
     d = json.loads(small_config_path.read_text())
     d["sim"]["tick_s"] = tick_s
     cfg = tmp_path / "tick.json"
@@ -104,8 +106,8 @@ def test_time_columns_print_every_tick_as_an_exact_multiple(tmp_path, small_conf
                "--planners", "global", "--export-trajectories"])
     assert rc == EXIT_OK
 
-    def rows(name):
-        lines = [l for l in (out / name).read_text().splitlines() if not l.startswith("#")]
+    def rows(name, where=out):
+        lines = [l for l in (where / name).read_text().splitlines() if not l.startswith("#")]
         return [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
 
     tick = Decimal(repr(tick_s))
@@ -117,6 +119,15 @@ def test_time_columns_print_every_tick_as_an_exact_multiple(tmp_path, small_conf
         durations.append(Decimal(ep["duration_s"]))
     (agg,) = rows("aggregate.csv")
     assert agg["total_duration_s"] == f"{sum(durations):.2f}"
+
+    run_out = tmp_path / "r"
+    capsys.readouterr()
+    rc = main(["run", "--config", str(cfg), "--out", str(run_out), "--planners", "global"])
+    assert rc == EXIT_OK
+    (summary,) = capsys.readouterr().out.splitlines()
+    (m,) = rows("metrics.csv", run_out)
+    assert f"duration {m['duration_s']} s," in summary
+    assert Decimal(m["duration_s"]) % tick == 0
 
 
 def test_seed_override_changes_output(tmp_path, small_config_path):

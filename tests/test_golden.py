@@ -8,7 +8,9 @@ preset at master seed 4 on a 200 m x 200 m map with 80-160 m missions,
 `aggregate.csv` are committed verbatim under `tests/golden/`; the nine
 trajectory CSVs are pinned by their sha256 digests in
 `tests/golden/trajectories.sha256`. The trajectories' `est_state` column
-records `RadioMap.state_at` on every tick. Every episode of this batch
+records `RadioMap.state_at` of the vehicle's map cell on every tick (on a
+global tick that took its flown-ahead record, the truth state that cell
+holds). Every episode of this batch
 starts in remote mode and takes a frame on its first tick, so no row reads
 `none`; `test_simcore` pins the rows before a first frame. Every numeric
 trajectory field must parse as a plain number.

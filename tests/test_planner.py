@@ -461,7 +461,7 @@ def test_cached_fields_plan_like_a_fresh_planner():
         sense(sc.truth, explored, sc.start, heading, SensorModel(120.0, 30.0))
         check()
         if heading == 90.0:
-            rm.csi_correct(sc.goal, LinkState.NLOS)
+            rm.csi_correct(sc.truth.cell_of(sc.goal), LinkState.NLOS)
             check()
     assert kept[PlannerKind.BASELINE].forbidden_mask().any()
 
@@ -515,8 +515,8 @@ def test_field_is_rebuilt_only_when_its_inputs_change(monkeypatch):
     assert np.all(arms[3]._grids()[0] == 4.0)
     # a measured NLoS cell changes speed limits and penalties, never the
     # baseline's, and neither where the limits saturate and no penalty applies
-    assert rm.state_at(sc.truth.cell_center(3, 12)) is not LinkState.NLOS
-    rm.csi_correct(sc.truth.cell_center(3, 12), LinkState.NLOS)
+    assert rm.state_at((3, 12)) is not LinkState.NLOS
+    rm.csi_correct((3, 12), LinkState.NLOS)
     assert rebuilds() == (0, 1, 1, 0)
     assert rebuilds() == (0, 0, 0, 0)
     # one more NLoS cell: limits and penalty move together

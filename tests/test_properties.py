@@ -19,22 +19,25 @@ def small_configs(draw):
     s = draw(st.sampled_from([5.0, 10.0]))
     cells = st.integers(4, int(100.0 / s))
     nx, ny = draw(cells), draw(cells)
-    # a street period that fits the shorter side, and an endpoint band at
-    # least one cell wide, so that most draws reach the flight
+    # a street period that fits the shorter side, an endpoint band at least
+    # one cell wide that starts within half the longer side, and a Rayleigh
+    # scale no larger than the flight altitude, which leaves free cells when
+    # the altitude is drawn low, so that most draws reach the flight
     footprint = draw(st.integers(1, 3))
     street = draw(st.integers(1, min(3, min(nx, ny) - footprint)))
-    lo = draw(st.floats(1.0, 60.0))
     map_size_m = [nx * s, ny * s]
+    lo = draw(st.floats(1.0, min(60.0, max(map_size_m) / 2)))
+    altitude = draw(st.floats(10.0, 120.0))
     return {
         "scenario": {
             "map_size_m": map_size_m,
             "cell_size_m": s,
-            "rayleigh_scale_m": draw(st.floats(0.0, 80.0)),
+            "rayleigh_scale_m": draw(st.floats(0.0, min(80.0, altitude))),
             "building_footprint_m": footprint * s,
             "street_width_m": street * s,
             "n_bs": draw(st.integers(1, 3)),
             "bs_height_m": draw(st.floats(5.0, 60.0)),
-            "uav_altitude_m": draw(st.floats(10.0, 120.0)),
+            "uav_altitude_m": altitude,
             "endpoint_distance_m": [lo, lo + draw(st.floats(s, 60.0))],
             "rng_seed": draw(st.integers(0, 2**16)),
         },

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_classify_three_verdicts():
     # far corner at cruise altitude across a built-up map: the slant ray
     # follows truth when everything is known, crosses unknown when nothing is
     tall = np.array([12.5, 12.5, ALT])
-    cell = full.cell_of(tall)
+    cell = truth.cell_of(tall)
     want_full = (LinkState.NLOS if ray_blocked(truth, BS, tall) is RayResult.BLOCKED
                  else LinkState.LOS)
     for explored, want in ((full, want_full), (empty, LinkState.ASSUMED_LOS),
@@ -104,30 +105,29 @@ def test_measured_states_are_final(prior, measured):
     truth = city(4)
     bs = np.array([102.5, 102.5, 45.0])  # sees about two thirds of the layer
     blocked = ray_blocked_grid(truth, bs, ALT)
-    ix, iy = np.argwhere(blocked == (want is LinkState.LOS))[0]
-    pos = ((ix + 0.5) * truth.cell_size_m, (iy + 0.5) * truth.cell_size_m, ALT)
+    cell = tuple(np.argwhere(blocked == (want is LinkState.LOS))[0].tolist())
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     rm = make_rm(em, bs)
     if prior is LinkState.ASSUMED_LOS:
         rm.ensure_layer_evaluated()
     elif prior is not None:
-        rm.csi_correct(pos, prior)
-    assert rm.state_at(pos) is prior
-    rm.csi_correct(pos, measured)
-    assert rm.state_at(pos) is want
+        rm.csi_correct(cell, prior)
+    assert rm.state_at(cell) is prior
+    rm.csi_correct(cell, measured)
+    assert rm.state_at(cell) is want
     sense(truth, em, (100, 100, ALT), 0.0, SensorModel(360.0, 300.0))
     assert em.known.all()
-    assert make_rm(em, bs).state_at(pos) is not want
-    rm.update_around(pos, 300.0)
+    assert make_rm(em, bs).state_at(cell) is not want
+    rm.update_around(cell)
     rm.ensure_layer_evaluated()
-    assert rm.state_at(pos) is want
+    assert rm.state_at(cell) is want
 
 
 def test_csi_rejects_non_measurements():
     em = ExploredMap(10, 10, 5.0)
     rm = make_rm(em, np.array([25.0, 25.0, 25.0]))
     with pytest.raises(ValueError):
-        rm.csi_correct((10.0, 10.0, ALT), LinkState.ASSUMED_LOS)
+        rm.csi_correct((2, 2), LinkState.ASSUMED_LOS)
 
 
 def test_assumed_entries_repriced_as_map_grows():
@@ -160,34 +160,30 @@ def test_missing_cell_evaluated_on_demand():
     em = ExploredMap(10, 10, 5.0)
     bs = np.array([25.0, 25.0, 25.0])
     rm = make_rm(em, bs)
-    p = (42.5, 42.5, ALT)
-    assert rm.state_at(p) is None
-    rm.update_around(p, 0.0)
-    assert rm.state_at(p) is LinkState.ASSUMED_LOS
-    assert rm.state_at((2.5, 2.5, ALT)) is None  # outside the refreshed radius
-    # a zero radius reaches only the cell whose centre is `around`
-    ix, iy = em.cell_of(p)
-    assert np.flatnonzero(rm.state_grid != MISSING).tolist() == [ix * 10 + iy]
+    assert rm.state_at((8, 7)) is None
+    rm.update_around((8, 7))
+    assert rm.state_at((8, 7)) is LinkState.ASSUMED_LOS
+    # the refresh reaches only its own cell
+    assert np.flatnonzero(rm.state_grid != MISSING).tolist() == [8 * 10 + 7]
 
 
-def test_a_window_with_no_stale_cell_defers_the_intake_of_learned_cells(monkeypatch):
-    """Learned cells are taken in by the first window that holds a stale cell.
+def test_a_refresh_of_a_measured_cell_defers_the_intake_of_learned_cells(monkeypatch):
+    """Learned cells are taken in by the first refresh of a stale cell.
 
-    A window of only measured (LoS or NLoS) cells needs no estimate, so it
-    leaves the unknown counts and the last seen knowledge as they were. The
-    next window holding missing cells takes in everything learned since, and
-    its estimates equal a full re-classification: stale counts would settle
+    A measured (LoS or NLoS) cell needs no estimate, so its refresh leaves
+    the unknown counts and the last seen knowledge as they were. The next
+    refresh of a missing cell takes in everything learned since, and the
+    estimates equal a full re-classification: stale counts would settle
     rays that learned buildings block as assumed LoS.
     """
     truth = city(15)
-    s = truth.cell_size_m
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     rm = make_rm(em, BS)
     full = FullRefreshRadioMap(rm.table, em)
-    centres = [((ix + 0.5) * s, (iy + 0.5) * s, ALT) for ix, iy in ((30, 30), (31, 30))]
+    measured = [(30, 30), (31, 30)]
     for m in (rm, full):
-        m.csi_correct(centres[0], LinkState.LOS)
-        m.csi_correct(centres[1], LinkState.NLOS)
+        m.csi_correct(measured[0], LinkState.LOS)
+        m.csi_correct(measured[1], LinkState.NLOS)
     sense(truth, em, (150.0, 150.0, ALT), 45.0, SensorModel(360.0, 60.0))
     seen = rm._known_seen.copy()
     assert not np.array_equal(seen, em.known)
@@ -199,52 +195,18 @@ def test_a_window_with_no_stale_cell_defers_the_intake_of_learned_cells(monkeypa
         return rays_crossing(table, cells)
 
     monkeypatch.setattr(RayTable, "rays_crossing", counting)
-    for c in centres:
-        rm.update_around(c, 0.0)
+    for cell in measured:
+        rm.update_around(cell)
     assert calls == []
     assert np.array_equal(rm._known_seen, seen)
     # missing cells whose rays to the BS cross learned buildings
     for m in (rm, full):
-        m.update_around((175.0, 175.0, ALT), 25.0)
+        for cell in itertools.product(range(30, 40), repeat=2):
+            m.update_around(cell)
     assert calls and np.array_equal(rm._known_seen, em.known)
     assert rm.state_grid.tobytes() == full.state_grid.tobytes()
-    window = rm.state_grid[30:, 30:]
-    assert (window == _STATE_CODE[LinkState.NLOS]).sum() > 20
-
-
-def test_update_around_classifies_only_stale_cells_in_range(monkeypatch):
-    truth = city(6)
-    em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
-    # a map fully known at construction never looks at its window, so this
-    # one learns the whole map after it
-    rm = make_rm(em, BS)
-    sense(truth, em, (100, 100, ALT), 0.0, SensorModel(360.0, 300.0))
-    assert em.known.all()
-    rm.ensure_layer_evaluated()
-    grid = rm.state_grid.copy()
-    calls = []
-    classify = RayTable.classify_subset
-
-    def counting(table, rays, known, heights):
-        calls.append(list(rays))
-        return classify(table, rays, known, heights)
-
-    monkeypatch.setattr(RayTable, "classify_subset", counting)
-    for p in ((100.0, 100.0), (12.5, 187.5), (0.0, 0.0), (200.0, 200.0)):
-        rm.update_around((*p, ALT), 60.0)
-    assert calls == []
-    pos = (100.0, 100.0, ALT)
-    # a stale cell in the window's corner, 24.7 m out: beyond the radius
-    rm.state_grid[16, 16] = MISSING
-    rm.update_around(pos, 20.0)
-    assert calls == []
-    # a stale cell in range, 17.7 m out: one call for its ray alone, restoring
-    # its estimate (the BS's own cell, whose ray crosses no cell, is settled
-    # LoS without a call)
-    rm.state_grid[23, 20] = MISSING
-    rm.update_around(pos, 20.0)
-    assert calls == [[23 * truth.depth_cells + 20]]
-    assert rm.state_grid[23, 20] == grid[23, 20]
+    corner = rm.state_grid[30:, 30:]
+    assert (corner == _STATE_CODE[LinkState.NLOS]).sum() > 20
 
 
 def counting_classify(monkeypatch) -> list:
@@ -260,51 +222,90 @@ def counting_classify(monkeypatch) -> list:
     return calls
 
 
-def test_windows_at_the_map_border_reach_only_the_cells_in_range(monkeypatch):
-    """`sense` and `update_around` from beside and across the map's border.
+def test_update_around_classifies_at_most_its_cell_and_only_when_it_is_due(monkeypatch):
+    """`update_around(cell)` re-estimates that cell alone, and only a stale one.
 
-    A window that misses the grid changes nothing and classifies no ray. A
-    window the border clips reveals exactly the sensor wedge's cells
-    (oracles.wedge_cells) and refreshes exactly the cells whose centres lie
-    within the radius, as a whole-layer refresh estimates them.
+    Due is a missing cell, or an assumed-LoS one whose ray a learned cell may
+    have cleared or blocked. A LoS or NLoS cell is final, and an assumed-LoS
+    cell whose ray no learned cell can change keeps its estimate.
+    """
+    truth = city(6)
+    nx, ny = truth.width_cells, truth.depth_cells
+    em = ExploredMap(nx, ny, truth.cell_size_m)
+    # a map fully known at construction never looks at the cell, so this one
+    # learns the whole map after it
+    rm = make_rm(em, BS)
+    sense(truth, em, (100, 100, ALT), 0.0, SensorModel(360.0, 300.0))
+    assert em.known.all()
+    rm.ensure_layer_evaluated()
+    grid = rm.state_grid.copy()
+    calls = counting_classify(monkeypatch)
+    for cell in itertools.product(range(nx), range(ny)):
+        rm.update_around(cell)
+    assert calls == [] and np.array_equal(rm.state_grid, grid)
+    # a missing cell: its neighbours' refreshes classify nothing, its own
+    # makes one call for its ray alone, restoring its estimate
+    rm.state_grid[23, 20] = MISSING
+    for cell in ((22, 20), (24, 20), (23, 19), (23, 21)):
+        rm.update_around(cell)
+    assert calls == []
+    rm.update_around((23, 20))
+    assert calls == [[23 * ny + 20]]
+    assert np.array_equal(rm.state_grid, grid)
+
+    # on a map still learning, the cells start assumed LoS, settled from
+    # their counts without a classification; after sensing one corner, a
+    # ray over a learned building is due and a ray crossing no learned cell
+    # is not
+    calls.clear()
+    clean = (5, 5)
+    em = ExploredMap(nx, ny, truth.cell_size_m)
+    rm = make_rm(em, BS)
+    rm.ensure_layer_evaluated()
+    assert calls == [] and rm.state_at(clean) is LinkState.ASSUMED_LOS
+    sense(truth, em, (150.0, 150.0, ALT), 45.0, SensorModel(360.0, 60.0))
+    whole = make_rm(em, BS)
+    whole.ensure_layer_evaluated()
+    calls.clear()
+    blocked = tuple(np.argwhere(whole.state_grid == _STATE_CODE[LinkState.NLOS])[0].tolist())
+    before = rm.state_grid.copy()
+    rm.update_around(clean)
+    assert calls == [] and np.array_equal(rm.state_grid, before)
+    rm.update_around(blocked)
+    assert calls == [[blocked[0] * ny + blocked[1]]]
+    changed = np.argwhere(rm.state_grid != before).tolist()
+    assert changed == [list(blocked)] and rm.state_at(blocked) is LinkState.NLOS
+    rm.update_around(blocked)  # NLoS is final
+    assert len(calls) == 1
+
+
+def test_sensing_at_the_map_border_reveals_only_the_wedge_cells():
+    """`sense` from beside and across the map's border.
+
+    A wedge that misses the grid reveals nothing. A wedge the border clips
+    reveals exactly its cells (oracles.wedge_cells), at their truth heights.
     """
     truth = city(5)
     nx, ny, s = truth.width_cells, truth.depth_cells, truth.cell_size_m
-    sensor, radius = SensorModel(fov_deg=120.0, range_m=30.0), 30.0
+    sensor = SensorModel(fov_deg=120.0, range_m=30.0)
     em = ExploredMap(nx, ny, s)
-    rm = make_rm(em, BS)
-    centre = (100.0, 100.0, ALT)
-    sense(truth, em, centre, 0.0, sensor)
-    rm.update_around(centre, radius)
-    known, heights, states = em.known.copy(), em.heights.copy(), rm.state_grid.copy()
-    calls = counting_classify(monkeypatch)
+    sense(truth, em, (100.0, 100.0, ALT), 0.0, sensor)
+    known, heights = em.known.copy(), em.heights.copy()
     for x, y, heading in ((-31.0, 100.0, 0.0), (100.0, 231.0, -90.0),
                           (260.0, -40.0, 135.0), (-40.0, 260.0, -45.0)):
         sense(truth, em, (x, y, ALT), heading, sensor)
-        rm.update_around((x, y, ALT), radius)
-    assert calls == []
     assert np.array_equal(em.known, known) and np.array_equal(em.heights, heights)
-    assert np.array_equal(rm.state_grid, states)
 
     revealed = 0
     for x, y, heading in ((-10.0, 60.0, 0.0), (197.0, 3.0, 135.0), (100.0, 215.0, -90.0),
                           (-25.0, -25.0, 45.0), (-30.0, 100.0, 0.0)):
         pos = (x, y, ALT)
         em = ExploredMap(nx, ny, s)
-        rm = make_rm(em, BS)
         sense(truth, em, pos, heading, sensor)
         want = wedge_cells(nx, ny, s, pos, heading, sensor.fov_deg, sensor.range_m)
         assert set(map(tuple, np.argwhere(em.known))) == want, pos
         assert np.array_equal(em.heights[em.known], truth.heights[em.known])
         revealed += len(want)
-        rm.update_around(pos, radius)
-        in_range = {(ix, iy) for ix in range(nx) for iy in range(ny)
-                    if np.hypot((ix + 0.5) * s - x, (iy + 0.5) * s - y) <= radius}
-        refreshed = rm.state_grid != MISSING
-        assert set(map(tuple, np.argwhere(refreshed))) == in_range, pos
-        whole = make_rm(em, BS)
-        whole.ensure_layer_evaluated()
-        assert np.array_equal(rm.state_grid[refreshed], whole.state_grid[refreshed])
     assert revealed > 50
 
 
@@ -318,7 +319,8 @@ def test_unchanged_map_classifies_nothing(monkeypatch):
     assert (rm.state_grid == _STATE_CODE[LinkState.ASSUMED_LOS]).sum() > 100
     calls = counting_classify(monkeypatch)
     rm.ensure_layer_evaluated()
-    rm.update_around((100.0, 100.0, ALT), 80.0)
+    for cell in itertools.product(range(truth.width_cells), range(truth.depth_cells)):
+        rm.update_around(cell)
     assert calls == []
 
 
@@ -329,7 +331,11 @@ def test_refresh_classifies_missing_rays_and_rays_whose_verdict_learned_cells_ca
     sensor = SensorModel(120.0, 50.0)
     sense(truth, em, (60.0, 60.0, ALT), 30.0, sensor)
     rm = make_rm(em, BS)
-    rm.update_around((80.0, 80.0, ALT), 70.0)  # leaves the far cells missing
+    s = truth.cell_size_m
+    for cell in itertools.product(range(truth.width_cells), range(truth.depth_cells)):
+        # the cells centred within 70 m of (80, 80); the far cells stay missing
+        if np.hypot((cell[0] + 0.5) * s - 80.0, (cell[1] + 0.5) * s - 80.0) <= 70.0:
+            rm.update_around(cell)
     before_known = em.known.copy()
     before = rm.state_grid.copy().ravel()
     sense(truth, em, (150.0, 120.0, ALT), 200.0, sensor)
@@ -411,11 +417,11 @@ def test_update_around_classifies_only_while_the_map_can_learn(monkeypatch, kind
     updates, from_update, inside = [], [], []
     update, classify = RadioMap.update_around, RayTable.classify_subset
 
-    def flagged_update(rm, around, radius_m):
+    def flagged_update(rm, cell):
         updates.append(1)
         inside.append(1)
         try:
-            return update(rm, around, radius_m)
+            return update(rm, cell)
         finally:
             inside.pop()
 
@@ -443,16 +449,18 @@ def test_update_around_in_an_episode_refreshes_at_most_the_vehicle_cell(monkeypa
     inside, sizes = [], []
     update, refresh = RadioMap.update_around, RadioMap._refresh
 
-    def flagged_update(rm, around, radius_m):
-        inside.append(1)
+    def flagged_update(rm, cell):
+        inside.append(cell)
         try:
-            return update(rm, around, radius_m)
+            return update(rm, cell)
         finally:
             inside.pop()
 
     def recording_refresh(rm, idx):
         if inside:
+            ix, iy = inside[-1]
             sizes.append(len(idx))
+            assert idx.tolist() == [ix * rm.state_grid.shape[1] + iy]
         return refresh(rm, idx)
 
     monkeypatch.setattr(RadioMap, "update_around", flagged_update)
@@ -464,7 +472,7 @@ def test_update_around_in_an_episode_refreshes_at_most_the_vehicle_cell(monkeypa
         assert sizes and max(sizes) == 1, kind
 
 
-def test_update_around_on_a_global_episode_checks_no_window(monkeypatch):
+def test_update_around_on_a_global_episode_checks_no_cell(monkeypatch):
     # a fully known map can never have a due cell; the episode calls
     # update_around only on the ticks that price their own budgets
     cfg = default_config(seed=4)
@@ -474,13 +482,13 @@ def test_update_around_on_a_global_episode_checks_no_window(monkeypatch):
     updates, due_calls = [], []
     update, due = RadioMap.update_around, RadioMap._due
 
-    def counting_update(rm, around, radius_m):
+    def counting_update(rm, cell):
         updates.append(1)
-        return update(rm, around, radius_m)
+        return update(rm, cell)
 
-    def counting_due(rm, win):
-        due_calls.append(win)
-        return due(rm, win)
+    def counting_due(rm, at):
+        due_calls.append(at)
+        return due(rm, at)
 
     monkeypatch.setattr(RadioMap, "update_around", counting_update)
     monkeypatch.setattr(RadioMap, "_due", counting_due)
@@ -494,13 +502,12 @@ def test_measured_nlos_on_a_fully_known_map_survives_update_around():
     truth = city(9)
     em = ExploredMap.fully_known(truth)
     rm = make_rm(em, BS)
-    ix, iy = np.argwhere(rm.state_grid == _STATE_CODE[LinkState.LOS])[0]
-    pos = ((ix + 0.5) * truth.cell_size_m, (iy + 0.5) * truth.cell_size_m, ALT)
-    rm.csi_correct(pos, LinkState.NLOS)
-    assert rm.state_at(pos) is LinkState.NLOS
+    cell = tuple(np.argwhere(rm.state_grid == _STATE_CODE[LinkState.LOS])[0].tolist())
+    rm.csi_correct(cell, LinkState.NLOS)
+    assert rm.state_at(cell) is LinkState.NLOS
     before = rm.state_grid.copy()
-    rm.update_around(pos, 10.0)
-    assert rm.state_at(pos) is LinkState.NLOS
+    rm.update_around(cell)
+    assert rm.state_at(cell) is LinkState.NLOS
     assert np.array_equal(rm.state_grid, before)
 
 
@@ -557,13 +564,13 @@ def test_learned_building_between_the_ray_ends_turns_a_ray_still_crossing_unknow
 def assert_matches_full_refresh(truth, em, table, rng, steps=150):
     """Fly random operations on RadioMap and FullRefreshRadioMap; their grids stay equal.
 
-    A "tick" is run_episode's call shape: a measurement at a point, then a
-    refresh of that point's cell alone, whose window then holds no stale
-    cell and takes in nothing learned.
+    An "update_around" refreshes one drawn cell. A "tick" is run_episode's
+    call shape on the cell holding a point: a measurement, then a refresh
+    of the measured cell, which is then not stale and takes in nothing
+    learned.
     """
     maps = [RadioMap(table, em), FullRefreshRadioMap(table, em)]
     sensor = SensorModel(120.0, 50.0)
-    s = em.cell_size_m
     seen = set()
     for _ in range(steps):
         pos = (rng.uniform(0, 200), rng.uniform(0, 200), ALT)
@@ -573,16 +580,16 @@ def assert_matches_full_refresh(truth, em, table, rng, steps=150):
         if op == "sense":
             sense(truth, em, pos, rng.uniform(-180, 180), sensor)
         elif op == "update_around":
-            radius = rng.uniform(0.0, 60.0)
+            cell = divmod(int(rng.integers(em.width_cells * em.depth_cells)), em.depth_cells)
             for rm in maps:
-                rm.update_around(pos, radius)
+                rm.update_around(cell)
         elif op in ("csi_correct", "tick"):
             measured = LinkState.NLOS if rng.random() < 0.5 else LinkState.LOS
-            ix, iy = em.cell_of(pos)
+            cell = truth.cell_of(pos)
             for rm in maps:
-                rm.csi_correct(pos, measured)
+                rm.csi_correct(cell, measured)
                 if op == "tick":
-                    rm.update_around(((ix + 0.5) * s, (iy + 0.5) * s, ALT), 0.0)
+                    rm.update_around(cell)
         else:
             for rm in maps:
                 rm.ensure_layer_evaluated()

@@ -170,7 +170,7 @@ def clamped_floor_cell(point, s: float, nx: int, ny: int) -> tuple[int, int]:
 @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (6, 6)])
 @pytest.mark.parametrize("s", [5.0, 0.3])
 def test_shared_cell_lookup_equals_the_clamped_floor_division(shape, s):
-    """`grid_cell` and both `cell_of`s give the old lookup's cells.
+    """`grid_cell` and `HeightField.cell_of` give the old lookup's cells.
 
     Points on and beside cell edges and corners, on the map border, at
     negative and beyond-map coordinates and at random, each given as an
@@ -184,14 +184,12 @@ def test_shared_cell_lookup_equals_the_clamped_floor_division(shape, s):
     xs = np.concatenate([near, rng.uniform(-2 * s, (nx + 2) * s, 300)])
     ys = np.concatenate([near, rng.uniform(-2 * s, (ny + 2) * s, 300)])
     field = HeightField(np.zeros(shape), s)
-    explored = ExploredMap(nx, ny, s)
     points = list(zip(xs, ys)) + list(itertools.product(near, near))
     for x, y in points:
         for point in (np.array([x, y, 7.0]), (float(x), float(y), 7.0), [float(x), float(y)]):
             want = clamped_floor_cell(point, s, nx, ny)
             assert grid_cell(point, s, nx, ny) == want, (point, s, shape)
             assert field.cell_of(point) == want
-            assert explored.cell_of(point) == want
     assert field.cell_of((0, 0, 0)) == (0, 0)  # integer coordinates
 
 

@@ -149,6 +149,40 @@ def test_walled_off_goal_ends_the_episode_stuck():
             assert m.flight_duration_s < cfg.sim.timeout_s / 10, kind
 
 
+def test_learning_arms_commit_only_sensed_cells_when_frames_outrun_the_sensor():
+    """No tick enters a building that lies between two frames' sensing.
+
+    Frames land 1 / frames_per_meter = 20 m apart (local processing at 0.5
+    fps binds the speed to 10 m/s) and the sensor sees 12 m. A vehicle that
+    flew the straight path from the start (x = 7.5 m) without waiting to
+    sense would take its first frame at x = 27.5 m, which sees to 39.5 m,
+    short of a building across the path at 45-55 m, and its next frame from
+    inside it. Each learning arm commits only cells it has sensed, so it
+    reaches the goal around the building without a tick in a cell as tall
+    as the flight altitude (acceptance gate 09's check).
+    """
+    from test_planner import make_world
+
+    heights = np.zeros((40, 9))
+    heights[9:11, 3:6] = 80.0  # x 45-55 m, across the straight path at y 22.5 m
+    sc = make_world(heights, (0, 0), (1, 4), (38, 4))
+    cfg = default_config()
+    cfg = dataclasses.replace(
+        cfg,
+        offload=dataclasses.replace(cfg.offload, frames_per_meter=0.05, local_fps=0.5,
+                                    frame_bits=1e10),
+        sensor=dataclasses.replace(cfg.sensor, range_m=12.0))
+    alt = sc.cfg.uav_altitude_m
+    assert 1.0 / cfg.offload.frames_per_meter > cfg.sensor.range_m
+    for kind in (PlannerKind.BASELINE, PlannerKind.EXPLORED):
+        m, log = run_episode(sc, kind, cfg)
+        inside = [r[:3] for r in log.rows if sc.truth.heights[sc.truth.cell_of(r[1:3])] >= alt]
+        assert not inside, (kind, inside[:3])
+        assert m.reached, kind
+        assert {r[5] for r in log.rows} == {"local"}
+        assert max(r[4] for r in log.rows) == 10.0, kind
+
+
 def test_speed_never_exceeds_vmax(episode_result):
     cfg, sc, out = episode_result
     for kind, (m, log) in out.items():

@@ -121,7 +121,7 @@ def test_sense_heading_east_reveals_nothing_west():
     em = ExploredMap(truth.width_cells, truth.depth_cells, truth.cell_size_m)
     pos = (100.0, 100.0, 50.0)
     sense(truth, em, pos, 0.0, SensorModel(fov_deg=120.0, range_m=50.0))
-    own = em.cell_of(pos)
+    own = truth.cell_of(pos)
     for ix, iy in np.argwhere(em.known):
         if (ix, iy) == own:
             continue
