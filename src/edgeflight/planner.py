@@ -75,13 +75,16 @@ class PlanConfig:
 
 @dataclass
 class TrajectorySegment:
-    """Committed motion plan: lattice cells and the polyline through them."""
+    """Committed motion plan: lattice cells and the polyline the tick flies through them.
+
+    The tick indexes `points` and `leg_speeds` per leg, so both are lists.
+    The speeds stay numpy float64s, whose type the metrics inherit when one
+    binds a tick.
+    """
 
     cells: list[tuple[int, int]]
-    points: np.ndarray        # (n, 3) waypoints, exact current position first
-    leg_speeds: np.ndarray    # (n-1,) planned speed per leg, m/s
-    cost: float               # cost of the committed cell path
-    plan_cost: float          # cost of the full search path before truncation
+    points: list[np.ndarray]  # (3,) waypoints, exact current position first
+    leg_speeds: list          # planned speed per leg, m/s, one fewer than points
     reaches_goal: bool
     heading_hint: float | None = None
 
@@ -233,11 +236,10 @@ class Planner:
         start = self.sc.truth.cell_of(position)
         c = start[0] * ny + start[1]
 
-        cells_flat = [c]
-        plan_cost = float(gstar[c])
-        if not math.isfinite(plan_cost):
+        if not math.isfinite(gstar[c]):
             raise StuckError("goal unreachable from the current cell")
 
+        cells_flat = [c]
         t_acc = 0.0
         while c != self._goal_flat:
             h = nxt[c]
@@ -258,8 +260,6 @@ class Planner:
         while commit < len(cells) and self.explored.known[cells[commit]]:
             commit += 1
         committed = cells[:commit]
-
-        committed_cost = plan_cost - float(gstar[cells_flat[commit - 1]])
         reaches_goal = cells_flat[-1] == self._goal_flat and commit == len(cells)
 
         heading_hint = None
@@ -269,10 +269,9 @@ class Planner:
                 float(np.arctan2(ahead[1] - position[1], ahead[0] - position[0])))
 
         return self._segment(position, committed, limits.ravel()[cells_flat[:commit]],
-                             committed_cost, plan_cost, reaches_goal, heading_hint)
+                             reaches_goal, heading_hint)
 
-    def _segment(self, position, cells, lims, cost, plan_cost,
-                 reaches_goal, heading_hint) -> TrajectorySegment:
+    def _segment(self, position, cells, lims, reaches_goal, heading_hint) -> TrajectorySegment:
         """The polyline through `cells`, whose flat speed limits are `lims`.
 
         Waypoints are the exact position, then the centres of the cells after
@@ -295,15 +294,7 @@ class Planner:
             pts, speeds = np.vstack([pos, goal]), lims
         else:
             pts, speeds = np.vstack([pos]), lims[:0]
-        return TrajectorySegment(
-            cells=cells,
-            points=pts,
-            leg_speeds=speeds,
-            cost=cost,
-            plan_cost=plan_cost,
-            reaches_goal=reaches_goal,
-            heading_hint=heading_hint,
-        )
+        return TrajectorySegment(cells, list(pts), list(speeds), reaches_goal, heading_hint)
 
 
 def replan_due(now_s: float, last_plan_s: float, pc: PlanConfig,

@@ -211,12 +211,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
     time_s = 0.0
     log = TrajectoryLog(dt)
 
-    # the committed segment's waypoint rows and leg speeds as lists, indexed
-    # without a numpy scalar per tick; the speeds stay numpy float64s, whose
-    # type the metrics inherit when one binds a tick
     seg = None
-    waypoints: list[np.ndarray] = []
-    legs: list = []
     seg_leg = 0
     last_plan = -math.inf
     frame_credit = 0.0
@@ -280,7 +275,7 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         # forbidden mask passes it again: the mask is the same object until
         # the obstacles change, and the cells left only shrink. A fresh
         # segment is first checked on the tick after its plan.
-        if seg is None or seg_leg >= len(legs):
+        if seg is None or seg_leg >= len(seg.leg_speeds):
             invalid = True
         else:
             forbidden = planner.forbidden_mask()
@@ -296,8 +291,6 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
                     log.append(time_s, pos, 0.0, mode, true_state, est_name,
                                up_true, 10.0 * math.log10(max(dn_sinr, 1e-30)))
                 break
-            waypoints = list(seg.points)
-            legs = list(seg.leg_speeds)
             seg_leg = 0
             last_plan = time_s
             passed = None
@@ -307,14 +300,15 @@ def run_episode(scenario: Scenario, kind: PlannerKind, cfg: Config,
         # own, after which a plan at the planned speed flies the next window
         # ahead and any other tick drops the queue. The heading follows a
         # step longer than the floor; at speed 0 it takes the segment's hint.
-        v_plan = legs[seg_leg] if seg_leg < len(legs) else 0.0
+        v_plan = seg.leg_speeds[seg_leg] if seg_leg < len(seg.leg_speeds) else 0.0
         v = min(v_plan, true_lim)
         if rec is not None and v == v_plan and not planned:
             p, seg_leg, moved = advance
         else:
-            p, seg_leg, moved = _advance(pos, waypoints, legs, seg_leg, v, dt)
+            p, seg_leg, moved = _advance(pos, seg.points, seg.leg_speeds, seg_leg, v, dt)
             if planned and v == v_plan:
-                ahead = _fly_ahead(tl, cfg.offload, p, waypoints, legs, seg_leg, dt, window)
+                ahead = _fly_ahead(tl, cfg.offload, p, seg.points, seg.leg_speeds, seg_leg, dt,
+                                   window)
             else:
                 ahead.clear()
         if moved > STEP_FLOOR_M:
@@ -359,7 +353,6 @@ class EpisodeRow:
 @dataclass
 class BatchResult:
     rows: list[EpisodeRow]
-    kinds: tuple[PlannerKind, ...]
     episodes: int
     logs: dict = field(default_factory=dict)  # (episode, kind) -> TrajectoryLog
 
@@ -406,7 +399,7 @@ def run_batch(cfg: Config, episodes: int = 20,
               progress=None) -> BatchResult:
     """Run every policy arm on the same seeded scenario sequence."""
     seeds = batch_seeds(cfg.scenario.rng_seed, episodes)
-    result = BatchResult(rows=[], kinds=tuple(kinds), episodes=episodes)
+    result = BatchResult(rows=[], episodes=episodes)
     for i, seed in enumerate(seeds):
         scenario = build_scenario(replace(cfg.scenario, rng_seed=seed),
                                   cfg.planner.safety_margin_cells)

@@ -198,6 +198,11 @@ def edge_cost(u, v, limits, pen, cell_size_m) -> float:
     return t * 0.5 * (pen[u] + pen[v])
 
 
+def path_cost(cells, limits, pen, cell_size_m) -> float:
+    """A lattice path's cost under the production cost model: its edges' costs, summed."""
+    return sum(edge_cost(u, v, limits, pen, cell_size_m) for u, v in zip(cells, cells[1:]))
+
+
 def relaxed_cost_to_go(limits, pen, forbidden, goal, cell_size_m) -> np.ndarray:
     """Optimal cost-to-goal by repeated relaxation to a fixpoint (Bellman-Ford).
 

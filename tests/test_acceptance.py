@@ -29,6 +29,7 @@ from oracles import (
     RayResult,
     enumerate_best_path_cost,
     fine_sample_blocked,
+    path_cost,
     ray_blocked,
     ray_blocked_grid,
     relaxed_cost_to_go,
@@ -143,10 +144,11 @@ def test_03_three_arm_ordering(comparison_batch):
 
 
 def test_04_committed_cost_is_the_exhaustive_optimum():
-    # 25 solvable worlds; the planner's committed-path cost must equal an
-    # independently computed optimum. Tiny worlds are additionally checked
-    # against literal enumeration of every simple path. Equality tolerance is
-    # 1e-9 relative: the reference sums the same floats in a different order.
+    # 25 solvable worlds; the committed cells, priced edge by edge under the
+    # planner's cost model, must cost an independently computed optimum.
+    # Tiny worlds are additionally checked against literal enumeration of
+    # every simple path. Equality tolerance is 1e-9 relative: the reference
+    # sums the same floats in a different order.
     rng = np.random.default_rng(2024)
     pc = PlanConfig(horizon_s=1e9)
     solved = 0
@@ -168,10 +170,11 @@ def test_04_committed_cost_is_the_exhaustive_optimum():
             continue
         seg = pl.plan(sc.start)
         assert seg.reaches_goal
-        assert seg.cost == pytest.approx(float(want), rel=1e-9)
+        cost = path_cost(seg.cells, limits, pen, 5.0)
+        assert cost == pytest.approx(float(want), rel=1e-9)
         if nx <= 5:
             brute = enumerate_best_path_cost(limits, pen, forb, start_c, goal_c, 5.0)
-            assert seg.cost == pytest.approx(float(brute), rel=1e-9)
+            assert cost == pytest.approx(float(brute), rel=1e-9)
             enumerated += 1
         solved += 1
     print(f"\nPASS planner optimality: 25/25 worlds at the oracle optimum "

@@ -24,6 +24,7 @@ from oracles import (
     baseline_speed_limit,
     edge_cost,
     enumerate_best_path_cost,
+    path_cost,
     relaxed_cost_to_go,
     serving_link_speed_limit,
 )
@@ -99,9 +100,8 @@ def test_plan_cost_matches_relaxation_oracle():
             if not np.isfinite(want):
                 continue
             seg = pl.plan(sc.start)
-            assert seg.plan_cost == pytest.approx(float(want), rel=1e-9)
             assert seg.reaches_goal
-            assert seg.cost == pytest.approx(seg.plan_cost, rel=1e-9)
+            assert path_cost(seg.cells, limits, pen, 5.0) == pytest.approx(float(want), rel=1e-9)
             solved += 1
     assert solved >= 60
 
@@ -122,7 +122,8 @@ def test_plan_cost_matches_exhaustive_enumeration_on_tiny_grids():
         # the two oracles agree with each other, and the planner with both
         assert relax == pytest.approx(want, rel=1e-9)
         seg = pl.plan(sc.start)
-        assert seg.plan_cost == pytest.approx(want, rel=1e-9)
+        assert seg.reaches_goal
+        assert path_cost(seg.cells, limits, pen, 5.0) == pytest.approx(want, rel=1e-9)
         solved += 1
     assert solved >= 6
 
@@ -290,14 +291,16 @@ def test_hop_out_of_a_swallowed_start_counts_toward_the_horizon():
     ]
     # the hop out is the first leg, and the horizon caps the committed time
     # with it: the plan stops one edge short of overrunning it
-    _, pred, limits = pl._cost_field()
+    gstar, pred, limits = pl._cost_field()
     last = seg.cells[-1]
     nxt = divmod(int(pred[last[0] * 16 + last[1]]), 16)
     next_s = 5.0 * np.hypot(nxt[0] - last[0], nxt[1] - last[1]) / min(limits[last], limits[nxt])
     assert sum(leg_s) <= 2.0 + 1e-9
     assert sum(leg_s) + next_s > 2.0
-    assert seg.plan_cost == pytest.approx(seg.cost + pl._cost_field()[0][last[0] * 16 + last[1]],
-                                          rel=1e-12)
+    # the committed prefix, hop out included, follows the cost-to-go field
+    g = gstar.reshape(16, 16)
+    want = g[seg.cells[0]] - g[last]
+    assert path_cost(seg.cells, *planner_pen(pl), 5.0) == pytest.approx(want, rel=1e-9)
 
 
 def test_horizon_truncates_commitment_not_reachability():
@@ -312,10 +315,12 @@ def test_horizon_truncates_commitment_not_reachability():
         np.linalg.norm(np.diff(seg.points[i : i + 2], axis=0)) / seg.leg_speeds[i]
         for i in range(len(seg.leg_speeds))
     )
-    assert t <= 2.0 + 5.0 * np.sqrt(2) / seg.leg_speeds.min()
+    assert t <= 2.0 + 5.0 * np.sqrt(2) / min(seg.leg_speeds)
     # the committed prefix follows the optimum: its cost plus the remaining
-    # cost-to-go equals the full plan cost
-    assert seg.cost <= seg.plan_cost
+    # cost-to-go equals the start's cost-to-go
+    g = short._cost_field()[0].reshape(16, 16)
+    want = g[seg.cells[0]] - g[seg.cells[-1]]
+    assert path_cost(seg.cells, *planner_pen(short), 5.0) == pytest.approx(want, rel=1e-9)
 
 
 def test_commit_within_sensed_stops_at_frontier():
@@ -435,12 +440,15 @@ def test_segment_invalidated_checks_remaining_cells_only():
 
 
 def plan_fields(pl: Planner, position):
-    """Every field of the plan from `position`, or None when stuck."""
+    """Every field of the plan from `position`, the committed cells' cost and
+    the cost-to-go field, or None when stuck."""
     try:
         seg = pl.plan(position)
     except StuckError:
         return None
-    return (seg.cells, seg.points.tolist(), seg.leg_speeds.tolist(), seg.cost, seg.plan_cost)
+    return (seg.cells, [p.tolist() for p in seg.points], seg.leg_speeds, seg.reaches_goal,
+            seg.heading_hint, path_cost(seg.cells, *planner_pen(pl), 5.0),
+            pl._cost_field()[0].tolist())
 
 
 def test_cached_fields_plan_like_a_fresh_planner():

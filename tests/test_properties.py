@@ -21,18 +21,22 @@ def small_configs(draw):
     nx, ny = draw(cells), draw(cells)
     # a street period that fits the shorter side, an endpoint band at least
     # one cell wide that starts within half the longer side, and a Rayleigh
-    # scale no larger than the flight altitude, which leaves free cells when
-    # the altitude is drawn low, so that most draws reach the flight
+    # scale between two thirds and twice the flight altitude: each building
+    # is then as tall as the altitude with probability 0.32-0.88, so most
+    # flown draws hold an obstacle, and most leave free cells
     footprint = draw(st.integers(1, 3))
     street = draw(st.integers(1, min(3, min(nx, ny) - footprint)))
     map_size_m = [nx * s, ny * s]
     lo = draw(st.floats(1.0, min(60.0, max(map_size_m) / 2)))
     altitude = draw(st.floats(10.0, 120.0))
+    # no shorter than config's reach check (test_cli covers its rejection),
+    # so that the draws fly rather than fail validation
+    sensor_range = draw(st.floats(sensor_reach_m(s, map_size_m), 80.0))
     return {
         "scenario": {
             "map_size_m": map_size_m,
             "cell_size_m": s,
-            "rayleigh_scale_m": draw(st.floats(0.0, min(80.0, altitude))),
+            "rayleigh_scale_m": draw(st.floats(altitude / 1.5, min(80.0, 2.0 * altitude))),
             "building_footprint_m": footprint * s,
             "street_width_m": street * s,
             "n_bs": draw(st.integers(1, 3)),
@@ -41,10 +45,14 @@ def small_configs(draw):
             "endpoint_distance_m": [lo, lo + draw(st.floats(s, 60.0))],
             "rng_seed": draw(st.integers(0, 2**16)),
         },
-        # no shorter than config's reach check (test_cli covers its rejection),
-        # so that the draws fly rather than fail validation
-        "sensor": {"fov_deg": draw(st.floats(30.0, 360.0)),
-                   "range_m": draw(st.floats(sensor_reach_m(s, map_size_m), 80.0))},
+        "sensor": {"fov_deg": draw(st.floats(30.0, 360.0)), "range_m": sensor_range},
+        # one frame needed per 0.5-3 sensor ranges flown, and frames too large
+        # to offload half the time: a local-mode vehicle can then fly past its
+        # sensed ground between two frames, where a plan that committed
+        # unsensed cells would take it into a building
+        "offload": {"frames_per_meter": 1.0 / (sensor_range * draw(st.floats(0.5, 3.0))),
+                    "local_fps": draw(st.floats(0.2, 2.0)),
+                    "frame_bits": draw(st.sampled_from([1e10, 1e6]))},
         "planner": {"safety_margin_cells": draw(st.integers(1, 2))},
         "sim": {"tick_s": draw(st.sampled_from([0.1, 0.25, 0.5])),
                 "timeout_s": draw(st.floats(1.0, 60.0))},

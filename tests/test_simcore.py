@@ -183,6 +183,46 @@ def test_learning_arms_commit_only_sensed_cells_when_frames_outrun_the_sensor():
         assert max(r[4] for r in log.rows) == 10.0, kind
 
 
+def _step_enters_cell(p, q, cell, s):
+    """Whether the step from p to q, both (x, y), passes through the open square of `cell`."""
+    lo, hi = 0.0, 1.0
+    for a, b, i in zip(p, q, cell):
+        if a == b:
+            if not i * s < a < (i + 1) * s:
+                return False
+            continue
+        t0, t1 = sorted(((i * s - a) / (b - a), ((i + 1) * s - a) / (b - a)))
+        lo, hi = max(lo, t0), min(hi, t1)
+    return lo < hi
+
+
+def test_margin_keeps_diagonal_hops_from_off_centre_positions_out_of_building_corners():
+    """No step between logged positions crosses the interior of a building cell.
+
+    A cadence replan finds the vehicle between cell centres, and its first
+    leg runs from there to the next cell's centre. On this map, without the
+    one-cell margin, the explored and global arms' paths from (1, 6) to
+    (8, 1) hop diagonally past the building cell (2, 3), and the leg from
+    the off-centre position at t = 2.4 s cuts the cell's corner (x 10-15 m,
+    y 15-20 m). At margin 1 every cell the path joins is a cell away from
+    the building.
+    """
+    from test_planner import make_world
+
+    heights = np.zeros((10, 8))
+    heights[2, 3] = 80.0
+    sc = make_world(heights, (0, 0), (1, 6), (8, 1))
+    cfg = default_config()
+    assert cfg.planner.safety_margin_cells == 1
+    s = sc.truth.cell_size_m
+    for kind in PlannerKind:
+        m, log = run_episode(sc, kind, cfg)
+        assert m.reached, kind
+        cuts = [(a[0], b[0]) for a, b in zip(log.rows, log.rows[1:])
+                if _step_enters_cell(a[1:3], b[1:3], (2, 3), s)]
+        assert not cuts, (kind, cuts)
+
+
 def test_speed_never_exceeds_vmax(episode_result):
     cfg, sc, out = episode_result
     for kind, (m, log) in out.items():
@@ -239,7 +279,7 @@ def test_batch_aggregate_counts_only_reached_episodes():
         row(0, g, 320.0, 100.0, 8e6, 0.25, True),
         row(1, b, 100.0, 200.0, 1e6, 1.0, True),
         row(1, g, 10.0, 2.0, 2e6, 0.0, False),  # gave up after 2 s
-    ], kinds=(b, g), episodes=2)
+    ], episodes=2)
     agg = res.aggregate(g)
     assert (agg["episodes"], agg["stuck_episodes"]) == (2, 1)
     assert agg["total_distance_m"] == 320.0
@@ -251,7 +291,7 @@ def test_batch_aggregate_counts_only_reached_episodes():
     assert agg["total_duration_s"] == 350.0 and agg["mean_duration_s"] == 175.0
     assert agg["avg_uplink_capacity_bps"] == 2.5e6
     assert agg["nlos_distance_ratio"] == 250.0 / 400.0
-    only_stuck = BatchResult(rows=[res.rows[3]], kinds=(g,), episodes=1).aggregate(g)
+    only_stuck = BatchResult(rows=[res.rows[3]], episodes=1).aggregate(g)
     assert (only_stuck["episodes"], only_stuck["stuck_episodes"]) == (1, 1)
     assert only_stuck["total_duration_s"] == only_stuck["mean_duration_s"] == 0.0
     assert only_stuck["avg_uplink_capacity_bps"] == only_stuck["nlos_distance_ratio"] == 0.0
