@@ -45,7 +45,7 @@ from .errors import StuckError, require
 from .linkfield import TruthLink, capacities, layer_gain_db, layer_offsets
 from .offload import OffloadConfig, governor
 from .radiomap import _STATE_CODE, RadioMap
-from .scenario import _SQRT2, inflate_obstacles, lattice_edges
+from .scenario import _SQRT2, direction_pairs, inflate_obstacles, lattice_edges
 from .worldmap import ExploredMap
 
 
@@ -113,10 +113,12 @@ class Planner:
         if self._static is None:
             self._state_limits = self._explored_limits()
         self._fully_known = bool(explored.known.all())
-        u, v, step = lattice_edges(self._nx, self._ny)
-        self._edges = u, v, step * self._s
+        # (length in m, a, b) per `direction_pairs` grid
+        self._pairs = [(dd * self._s, a, b) for dd, a, b in direction_pairs(self._nx, self._ny)]
         # each cache holds the inputs it was built from
         self._forbidden_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # the forbidden mask the graph's int32 (indptr, targets, slots) keep
+        self._skeleton: tuple | None = None
         self._field_cache: tuple | None = None
         # the field's next hops and flat limits as lists, which plan walks
         # without a numpy scalar per step
@@ -190,6 +192,13 @@ class Planner:
         limits and cost rates never change, so their field is returned while
         the forbidden mask is the object it was built from; the explored
         arm's grids are compared by value.
+
+        A rebuild prices each undirected pair of neighbours once, per
+        `direction_pairs` grid on 2-D slices of the limit and cost-rate grids;
+        `minimum` and `+` commute, so each pair's weight has the bits of the
+        per-edge expression in either direction. One gather through the
+        slots of `_graph_skeleton` puts the weights in CSR order, and the
+        int32 index arrays pass to scipy unscanned and uncopied.
         """
         limits, nlos, intf = self._grids()
         forb = self.forbidden_mask()
@@ -197,26 +206,39 @@ class Planner:
         if cache is not None and cache[0] is forb and self._static is not None:
             return cache[3]
         # per-cell cost rate; an edge charges the mean of its two endpoints
-        pen = (1.0 + self.pc.nlos_penalty * nlos.ravel()
-               + self.pc.interference_weight * intf.ravel())
+        pen = 1.0 + self.pc.nlos_penalty * nlos + self.pc.interference_weight * intf
         if (cache is not None and cache[0] is forb and np.array_equal(cache[1], limits)
                 and np.array_equal(cache[2], pen)):
             return cache[3]
-        u, v, length = self._edges
-        lim = limits.ravel()
-        weight = length / np.minimum(lim[u], lim[v]) * 0.5 * (pen[u] + pen[v])
-        # the sweep runs from the goal, so u is the cell a hop lands on
-        m = ~forb.ravel()[u]
+        weights = np.concatenate([
+            (length / np.minimum(limits[a], limits[b]) * 0.5 * (pen[a] + pen[b])).ravel()
+            for length, a, b in self._pairs])
+        indptr, targets, slots = self._graph_skeleton(forb)
         n = self._nx * self._ny
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(u[m], minlength=n), out=indptr[1:])
-        graph = sparse.csr_matrix((weight[m], v[m], indptr), shape=(n, n))
+        graph = sparse.csr_matrix((weights[slots], targets, indptr), shape=(n, n))
         gstar, pred = csgraph.dijkstra(graph, directed=True, indices=self._goal_flat,
                                        return_predecessors=True)
         field = (gstar, pred, limits)
         self._field_cache = (forb, limits, pen, field)
-        self._walk = (pred.tolist(), lim.tolist())
+        self._walk = (pred.tolist(), limits.ravel().tolist())
         return field
+
+    def _graph_skeleton(self, forb: np.ndarray) -> tuple[np.ndarray, ...]:
+        """int32 (indptr, targets, slots) of the moves out of the cells `forb` leaves free.
+
+        The sweep runs from the goal, so a row's cell is the one a hop lands
+        on. The moves are `lattice_edges`' in its CSR order, so a free
+        cell's row is its slice of the lattice and a forbidden cell's row is
+        empty. Rebuilt only when the forbidden mask is a new object.
+        """
+        if self._skeleton is None or self._skeleton[0] is not forb:
+            _, v, slot, degree = lattice_edges(self._nx, self._ny)
+            free = ~forb.ravel()
+            indptr = np.zeros(len(free) + 1, dtype=np.int32)
+            np.cumsum(degree * free, out=indptr[1:])
+            keep = np.repeat(free, degree)
+            self._skeleton = (forb, indptr, v[keep], slot[keep])
+        return self._skeleton[1:]
 
     def plan(self, position) -> TrajectorySegment:
         """One planning step from the current position toward the goal.

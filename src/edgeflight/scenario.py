@@ -148,40 +148,59 @@ def disk_window(point, radius_m: float, cell_size_m: float, nx: int, ny: int):
 
 def centre_offsets(point, cell_size_m: float, win) -> tuple[np.ndarray, np.ndarray]:
     """(dx (n, 1), dy (1, m)): offsets from a point to the cell centres of a `disk_window`."""
-    dx = (np.arange(win[0].start, win[0].stop) + 0.5)[:, None] * cell_size_m - float(point[0])
-    dy = (np.arange(win[1].start, win[1].stop) + 0.5)[None, :] * cell_size_m - float(point[1])
-    return dx, dy
+    # a centre vector of the next power-of-two length serves every window of a grid
+    x, y = (_centres(cell_size_m, 1 << max(int(w.stop) - 1, 0).bit_length())[w] for w in win)
+    return x[:, None] - float(point[0]), y[None, :] - float(point[1])
+
+
+@functools.lru_cache(maxsize=4)
+def _centres(cell_size_m: float, n: int) -> np.ndarray:
+    """Read-only (k + 0.5) * cell_size_m for k < n."""
+    out = (np.arange(n) + 0.5) * cell_size_m
+    out.flags.writeable = False
+    return out
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
+def direction_pairs(nx: int, ny: int) -> list[tuple[float, tuple, tuple]]:
+    """(length in cells, a, b) per undirected move E, N, NE and SE of an nx x ny grid.
+
+    a and b are 2-D slices: cell a[i, j] moved one step that way is cell
+    b[i, j]. Every move of the lattice is one of these or its reverse, and
+    `lattice_edges`' slots index the four pair grids laid end to end in
+    this order.
+    """
+    return [(dd, (slice(0, nx - dx), slice(max(0, -dy), ny - max(0, dy))),
+             (slice(dx, nx), slice(max(0, dy), ny - max(0, -dy))))
+            for dx, dy, dd in ((1, 0, 1.0), (0, 1, 1.0), (1, 1, _SQRT2), (1, -1, _SQRT2))]
+
+
 @functools.lru_cache(maxsize=1)
 def lattice_edges(nx: int, ny: int) -> tuple[np.ndarray, ...]:
-    """Flat (u, v, step) arrays of the planner's moves, sorted by u, then v.
+    """Flat int32 (u, v, slot, degree) arrays of the planner's moves, sorted by u, then v.
 
-    `step` is a move's length in cells, 1 or sqrt(2). In this canonical CSR
-    order a cost-field rebuild keeps the edges out of free cells as the
-    graph's CSR arrays directly: with indptr the running count of kept
-    edges per source, they equal coo.tocsr() of the same edges (no pair
-    occurs twice), and a weight computed per edge has the same bits in any
-    order. The last grid's arrays are shared and read-only.
+    `slot` is the index of a move's undirected pair in the
+    `direction_pairs` grids laid end to end, each raveled over its cells a;
+    both moves of a pair share it. `degree` is each cell's number of moves
+    out. In this canonical CSR order a cost-field rebuild keeps the edges
+    out of free cells as the graph's CSR arrays directly: with indptr the
+    running count of kept edges per source, they equal coo.tocsr() of the
+    same edges (no pair occurs twice), and a weight computed per pair has
+    the same bits in either direction. The last grid's arrays are shared
+    and read-only.
     """
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    us, vs, steps = [], [], []
-    for ddx, ddy, dd in ((-1, -1, _SQRT2), (-1, 0, 1.0), (-1, 1, _SQRT2),
-                         (0, -1, 1.0), (0, 1, 1.0),
-                         (1, -1, _SQRT2), (1, 0, 1.0), (1, 1, _SQRT2)):
-        u = idx[max(0, -ddx):nx - max(0, ddx),
-                max(0, -ddy):ny - max(0, ddy)].ravel()
-        us.append(u)
-        vs.append(u + ddx * ny + ddy)
-        steps.append(np.full(len(u), dd))
-    u, v = np.concatenate(us), np.concatenate(vs)
+    idx = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
+    a, b = (np.concatenate([idx[pair[k]].ravel() for pair in direction_pairs(nx, ny)])
+            for k in (1, 2))
+    u, v = np.concatenate([a, b]), np.concatenate([b, a])
+    slot = np.tile(np.arange(len(a), dtype=np.int32), 2)
     order = np.lexsort((v, u))
-    edges = u[order], v[order], np.concatenate(steps)[order]
-    for a in edges:
-        a.flags.writeable = False
+    edges = (u[order], v[order], slot[order],
+             np.bincount(u, minlength=nx * ny).astype(np.int32))
+    for arr in edges:
+        arr.flags.writeable = False
     return edges
 
 
@@ -311,7 +330,7 @@ def free_components(free: np.ndarray) -> np.ndarray:
     them. Blocked cells get labels of their own.
     """
     nx, ny = free.shape
-    u, v, _ = lattice_edges(nx, ny)
+    u, v, *_ = lattice_edges(nx, ny)
     flat = free.ravel()
     both = flat[u] & flat[v]
     graph = sparse.coo_array((np.ones(both.sum(), dtype=bool), (u[both], v[both])),

@@ -262,9 +262,15 @@ class RayTable:
     def low(self) -> float:
         """The lowest entry altitude (minz) of the table, inf if it has no entry.
 
-        A cell no taller than this blocks no ray. Computed on first use.
+        A cell no taller than this blocks no ray. Every ray of the table
+        climbs, stays level or descends with t, and its entries are in t
+        order, so its lowest entry is its first one (its last on a
+        descending table): the table's is read from the rays' ends, not
+        scanned. Computed on first use.
         """
-        return float(self.minz.min(initial=np.inf))
+        starts, stops = self.offsets[:-1], self.offsets[1:]
+        ends = (starts if self.target_z >= self.origin[2] else stops - 1)[stops > starts]
+        return float(self.minz[ends].min(initial=np.inf))
 
     def classify_subset(self, rays: np.ndarray, known: np.ndarray,
                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

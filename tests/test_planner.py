@@ -128,14 +128,8 @@ def test_plan_cost_matches_exhaustive_enumeration_on_tiny_grids():
     assert solved >= 6
 
 
-@pytest.mark.parametrize("shape", [(2, 9), (9, 2), (7, 5), (12, 12)],
-                         ids=lambda s: f"{s[0]}x{s[1]}")
-def test_cost_field_graph_equals_the_coo_graph_bit_for_bit(monkeypatch, shape):
-    # the planner hands its sorted lattice edges to csr_matrix as CSR arrays;
-    # they must be exactly what coo.tocsr() makes of the edges in any order
-    from scipy import sparse
-    from oracles import _NEIGH
-
+def keep_graphs(monkeypatch) -> list:
+    """Record every graph the planner hands to Dijkstra."""
     graphs = []
     dijkstra = planner_mod.csgraph.dijkstra
 
@@ -144,6 +138,19 @@ def test_cost_field_graph_equals_the_coo_graph_bit_for_bit(monkeypatch, shape):
         return dijkstra(graph, *args, **kwargs)
 
     monkeypatch.setattr(planner_mod.csgraph, "dijkstra", keeping)
+    return graphs
+
+
+@pytest.mark.parametrize("shape", [(2, 9), (9, 2), (7, 5), (12, 12)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_cost_field_graph_equals_the_coo_graph_bit_for_bit(monkeypatch, shape):
+    # the planner prices each undirected pair once on 2-D slices and hands
+    # its lattice's CSR arrays to csr_matrix; they must be exactly what
+    # coo.tocsr() makes of the per-edge weights in any order
+    from scipy import sparse
+    from oracles import _NEIGH
+
+    graphs = keep_graphs(monkeypatch)
     rng = np.random.default_rng(sum(shape))
     nx, ny = shape
     # sparse enough that the margin of one cell leaves free cells on every shape
@@ -151,12 +158,18 @@ def test_cost_field_graph_equals_the_coo_graph_bit_for_bit(monkeypatch, shape):
     free = np.argwhere(heights == 0.0)
     picks = free[rng.choice(len(free), size=3, replace=False)]
     sc = make_world(heights, *map(tuple, picks))
-    for kind in (PlannerKind.GLOBAL, PlannerKind.BASELINE):
+    for kind in (PlannerKind.GLOBAL, PlannerKind.BASELINE, PlannerKind.EXPLORED):
         pl = make_planner(sc, kind, PlanConfig(horizon_s=1e9, safety_margin_cells=1))
+        if kind is PlannerKind.EXPLORED:
+            # measured NLoS cells, so cost rates other than 1 cross every direction
+            for cell in free[rng.random(len(free)) < 0.4]:
+                pl.rm.csi_correct(tuple(cell), LinkState.NLOS)
         pl._cost_field()
         limits, pen = planner_pen(pl)
         lim, pen, forb = limits.ravel(), pen.ravel(), pl.forbidden_mask().ravel()
         assert 0 < forb.sum() < forb.size
+        if kind is PlannerKind.EXPLORED:
+            assert len(np.unique(pen[~forb])) == 2
         u, v, length = [], [], []
         for ddx, ddy, dd in _NEIGH:
             for ix in range(nx):
@@ -173,6 +186,35 @@ def test_cost_field_graph_equals_the_coo_graph_bit_for_bit(monkeypatch, shape):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_graph_skeleton_is_kept_while_the_forbidden_mask_is(monkeypatch):
+    graphs = keep_graphs(monkeypatch)
+    sc = make_world(np.zeros((16, 16)), (0, 0), (2, 8), (13, 8))
+    explored = ExploredMap(16, 16, 5.0)
+    pl = make_planner(sc, PlannerKind.EXPLORED, explored=explored)
+    pl.plan(sc.start)
+    forb = pl.forbidden_mask()
+    # new speed limits and penalties over the same mask: the index arrays are
+    # the kept int32 ones, which scipy takes without a copy
+    pl.rm.csi_correct((3, 12), LinkState.NLOS)
+    pl.plan(sc.start)
+    assert pl.forbidden_mask() is forb
+    first, same = graphs
+    assert first.indptr.dtype == first.indices.dtype == np.int32
+    assert not np.array_equal(first.data, same.data)
+    assert np.shares_memory(first.indptr, same.indptr)
+    assert np.shares_memory(first.indices, same.indices)
+    # an obstacle at flight altitude: a new mask, whose cells have no moves out
+    explored.known[10, 3] = True
+    explored.heights[10, 3] = ALT
+    pl.plan(sc.start)
+    new = graphs[-1]
+    assert len(graphs) == 3 and pl.forbidden_mask() is not forb
+    assert not np.shares_memory(first.indptr, new.indptr)
+    out = np.diff(new.indptr).reshape(16, 16)
+    assert (out[pl.forbidden_mask()] == 0).all() and pl.forbidden_mask()[9:12, 2:5].all()
+    assert (out[~pl.forbidden_mask()] > 0).all()
 
 
 def test_plan_is_deterministic():

@@ -3,7 +3,7 @@ without a tick inside a building."""
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgeflight.config import config_from_dict, sensor_reach_m
@@ -59,8 +59,28 @@ def small_configs(draw):
     }
 
 
+# A draw whose baseline, flying in local mode with frames too large to
+# offload, would enter a building before its first frame if a plan committed
+# unsensed cells. Kept explicit so the check does not depend on the draw
+# sequence of one Hypothesis version.
+UNSENSED_BUILDING = {
+    "scenario": {"map_size_m": [40.0, 95.0], "cell_size_m": 5.0,
+                 "rayleigh_scale_m": 59.443952788487756,
+                 "building_footprint_m": 15.0, "street_width_m": 15.0, "n_bs": 3,
+                 "bs_height_m": 49.606125644276396, "uav_altitude_m": 72.33339358351395,
+                 "endpoint_distance_m": [10.312051955020648, 31.01445436723781],
+                 "rng_seed": 160},
+    "sensor": {"fov_deg": 231.32567834885927, "range_m": 66.37553747228642},
+    "offload": {"frames_per_meter": 0.008396847497259156,
+                "local_fps": 0.8155737284914604, "frame_bits": 1e10},
+    "planner": {"safety_margin_cells": 1},
+    "sim": {"tick_s": 0.5, "timeout_s": 25.81818765344572},
+}
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(small_configs())
+@example(UNSENSED_BUILDING)
 def test_small_configs_are_rejected_or_flown_to_an_outcome(doc):
     try:
         cfg = config_from_dict(doc)

@@ -547,8 +547,10 @@ def test_heights_at_or_below_the_lowest_entry_are_not_read(monkeypatch, origin):
 
 
 def test_lowest_entry_is_computed_on_first_use():
-    for origin in ((57.5, 142.5, 25.0), (100.0, 63.0, 80.0)):  # cut, traced
-        table = RayTable(np.array(origin), 40, 40, 5.0, target_z=50.0)
+    # read from the rays' ends, it must equal the whole table's scan
+    for (x, y), z in itertools.product(((57.5, 142.5), (100.0, 63.0)),  # cut, traced
+                                       (25.0, 50.0, 80.0)):  # climbing, level, descending
+        table = RayTable(np.array([x, y, z]), 40, 40, 5.0, target_z=50.0)
         assert "low" not in vars(table)
         assert table.low == table.minz.min()
         assert "low" in vars(table)
